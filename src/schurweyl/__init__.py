@@ -18,7 +18,6 @@ from schurweyl.amplitudes import (
 )
 from schurweyl.branching import (
     ComputationalState,
-    HybridState,
     SchurWeylState,
     SchurWeylTriplet,
     branch_down,
@@ -29,7 +28,7 @@ from schurweyl.branching import (
     validate_triplet,
 )
 from schurweyl.graph import SWYEdge, SWYGraph, SWYVertex, build
-from schurweyl.radicals import Radical, Rational, radical_from_sqrt
+from schurweyl.radicals import Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
@@ -67,11 +66,9 @@ __all__ = [
     "EngineMismatch",
     "ExactSparseMatrix",
     "GTPattern",
-    "HybridState",
     "InvariantViolation",
     "NotAnEdge",
     "Radical",
-    "Rational",
     "SWYEdge",
     "SWYGraph",
     "SWYVertex",

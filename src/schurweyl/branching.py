@@ -2,15 +2,18 @@
 
 A Schur-Weyl basis vector of level ``n`` is a triplet: a partition of
 ``n`` with at most ``d`` rows, a standard Weyl tableau of that shape
-over ``{1..d}``, and a standard Young tableau of that shape stored as
-its growth path.  Appending one letter ``k`` maps such a vector to a
-superposition one level up (``branch_up``); reading the last letter off
-maps it to a superposition one level down paired with the letter
-removed (``branch_down``).  Both directions preserve norm exactly.
+over ``{1..d}`` held as its GT pattern, and a standard Young tableau of
+that shape held as its growth path, whose last step is the shape.
+Appending one letter ``k`` maps such a vector to a superposition one
+level up (``branch_up``); reading the last letter off maps it to a
+superposition one level down paired with the letter removed
+(``branch_down``).  Both directions preserve norm exactly.
 
-States here are finitely supported maps from basis labels to exact
-amplitudes; :class:`HybridState` additionally carries an unconsumed
-suffix of computational letters, which is what the transform iterates.
+Triplets are validated where they enter the package
+(:func:`validate_triplet`, the JSON readers), not on every step here.
+States are finitely supported maps from basis labels to exact
+amplitudes; the transform folds the state-level maps over plain
+``{label: amplitude}`` dicts.
 """
 
 from __future__ import annotations
@@ -21,17 +24,14 @@ from schurweyl.amplitudes import down_transitions, edge_amplitude, up_transition
 from schurweyl.radicals import ZERO, Radical
 from schurweyl.tableaux import (
     GrowthPath,
+    GTPattern,
     InvariantViolation,
     Partition,
     WeylTableau,
-    add_box,
-    addable_boxes,
-    check_partition,
     gt_to_weyl,
     pad_partition,
+    validate_gt,
     validate_path,
-    validate_weyl,
-    weyl_to_gt,
 )
 
 Word = tuple[int, ...]
@@ -39,38 +39,49 @@ Word = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SchurWeylTriplet:
-    """Basis label |shape, weyl, young> at level ``sum(shape)``."""
+    """Basis label |shape, weyl, young> at level ``sum(shape)``.
 
-    shape: Partition
-    weyl: WeylTableau
+    The Weyl tableau is held as its GT pattern and the Young tableau as
+    its growth path, whose last step is the shape.
+    """
+
+    pattern: GTPattern
     young: GrowthPath
 
     @property
+    def shape(self) -> Partition:
+        return self.young[-1]
+
+    @property
     def level(self) -> int:
-        return sum(self.shape)
+        return len(self.young) - 1
 
     @property
     def d(self) -> int:
-        return self.weyl.d
+        return self.pattern.d
+
+    @property
+    def weyl(self) -> WeylTableau:
+        """Row view of the Weyl tableau, for rendering and serialization."""
+        return gt_to_weyl(self.pattern)
 
     def sort_key(self):
-        return (self.shape, weyl_to_gt(self.weyl).key(), self.young)
+        return (self.shape, self.pattern.key(), self.young)
 
 
 def validate_triplet(triplet: SchurWeylTriplet) -> SchurWeylTriplet:
-    shape = check_partition(triplet.shape)
-    validate_weyl(triplet.weyl)
-    validate_path(triplet.young)
-    if not (shape == triplet.weyl.shape == triplet.young[-1]):
+    """Check a triplet built outside the package; the branching steps do not."""
+    validate_gt(triplet.pattern)
+    young = validate_path(triplet.young)
+    if triplet.pattern.shape != young[-1]:
         raise InvariantViolation(
-            "components share one shape",
-            f"{shape} / {triplet.weyl.shape} / {triplet.young[-1]}",
+            "components share one shape", f"{triplet.pattern.shape} / {young[-1]}"
         )
     return triplet
 
 
 def empty_triplet(d: int) -> SchurWeylTriplet:
-    return SchurWeylTriplet((), WeylTableau((), d), ((),))
+    return SchurWeylTriplet(GTPattern(tuple((0,) * j for j in range(1, d + 1))), ((),))
 
 
 def _merge(acc: dict, key, amp: Radical) -> None:
@@ -151,45 +162,23 @@ class ComputationalState(_AmplitudeMap):
         return sorted(self._terms.items())
 
 
-class HybridState(_AmplitudeMap):
-    """Superposition of (triplet, unconsumed word suffix) pairs."""
-
-    def sorted_terms(self):
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (item[0][0].sort_key(), item[0][1]),
-            reverse=True,
-        )
-
-
 def branch_up(
     triplet: SchurWeylTriplet, k: int, engine: str = "louck"
 ) -> SchurWeylState:
     """Append letter ``k``: the exact superposition one level up.
 
-    Every addable box of the shape (kept within ``d`` rows) extends the
-    Young tableau; for each the Weyl tableau ranges over the valid
-    insertions of ``k`` landing on that box's row, weighted by the
-    transition amplitude.
+    Each valid insertion of ``k`` into the Weyl tableau grows its shape
+    by one box within ``d`` rows; the Young tableau grows by the same
+    box, and the term is weighted by the transition amplitude.
     """
-    validate_triplet(triplet)
-    d = triplet.d
-    if not 1 <= k <= d:
-        raise ValueError(f"letter out of range: {k} with d={d}")
-    lower = weyl_to_gt(triplet.weyl)
-    by_shape: dict[Partition, list] = {}
+    if not 1 <= k <= triplet.d:
+        raise ValueError(f"letter out of range: {k} with d={triplet.d}")
+    lower = triplet.pattern
+    terms = {}
     for upper in up_transitions(lower, k):
-        by_shape.setdefault(upper.shape, []).append(upper)
-    out: dict[SchurWeylTriplet, Radical] = {}
-    for box in addable_boxes(triplet.shape):
-        if box.row > d:
-            continue
-        grown = add_box(triplet.shape, box.row)
-        young = triplet.young + (grown,)
-        for upper in by_shape.get(grown, ()):
-            amp = edge_amplitude(lower, upper, engine)
-            _merge(out, SchurWeylTriplet(grown, gt_to_weyl(upper), young), amp)
-    return SchurWeylState(out)
+        grown = SchurWeylTriplet(upper, triplet.young + (upper.shape,))
+        terms[grown] = edge_amplitude(lower, upper, engine)
+    return SchurWeylState(terms)
 
 
 def branch_down(
@@ -201,43 +190,39 @@ def branch_down(
     step); each valid removal letter contributes one term.  Returns []
     only for the level-0 triplet.
     """
-    validate_triplet(triplet)
-    if not triplet.shape:
+    if not triplet.level:
         return []
-    upper = weyl_to_gt(triplet.weyl)
-    shrunken = triplet.young[-2]
+    upper = triplet.pattern
     young = triplet.young[:-1]
-    target_top = pad_partition(shrunken, triplet.d)
-    out = []
-    for lower, k in down_transitions(upper):
-        if lower.levels[-1] != target_top:
-            continue
-        amp = edge_amplitude(lower, upper, engine)
-        out.append(
-            (SchurWeylTriplet(shrunken, gt_to_weyl(lower), young), k, amp)
-        )
+    target_top = pad_partition(young[-1], triplet.d)
+    out = [
+        (SchurWeylTriplet(lower, young), k, edge_amplitude(lower, upper, engine))
+        for lower, k in down_transitions(upper)
+        if lower.levels[-1] == target_top
+    ]
     out.sort(key=lambda term: (term[1], term[0].sort_key()))
     return out
 
 
-def branch_up_state(state: HybridState, engine: str = "louck") -> HybridState:
-    """Consume the first unread letter of every term."""
+def branch_up_state(
+    state: dict[SchurWeylTriplet, Radical], k: int, engine: str = "louck"
+) -> dict[SchurWeylTriplet, Radical]:
+    """Append letter ``k`` to every term of ``{triplet: amplitude}``."""
     out: dict = {}
-    for (triplet, word), amp in state.terms().items():
-        if not word:
-            raise InvariantViolation("nonempty suffix", f"{triplet}")
-        head, rest = word[0], word[1:]
-        for grown, edge_amp in branch_up(triplet, head, engine).terms().items():
-            _merge(out, (grown, rest), amp * edge_amp)
-    return HybridState(out)
+    for triplet, amp in state.items():
+        for grown, edge_amp in branch_up(triplet, k, engine).terms().items():
+            _merge(out, grown, amp * edge_amp)
+    return out
 
 
-def branch_down_state(state: HybridState, engine: str = "louck") -> HybridState:
-    """Move one letter from every term's triplet onto its word."""
+def branch_down_state(
+    state: dict[tuple[SchurWeylTriplet, Word], Radical], engine: str = "louck"
+) -> dict[tuple[SchurWeylTriplet, Word], Radical]:
+    """Move the last letter of every term's triplet to the front of its word."""
     out: dict = {}
-    for (triplet, word), amp in state.terms().items():
-        if not triplet.shape:
+    for (triplet, word), amp in state.items():
+        if not triplet.level:
             raise InvariantViolation("nonempty register", f"{word}")
         for shrunken, k, edge_amp in branch_down(triplet, engine):
             _merge(out, (shrunken, (k, *word)), amp * edge_amp)
-    return HybridState(out)
+    return out

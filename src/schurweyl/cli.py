@@ -18,11 +18,9 @@ from .radicals import ONE, Radical
 from .tableaux import (
     InvariantViolation,
     parse_word,
-    partition_sort_key,
     path_to_syt,
     render_tableau_rows,
     shape_to_text,
-    weyl_to_gt,
     word_to_text,
 )
 from .transform import (
@@ -123,7 +121,7 @@ def cmd_decode(args) -> int:
 def cmd_graph(args) -> int:
     graph = build(args.d, args.n, args.engine)
     if args.dot is not None:
-        Path(args.dot).write_text(graph.to_dot() + "\n")
+        Path(args.dot).write_text(graph.to_dot())
     if args.json_path is not None:
         Path(args.json_path).write_text(json.dumps(graph.to_json_obj(), indent=2) + "\n")
     if args.format == "json":
@@ -135,7 +133,7 @@ def cmd_graph(args) -> int:
     )
     for level in range(graph.n_max + 1):
         census = graph.level_census(level)
-        shapes = sorted(census, key=partition_sort_key, reverse=True)
+        shapes = sorted(census, reverse=True)
         body = ", ".join(f"{shape_to_text(s)} x{census[s]}" for s in shapes)
         print(f"level {level}: {body}")
     return EXIT_OK
@@ -157,8 +155,8 @@ def cmd_check(args) -> int:
         graph = build(2, args.n)
         mismatched = 0
         for edge in graph.edges:
-            lower = weyl_to_gt(graph.vertex(edge.lower).tableau)
-            upper = weyl_to_gt(graph.vertex(edge.upper).tableau)
+            lower = graph.vertex(edge.lower).pattern
+            upper = graph.vertex(edge.upper).pattern
             if pattern_amplitude_d2(lower, upper) != louck_amplitude(lower, upper):
                 mismatched += 1
         suites.append(

@@ -16,15 +16,19 @@ from schurweyl.amplitudes import edge_amplitude, up_transitions
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
+    InvariantViolation,
     Partition,
     WeylTableau,
+    check_partition,
     enumerate_gt,
     gt_to_weyl,
+    json_field,
+    letter_from_external,
     letter_to_external,
-    make_weyl,
     partitions,
     render_tableau_rows,
     shape_to_text,
+    weyl_from_external,
     weyl_to_gt,
 )
 
@@ -34,7 +38,12 @@ class SWYVertex:
     id: int
     level: int
     shape: Partition
-    tableau: WeylTableau
+    pattern: GTPattern
+
+    @property
+    def tableau(self) -> WeylTableau:
+        """Row view of the vertex's Weyl tableau, for rendering and serialization."""
+        return gt_to_weyl(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -128,29 +137,41 @@ class SWYGraph:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SWYGraph":
-        d = obj["d"]
-        shift = 1 if d == 2 else 0
-        vertices = [
-            SWYVertex(
-                entry["id"],
-                entry["level"],
-                tuple(entry["shape"]),
-                make_weyl(
-                    [[x + shift for x in row] for row in entry["tableau_rows"]], d
-                ),
+        """Parse and validate :meth:`to_json_obj` output.
+
+        Ids must be dense and in order, each vertex's shape and level
+        must match its tableau, and every edge must join existing
+        vertices one level apart with a letter in the alphabet.
+        """
+        d, n_max = (json_field(obj, key, int, "graph") for key in ("d", "n_max"))
+        if d < 1 or n_max < 0:
+            raise InvariantViolation("graph document", f"bad d={d} or n_max={n_max}")
+        vertices: list[SWYVertex] = []
+        for entry in json_field(obj, "vertices", list, "graph"):
+            vid, level = (json_field(entry, key, int, "graph") for key in ("id", "level"))
+            if vid != len(vertices):
+                raise InvariantViolation("dense vertex ids", f"id {vid} at {len(vertices)}")
+            shape = check_partition(json_field(entry, "shape", list, "graph"))
+            weyl = weyl_from_external(json_field(entry, "tableau_rows", list, "graph", list), d)
+            if shape != weyl.shape or level != sum(shape):
+                raise InvariantViolation(
+                    "vertex matches its tableau", f"vertex {vid}: {shape} at level {level}"
+                )
+            vertices.append(SWYVertex(vid, level, shape, weyl_to_gt(weyl)))
+        edges = []
+        for entry in json_field(obj, "edges", list, "graph"):
+            lower, upper, k = (
+                json_field(entry, key, int, "graph") for key in ("lower", "upper", "k")
             )
-            for entry in obj["vertices"]
-        ]
-        edges = [
-            SWYEdge(
-                entry["lower"],
-                entry["upper"],
-                entry["k"] + shift,
-                Radical.from_json_obj(entry["amplitude"]),
-            )
-            for entry in obj["edges"]
-        ]
-        return cls(d, obj["n_max"], vertices, edges)
+            if not (
+                0 <= lower < len(vertices)
+                and 0 <= upper < len(vertices)
+                and vertices[upper].level == vertices[lower].level + 1
+            ):
+                raise InvariantViolation("edge joins adjacent levels", f"{lower} -> {upper}")
+            amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "graph"))
+            edges.append(SWYEdge(lower, upper, letter_from_external(str(k), d), amp))
+        return cls(d, n_max, vertices, edges)
 
     def to_dot(self) -> str:
         lines = [
@@ -191,13 +212,13 @@ def build(d: int, n_max: int, engine: str = "louck") -> SWYGraph:
         for shape in partitions(level, d):
             for pattern in enumerate_gt(shape, d):
                 vid = len(vertices)
-                vertices.append(SWYVertex(vid, level, shape, gt_to_weyl(pattern)))
+                vertices.append(SWYVertex(vid, level, shape, pattern))
                 ids[(level, pattern)] = vid
     edges: list[SWYEdge] = []
     for v in vertices:
         if v.level == n_max:
             continue
-        lower = weyl_to_gt(v.tableau)
+        lower = v.pattern
         for k in range(1, d + 1):
             fan = [
                 (ids[(v.level + 1, upper)], upper)

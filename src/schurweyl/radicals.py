@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
-Rational = Fraction
+from schurweyl.tableaux import InvariantViolation, json_field
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -130,12 +130,6 @@ class Radical:
     def square(self) -> "Radical":
         return self.mul(self)
 
-    def scale(self, factor) -> "Radical":
-        factor = Fraction(factor)
-        out = Radical.__new__(Radical)
-        out._terms = {m: c * factor for m, c in self._terms.items()} if factor else {}
-        return out
-
     def to_float(self) -> float:
         return sum((float(c) * sqrt(m) for m, c in self._terms.items()), 0.0)
 
@@ -209,13 +203,17 @@ class Radical:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Radical":
-        if not isinstance(obj, dict) or "terms" not in obj:
-            raise ValueError("malformed radical: expected an object with a 'terms' list")
+        """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored."""
         terms: dict[int, Fraction] = {}
-        for entry in obj["terms"]:
-            m = entry["radicand"]
-            c = Fraction(entry["num"], entry["den"])
-            terms[m] = terms.get(m, _ZERO_FRACTION) + c
+        for entry in json_field(obj, "terms", list, "radical"):
+            m, num, den = (
+                json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
+            )
+            if m < 1:
+                raise InvariantViolation("radical document", f"field 'radicand': {m} < 1")
+            if den == 0:
+                raise InvariantViolation("radical document", "field 'den': zero")
+            terms[m] = terms.get(m, _ZERO_FRACTION) + Fraction(num, den)
         return cls(terms)
 
 

@@ -8,9 +8,10 @@ Conventions used throughout the package:
   the sequence of partitions obtained by restricting to entries
   ``<= i`` for ``i = 0..n``; the row-grid is a derived view.
 * A standard Weyl tableau (semistandard, entries bounded by the
-  alphabet size ``d``) is stored as its rows over the internal
-  alphabet ``{1..d}``.  The external two-letter alphabet ``{0,1}``
-  maps ``0 -> 1``, ``1 -> 2`` at the serialization boundary only.
+  alphabet size ``d``) is stored canonically as its GT pattern; the
+  rows over the internal alphabet ``{1..d}`` (:class:`WeylTableau`)
+  are the view used at the text/JSON boundary.  The external two-letter
+  alphabet ``{0,1}`` maps ``0 -> 1``, ``1 -> 2`` at that boundary only.
 * A GT pattern lists ``d`` levels, level ``j`` holding ``j`` entries;
   entry ``(i, j)`` counts the boxes in row ``i`` of the Weyl tableau
   whose entries are at most ``j``.  The top level, zero-padded, is the
@@ -18,9 +19,9 @@ Conventions used throughout the package:
 
 Canonical orders: partitions descending lexicographic; Weyl tableaux by
 their GT pattern read top level to bottom level, left to right,
-descending lexicographic; standard Young tableaux descending
-lexicographic by growth path.  Plain reverse tuple sorting realizes all
-three, which is what :func:`partition_sort_key` etc. return keys for.
+descending lexicographic (:meth:`GTPattern.key`); standard Young
+tableaux descending lexicographic by growth path.  Plain reverse tuple
+sorting realizes all three.
 """
 
 from __future__ import annotations
@@ -374,23 +375,22 @@ def enumerate_weyl(shape: Partition, d: int) -> list[WeylTableau]:
 
 
 # ---------------------------------------------------------------------------
-# canonical sort keys (use with reverse=True, or negate via sorted(..., reverse=True))
+# rendering, parsing and the external alphabet
 
 
-def partition_sort_key(shape: Partition) -> Partition:
-    return shape
+def json_field(obj, name: str, kind: type, document: str, items: type = object):
+    """``obj[name]`` of a parsed JSON ``document``, checked to be a ``kind``.
 
-
-def weyl_sort_key(t: WeylTableau) -> tuple[int, ...]:
-    return weyl_to_gt(t).key()
-
-
-def path_sort_key(path: GrowthPath) -> GrowthPath:
-    return path
-
-
-# ---------------------------------------------------------------------------
-# rendering and the external alphabet
+    Booleans do not pass as integers, and a list must hold only ``items``.
+    """
+    value = obj.get(name) if isinstance(obj, dict) else None
+    if (
+        not isinstance(value, kind)
+        or isinstance(value, bool)
+        or (isinstance(value, list) and not all(isinstance(x, items) for x in value))
+    ):
+        raise InvariantViolation(f"{document} document", f"bad or missing field {name!r}")
+    return value
 
 
 def letter_to_external(k: int, d: int) -> str:
@@ -409,6 +409,11 @@ def letter_from_external(text: str, d: int) -> int:
     if not 1 <= k <= d:
         raise InvariantViolation("entries in alphabet", f"{text!r} with d={d}")
     return k
+
+
+def weyl_from_external(rows, d: int) -> WeylTableau:
+    """Validated Weyl tableau from rows over the external alphabet."""
+    return make_weyl([[letter_from_external(str(x), d) for x in row] for row in rows], d)
 
 
 def word_to_text(word: tuple[int, ...], d: int) -> str:

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 from schurweyl.branching import (
     ComputationalState,
-    HybridState,
     SchurWeylState,
     SchurWeylTriplet,
     Word,
     branch_down_state,
     branch_up_state,
     empty_triplet,
-    validate_triplet,
 )
 from schurweyl.radicals import ONE, ZERO, Radical
 from schurweyl.tableaux import (
@@ -28,12 +26,12 @@ from schurweyl.tableaux import (
     check_partition,
     enumerate_gt,
     enumerate_paths,
-    enumerate_weyl,
-    letter_from_external,
+    json_field,
     letter_to_external,
-    make_weyl,
     partitions,
     validate_path,
+    weyl_from_external,
+    weyl_to_gt,
     word_to_text,
 )
 
@@ -51,26 +49,20 @@ def encode(word: Word, d: int, engine: str = "louck") -> SchurWeylState:
     for k in word:
         if not 1 <= k <= d:
             raise ValueError(f"letter out of range: {k} with d={d}")
-    state = HybridState({(empty_triplet(d), tuple(word)): ONE})
-    for _ in word:
-        state = branch_up_state(state, engine)
-    return SchurWeylState(
-        {triplet: amp for (triplet, _), amp in state.terms().items()}
-    )
+    state = {empty_triplet(d): ONE}
+    for k in word:
+        state = branch_up_state(state, k, engine)
+    return SchurWeylState(state)
 
 
 def decode(state: SchurWeylState, engine: str = "louck") -> ComputationalState:
     """Exact computational-basis expansion of a Schur-Weyl state."""
     if not len(state):
         return ComputationalState({})
-    hybrid = HybridState(
-        {(triplet, ()): amp for triplet, amp in state.terms().items()}
-    )
+    terms = {(triplet, ()): amp for triplet, amp in state.terms().items()}
     for _ in range(state.level):
-        hybrid = branch_down_state(hybrid, engine)
-    return ComputationalState(
-        {word: amp for (_, word), amp in hybrid.terms().items()}
-    )
+        terms = branch_down_state(terms, engine)
+    return ComputationalState({word: amp for (_, word), amp in terms.items()})
 
 
 def words(d: int, n: int):
@@ -83,9 +75,9 @@ def schur_basis(d: int, n: int) -> list[SchurWeylTriplet]:
     out = []
     for shape in partitions(n, d):
         paths = enumerate_paths(shape)
-        for weyl in enumerate_weyl(shape, d):
+        for pattern in enumerate_gt(shape, d):
             for path in paths:
-                out.append(SchurWeylTriplet(shape, weyl, path))
+                out.append(SchurWeylTriplet(pattern, path))
     return out
 
 
@@ -183,16 +175,17 @@ def triplet_to_json_obj(triplet: SchurWeylTriplet) -> dict:
 
 
 def triplet_from_json_obj(obj: dict, d: int) -> SchurWeylTriplet:
-    shape = check_partition(tuple(obj["shape"]))
-    weyl = make_weyl(
-        [
-            [letter_from_external(str(x), d) for x in row]
-            for row in obj["weyl_rows"]
-        ],
-        d,
+    """Parse and validate one serialized triplet: the state reader's entry check."""
+    shape = check_partition(json_field(obj, "shape", list, "state"))
+    weyl = weyl_from_external(json_field(obj, "weyl_rows", list, "state", list), d)
+    young = validate_path(
+        tuple(tuple(step) for step in json_field(obj, "young_path", list, "state", list))
     )
-    young = validate_path(tuple(tuple(step) for step in obj["young_path"]))
-    return validate_triplet(SchurWeylTriplet(shape, weyl, young))
+    if not shape == weyl.shape == young[-1]:
+        raise InvariantViolation(
+            "components share one shape", f"{shape} / {weyl.shape} / {young[-1]}"
+        )
+    return SchurWeylTriplet(weyl_to_gt(weyl), young)
 
 
 def state_to_json_obj(state: SchurWeylState, d: int, n: int) -> dict:
@@ -205,21 +198,20 @@ def state_to_json_obj(state: SchurWeylState, d: int, n: int) -> dict:
 
 
 def state_from_json_obj(obj) -> SchurWeylState:
-    if not isinstance(obj, dict) or not {"d", "n", "terms"} <= set(obj):
-        raise InvariantViolation("state document", "expected {d, n, terms}")
-    d, n = obj["d"], obj["n"]
-    if not (isinstance(d, int) and d >= 1 and isinstance(n, int) and n >= 0):
+    d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
+    if d < 1 or n < 0:
         raise InvariantViolation("state document", f"bad d={d!r} or n={n!r}")
-    if not obj["terms"]:
+    entries = json_field(obj, "terms", list, "state")
+    if not entries:
         raise InvariantViolation("state document", "no terms")
     terms: dict[SchurWeylTriplet, Radical] = {}
-    for entry in obj["terms"]:
+    for entry in entries:
         triplet = triplet_from_json_obj(entry, d)
         if triplet.level != n:
             raise InvariantViolation(
                 "terms share level and alphabet", f"{triplet.shape} at n={n}"
             )
-        amp = Radical.from_json_obj(entry["amplitude"])
+        amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "state"))
         terms[triplet] = terms.get(triplet, ZERO) + amp
     return SchurWeylState(terms)
 

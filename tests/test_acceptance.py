@@ -50,9 +50,9 @@ def gt2(m11, a, b):
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
-    return SchurWeylTriplet(
-        tuple(shape), make_weyl(weyl_rows, d), syt_to_path(syt_rows)
-    )
+    t = SchurWeylTriplet(weyl_to_gt(make_weyl(weyl_rows, d)), syt_to_path(syt_rows))
+    assert t.shape == tuple(shape)
+    return t
 
 
 def test_criterion_1_golden_amplitudes():
@@ -77,12 +77,12 @@ def test_criterion_2_golden_branchings():
     lower_young = syt_to_path([[1, 2]])
     down_expected = [
         (
-            SchurWeylTriplet((2,), make_weyl([[2, 2]], 2), lower_young),
+            SchurWeylTriplet(weyl_to_gt(make_weyl([[2, 2]], 2)), lower_young),
             1,
             radical_from_sqrt(-1, 2, 3),
         ),
         (
-            SchurWeylTriplet((2,), make_weyl([[1, 2]], 2), lower_young),
+            SchurWeylTriplet(weyl_to_gt(make_weyl([[1, 2]], 2)), lower_young),
             2,
             radical_from_sqrt(1, 1, 3),
         ),

@@ -5,7 +5,6 @@ import pytest
 
 from schurweyl.branching import (
     ComputationalState,
-    HybridState,
     SchurWeylState,
     SchurWeylTriplet,
     branch_down,
@@ -18,25 +17,26 @@ from schurweyl.branching import (
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     InvariantViolation,
+    enumerate_gt,
     enumerate_paths,
-    enumerate_weyl,
     make_weyl,
     partitions,
     syt_to_path,
+    weyl_to_gt,
 )
 
 
 def all_triplets(n, d):
     for shape in partitions(n, d):
-        for weyl in enumerate_weyl(shape, d):
+        for pattern in enumerate_gt(shape, d):
             for path in enumerate_paths(shape):
-                yield SchurWeylTriplet(shape, weyl, path)
+                yield SchurWeylTriplet(pattern, path)
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
-    return SchurWeylTriplet(
-        tuple(shape), make_weyl(weyl_rows, d), syt_to_path(syt_rows)
-    )
+    t = SchurWeylTriplet(weyl_to_gt(make_weyl(weyl_rows, d)), syt_to_path(syt_rows))
+    assert t.shape == tuple(shape)
+    return t
 
 
 def test_validate_triplet():
@@ -44,12 +44,12 @@ def test_validate_triplet():
     with pytest.raises(InvariantViolation, match="share one shape"):
         validate_triplet(
             SchurWeylTriplet(
-                (2,), make_weyl([[1, 2], [2]], 2), syt_to_path([[1, 2], [3]])
+                weyl_to_gt(make_weyl([[1, 2]], 2)), syt_to_path([[1, 2], [3]])
             )
         )
     with pytest.raises(InvariantViolation):
         validate_triplet(
-            SchurWeylTriplet((1,), make_weyl([[1]], 2), ((), (2,)))
+            SchurWeylTriplet(weyl_to_gt(make_weyl([[1]], 2)), ((), (2,)))
         )
 
 
@@ -96,12 +96,12 @@ def test_branch_down_golden():
     lower_young = syt_to_path([[1, 2]])
     assert terms == [
         (
-            SchurWeylTriplet((2,), make_weyl([[2, 2]], 2), lower_young),
+            SchurWeylTriplet(weyl_to_gt(make_weyl([[2, 2]], 2)), lower_young),
             1,
             radical_from_sqrt(-1, 2, 3),
         ),
         (
-            SchurWeylTriplet((2,), make_weyl([[1, 2]], 2), lower_young),
+            SchurWeylTriplet(weyl_to_gt(make_weyl([[1, 2]], 2)), lower_young),
             2,
             radical_from_sqrt(1, 1, 3),
         ),
@@ -111,7 +111,7 @@ def test_branch_down_golden():
 def test_branch_down_level_one_and_zero():
     for d in (1, 2, 3):
         for k in range(1, d + 1):
-            start = SchurWeylTriplet((1,), make_weyl([[k]], d), ((), (1,)))
+            start = SchurWeylTriplet(weyl_to_gt(make_weyl([[k]], d)), ((), (1,)))
             assert branch_down(start) == [(empty_triplet(d), k, ONE)]
         assert branch_down(empty_triplet(d)) == []
 
@@ -173,9 +173,9 @@ def test_hybrid_round_trip_exhaustive_d2():
     for n in range(0, 4):
         for t in all_triplets(n, 2):
             for k in (1, 2):
-                start = HybridState({(t, (k,)): ONE})
-                state = branch_down_state(branch_up_state(start))
-                assert state == start
+                up = branch_up_state({t: ONE}, k)
+                down = branch_down_state({(u, ()): amp for u, amp in up.items()})
+                assert down == {(t, (k,)): ONE}
 
 
 def test_hybrid_round_trip_random_d3():
@@ -184,20 +184,25 @@ def test_hybrid_round_trip_random_d3():
     for _ in range(25):
         t = rng.choice(pool)
         k = rng.randint(1, 3)
-        start = HybridState({(t, (k,)): ONE})
-        assert branch_down_state(branch_up_state(start)) == start
-    # and the opposite composition on level-3 triplets
+        up = branch_up_state({t: ONE}, k)
+        down = branch_down_state({(u, ()): amp for u, amp in up.items()})
+        assert down == {(t, (k,)): ONE}
+    # and the opposite composition on level-3 triplets: strip one letter,
+    # then append each letter to the terms that lost it
     for t in itertools.islice(all_triplets(3, 3), 0, 60, 7):
-        start = HybridState({(t, ()): ONE})
-        assert branch_up_state(branch_down_state(start)) == start
+        down = branch_down_state({(t, ()): ONE})
+        total = {}
+        for k in (1, 2, 3):
+            part = {s: amp for (s, word), amp in down.items() if word == (k,)}
+            for u, amp in branch_up_state(part, k).items():
+                total[u] = total.get(u, ZERO) + amp
+        assert {u: amp for u, amp in total.items() if amp} == {t: ONE}
 
 
 def test_state_level_errors():
     t = triplet((1,), [[1]], [[1]], 2)
-    with pytest.raises(InvariantViolation, match="suffix"):
-        branch_up_state(HybridState({(t, ()): ONE}))
     with pytest.raises(InvariantViolation, match="register"):
-        branch_down_state(HybridState({(empty_triplet(2), (1,)): ONE}))
+        branch_down_state({(empty_triplet(2), (1,)): ONE})
     with pytest.raises(InvariantViolation, match="share level"):
         SchurWeylState(
             {t: ONE, triplet((2,), [[1, 1]], [[1, 2]], 2): ONE}
@@ -207,14 +212,14 @@ def test_state_level_errors():
 def test_state_merging_and_cancellation():
     t = triplet((1,), [[1]], [[1]], 2)
     u = triplet((1,), [[2]], [[1]], 2)
-    state = HybridState({(t, (2,)): ONE, (u, (1,)): ONE})
-    stepped = branch_up_state(state)
-    # both inputs feed |(2),[0 1]> and |(1,1),[0;1]>: the symmetric term
-    # doubles, the antisymmetric one cancels exactly
     sym = triplet((2,), [[1, 2]], [[1, 2]], 2)
     anti = triplet((1, 1), [[1], [2]], [[1], [2]], 2)
-    assert stepped.amplitude((sym, ())) == radical_from_sqrt(1, 2, 1)
-    assert stepped.amplitude((anti, ())) == ZERO
+    state = {(sym, ()): ONE, (anti, ()): ONE}
+    stepped = branch_down_state(state)
+    # both inputs strip to (t, letter 2) and (u, letter 1): the first
+    # doubles, the second cancels exactly
+    assert stepped[(t, (2,))] == radical_from_sqrt(1, 2, 1)
+    assert (u, (1,)) not in stepped
     assert len(stepped) == 1
 
 

@@ -9,7 +9,7 @@ from schurweyl import cli
 from schurweyl.branching import SchurWeylState, SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE
-from schurweyl.tableaux import make_weyl, parse_word, syt_to_path
+from schurweyl.tableaux import make_weyl, parse_word, syt_to_path, weyl_to_gt
 from schurweyl.transform import encode, state_from_json_obj, state_to_json_obj
 
 GOLDEN_0101 = """\
@@ -68,7 +68,7 @@ def test_decode_golden_from_stdin(monkeypatch, capsys):
     triplet_state = SchurWeylState(
         {
             SchurWeylTriplet(
-                (2, 2), make_weyl([[1, 1], [2, 2]], 2), syt_to_path([[1, 3], [2, 4]])
+                weyl_to_gt(make_weyl([[1, 1], [2, 2]], 2)), syt_to_path([[1, 3], [2, 4]])
             ): ONE
         }
     )
@@ -102,6 +102,42 @@ def test_decode_rejects_bad_weyl(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("invariant: weakly increasing rows")
+
+
+def _drop_weyl_rows(obj):
+    del obj["terms"][0]["weyl_rows"]
+
+
+def _zero_den(obj):
+    obj["terms"][0]["amplitude"]["terms"][0]["den"] = 0
+
+
+def _string_terms(obj):
+    obj["terms"] = "x"
+
+
+def _shape_off_path(obj):
+    obj["terms"][0]["shape"] = [1, 1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_drop_weyl_rows, "weyl_rows"),
+        (_zero_den, "den"),
+        (_string_terms, "terms"),
+        (_shape_off_path, "shape"),
+    ],
+)
+def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):
+    obj = state_to_json_obj(encode(parse_word("01", 2), 2), 2, 2)
+    assert obj["terms"][0]["shape"] == [2]
+    corrupt(obj)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    code, out, err = run(capsys, "decode")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant:") and field in err
 
 
 def test_decode_rejects_malformed_json(monkeypatch, capsys):
@@ -144,6 +180,7 @@ def test_graph_summary_and_files(tmp_path, capsys):
     assert lines[0] == "d=2 n_max=3: 13 vertices, 20 edges"
     assert lines[4] == "level 3: (3) x4, (2,1) x2"
     dot = dot_path.read_text()
+    assert dot == build(2, 3).to_dot()
     assert dot.startswith("digraph swy {")
     assert dot.count(" -> ") == 20
     assert sum(line.lstrip().startswith("v") and "->" not in line

@@ -6,7 +6,12 @@ import pytest
 from schurweyl.branching import SchurWeylTriplet, branch_up
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE, ZERO, radical_from_sqrt
-from schurweyl.tableaux import enumerate_paths, make_weyl, weyl_to_gt
+from schurweyl.tableaux import (
+    InvariantViolation,
+    enumerate_paths,
+    make_weyl,
+    weyl_to_gt,
+)
 
 
 def test_build_small_levels():
@@ -116,7 +121,7 @@ def test_branch_up_term_count_matches_up_edges():
         if v.level == g.n_max:
             continue
         for path in enumerate_paths(v.shape):
-            t = SchurWeylTriplet(v.shape, v.tableau, path)
+            t = SchurWeylTriplet(v.pattern, path)
             for k in (1, 2):
                 assert len(branch_up(t, k)) == len(g.up_edges(v.id, k))
 
@@ -143,6 +148,26 @@ def test_json_round_trip():
     entries = {x for v in obj["vertices"] for row in v["tableau_rows"] for x in row}
     assert entries == {0, 1}
     assert {e["k"] for e in obj["edges"]} == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "section, index, field, value, match",
+    [
+        ("vertices", 1, "id", 5, "dense vertex ids"),
+        ("vertices", 1, "shape", [2], "vertex matches its tableau"),
+        ("vertices", 1, "level", 2, "vertex matches its tableau"),
+        ("edges", 0, "upper", 99, "edge joins adjacent levels"),
+        ("edges", 0, "upper", 0, "edge joins adjacent levels"),
+        ("edges", 0, "k", 2, "entries in alphabet"),
+    ],
+)
+def test_json_rejects_bad_graph(section, index, field, value, match):
+    obj = json.loads(json.dumps(build(2, 2).to_json_obj()))
+    assert obj["vertices"][1]["level"] == obj["vertices"][2]["level"] == 1
+    assert obj["edges"][0]["lower"] == 0
+    obj[section][index][field] = value
+    with pytest.raises(InvariantViolation, match=match):
+        SWYGraph.from_json_obj(obj)
 
 
 def test_dot_output():

@@ -6,7 +6,13 @@ import pytest
 
 from schurweyl.branching import SchurWeylState, SchurWeylTriplet
 from schurweyl.radicals import ONE, Radical, radical_from_sqrt
-from schurweyl.tableaux import InvariantViolation, make_weyl, parse_word, syt_to_path
+from schurweyl.tableaux import (
+    InvariantViolation,
+    make_weyl,
+    parse_word,
+    syt_to_path,
+    weyl_to_gt,
+)
 from schurweyl.transform import (
     DEFAULT_SIZE_BOUND,
     ExactSparseMatrix,
@@ -27,9 +33,9 @@ from schurweyl.transform import (
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
-    return SchurWeylTriplet(
-        tuple(shape), make_weyl(weyl_rows, d), syt_to_path(syt_rows)
-    )
+    t = SchurWeylTriplet(weyl_to_gt(make_weyl(weyl_rows, d)), syt_to_path(syt_rows))
+    assert t.shape == tuple(shape)
+    return t
 
 
 def test_encode_golden_0101():
