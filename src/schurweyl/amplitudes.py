@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 
-from schurweyl.radicals import ONE, Radical, radical_from_sqrt
-from schurweyl.tableaux import GTPattern, validate_gt
+from schurweyl.radicals import Radical, radical_from_sqrt
+from schurweyl.tableaux import GTPattern
 
 ENGINES = ("louck", "pattern", "both")
 
@@ -55,9 +56,13 @@ class TransitionContext:
 
 
 def transition_context(lower: GTPattern, upper: GTPattern) -> TransitionContext:
-    """Validate a single-box transition and locate its bumped positions."""
-    validate_gt(lower)
-    validate_gt(upper)
+    """Locate the bumped positions of a single-box transition.
+
+    Both arguments must be valid GT patterns, as made by
+    :func:`~schurweyl.tableaux.enumerate_gt`, :func:`up_transitions` or
+    :func:`down_transitions`; they are not re-validated here.  A pair
+    that is not a single-box transition raises :class:`NotAnEdge`.
+    """
     d = lower.d
     if upper.d != d:
         raise NotAnEdge(f"pattern depths differ: {d} vs {upper.d}")
@@ -92,43 +97,57 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     All hooks are evaluated on the lower pattern.  The first factor runs
     over level pairs ``(j-1, j)`` for ``j = k+1..d`` and carries the sign
     ``sgn(tau_{j-1} - tau_j)`` with ``sgn(0) = +1``; the second factor
-    involves level ``k`` alone and drops out when ``k = 1``.
+    involves level ``k`` alone and drops out when ``k = 1``.  Each level
+    contributes a signed ``sqrt(num/den)`` of integers, so the product is
+    kept as one sign and one integer fraction and becomes a single square
+    root at the end.
+
+    The trust contract is that of :func:`transition_context`: valid GT
+    patterns in, :class:`NotAnEdge` for a pair that is not an edge.
     """
     ctx = transition_context(lower, upper)
     d, k = lower.d, ctx.k
-
-    def hook(i: int, j: int) -> int:
-        return partial_hook(lower, i, j)
-
-    amp = ONE
+    # hooks[j - 1][i - 1] is the partial hook p_{i,j} = m_{i,j} + j - i
+    hooks = [
+        [m + j - i for i, m in enumerate(level, start=1)]
+        for j, level in enumerate(lower.levels, start=1)
+    ]
+    sign = num = den = 1
     for j in range(k + 1, d + 1):
         t_up, t_lo = ctx.tau(j), ctx.tau(j - 1)
-        num = 1
-        den = 1
-        for i in range(1, j):
+        row, below = hooks[j - 1], hooks[j - 2]
+        h_up, h_lo = row[t_up - 1], below[t_lo - 1]
+        level_num = level_den = 1
+        for i, h in enumerate(below, start=1):
             if i != t_lo:
-                num *= hook(t_up, j) - hook(i, j - 1)
-                den *= hook(t_lo, j - 1) - hook(i, j - 1) + 1
-        for i in range(1, j + 1):
+                level_num *= h_up - h
+                level_den *= h_lo - h + 1
+        for i, h in enumerate(row, start=1):
             if i != t_up:
-                num *= hook(t_lo, j - 1) - hook(i, j) + 1
-                den *= hook(t_up, j) - hook(i, j)
-        if den == 0:
+                level_num *= h_lo - h + 1
+                level_den *= h_up - h
+        if level_den == 0:
             raise NotAnEdge(f"vanishing hook product at level {j}")
-        sign = -1 if t_lo < t_up else 1
-        amp = amp.mul(radical_from_sqrt(sign, abs(num), abs(den)))
+        if t_lo < t_up:
+            sign = -sign
+        num *= abs(level_num)
+        den *= abs(level_den)
     if k > 1:
-        num = 1
-        den = 1
-        for i in range(1, k):
-            num *= hook(ctx.tau(k), k) - hook(i, k - 1)
-        for i in range(1, k + 1):
-            if i != ctx.tau(k):
-                den *= hook(ctx.tau(k), k) - hook(i, k)
-        if den == 0:
+        t = ctx.tau(k)
+        row = hooks[k - 1]
+        h = row[t - 1]
+        level_num = level_den = 1
+        for other in hooks[k - 2]:
+            level_num *= h - other
+        for i, other in enumerate(row, start=1):
+            if i != t:
+                level_den *= h - other
+        if level_den == 0:
             raise NotAnEdge(f"vanishing hook product at level {k}")
-        amp = amp.mul(radical_from_sqrt(1, abs(num), abs(den)))
-    return amp
+        num *= abs(level_num)
+        den *= abs(level_den)
+    g = gcd(num, den)
+    return radical_from_sqrt(sign, num // g, den // g)
 
 
 @cache

@@ -122,10 +122,12 @@ def cmd_graph(args) -> int:
     graph = build(args.d, args.n, args.engine)
     if args.dot is not None:
         Path(args.dot).write_text(graph.to_dot())
+    if args.json_path is not None or args.format == "json":
+        text = json.dumps(graph.to_json_obj(), indent=2)
     if args.json_path is not None:
-        Path(args.json_path).write_text(json.dumps(graph.to_json_obj(), indent=2) + "\n")
+        Path(args.json_path).write_text(text + "\n")
     if args.format == "json":
-        print(json.dumps(graph.to_json_obj(), indent=2))
+        print(text)
         return EXIT_OK
     print(
         f"d={graph.d} n_max={graph.n_max}:"

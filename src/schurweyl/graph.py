@@ -179,11 +179,12 @@ class SWYGraph:
             "  rankdir=BT;",
             '  node [shape=box, fontname="monospace"];',
         ]
+        clusters: dict[tuple[int, Partition], list[SWYVertex]] = {}
+        for v in self.vertices:
+            clusters.setdefault((v.level, v.shape), []).append(v)
         for level in range(self.n_max + 1):
             for f, shape in enumerate(partitions(level, self.d)):
-                members = [
-                    v for v in self.level_vertices(level) if v.shape == shape
-                ]
+                members = clusters.get((level, shape), [])
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
                 for v in members:

@@ -236,4 +236,7 @@ def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:
     if sign == 0 or num == 0:
         return ZERO
     s, m = squarefree_decompose(num * den)
-    return Radical({m: Fraction(sign * s, den)})
+    # m is square-free and the coefficient nonzero: already canonical
+    out = Radical.__new__(Radical)
+    out._terms = {m: Fraction(sign * s, den)}
+    return out

@@ -114,8 +114,8 @@ def test_pattern_equals_louck_d2():
 def test_amplitudes_nonzero_and_normalized():
     # columns of the branching isometry have unit norm: for every lower
     # pattern and letter, the squared amplitudes over fan-out sum to 1
-    for d in (1, 2, 3):
-        for n in range(0, 5):
+    for d, n_max in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3)):
+        for n in range(0, n_max + 1):
             for lower in all_patterns(n, d):
                 for k in range(1, d + 1):
                     ups = up_transitions(lower, k)

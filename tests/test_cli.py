@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,16 @@ def test_graph_summary_and_files(tmp_path, capsys):
     assert reloaded == build(2, 3)
 
 
+def test_graph_json_file_matches_stdout(tmp_path, capsys):
+    json_path = tmp_path / "swy.json"
+    code, out, _ = run(
+        capsys, "graph", "--d", "3", "--n", "3", "--format", "json", "--json", str(json_path),
+    )
+    assert code == 0
+    assert json_path.read_text() == out
+    assert out == json.dumps(build(3, 3).to_json_obj(), indent=2) + "\n"
+
+
 def test_graph_level_zero(capsys):
     code, out, _ = run(capsys, "graph", "--d", "2", "--n", "0")
     assert code == 0
@@ -247,10 +259,14 @@ def test_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_module_entry_point():
+    # the child process finds the package where this one imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "schurweyl.cli", "encode", "--d", "2", "0101"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == GOLDEN_0101

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -203,3 +204,35 @@ def test_fig5_structure():
         [(1, 1), (2,)],
         [(2, 1), (3,)],
     ]
+
+
+@pytest.mark.parametrize(
+    "d, n, json_sha256, dot_sha256",
+    [
+        pytest.param(
+            3, 6,
+            "df7f48f352bc9d73d016458ef713f990b5f924b256f646424b5aa92df8d72cf0",
+            "cbc1415f0944fcabff991331b56d0c021a12cd2316bdf789b7cc6ef1a27094a5",
+            id="d3-n6",
+        ),
+        pytest.param(
+            4, 5,
+            "8b551440e3c1957b4d658989cace354543af443844d9f0f15a2424eab0be6763",
+            "36592653ffc8c449f8d1d556f01435976064809d717fc4924417da550378fc6d",
+            id="d4-n5",
+        ),
+        pytest.param(
+            5, 4,
+            "de0b29e31a19c84c49b234f20e0ee6e949ed15053f81648e7ffd55430111e0d2",
+            "f8f612994b6c4c09c022409209dbf83f59e393ecb8a1fe137b1dec727cc41daa",
+            id="d5-n4",
+        ),
+    ],
+)
+def test_graph_bytes_golden(d, n, json_sha256, dot_sha256):
+    # d >= 3 has no second amplitude engine to cross-check Louck's
+    # formula, so the serialized graph is pinned byte for byte
+    g = build(d, n)
+    text = json.dumps(g.to_json_obj(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
+    assert hashlib.sha256(g.to_dot().encode()).hexdigest() == dot_sha256

@@ -77,6 +77,18 @@ def test_from_sqrt_squares_back():
                 )
 
 
+def test_from_sqrt_matches_constructor():
+    # radical_from_sqrt builds its term map directly, bypassing the
+    # normalizing constructor; both must give the same canonical form
+    for num in range(1, 41):
+        for den in range(1, 41):
+            for sign in (-1, 1):
+                r = radical_from_sqrt(sign, num, den)
+                assert r == Radical({num * den: Fraction(sign, den)})
+                (m,) = r.terms
+                assert brute_squarefree(m) == (1, m)
+
+
 def test_mul_cross_radicands():
     r = radical_from_sqrt(1, 6, 1) * radical_from_sqrt(1, 10, 1)
     assert r == Radical({15: 2})
