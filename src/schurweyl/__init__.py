@@ -1,17 +1,15 @@
 """Exact classical engine for the quantum Schur transform on n qudits.
 
 Everything is computed over the ring of rational linear combinations of
-square roots of square-free integers, so equality tests (unitarity, engine
-agreement, round trips) are exact rather than approximate.
+square roots of square-free integers, so equality tests (unitarity, round
+trips, agreement with the d=2 entry-reading rule) are exact rather than
+approximate.
 """
 
 from schurweyl.amplitudes import (
-    ENGINES,
-    EngineMismatch,
     NotAnEdge,
     WrongDimension,
     down_transitions,
-    edge_amplitude,
     louck_amplitude,
     pattern_amplitude_d2,
     up_transitions,
@@ -61,9 +59,7 @@ from schurweyl.transform import (
 
 __all__ = [
     "DEFAULT_SIZE_BOUND",
-    "ENGINES",
     "ComputationalState",
-    "EngineMismatch",
     "ExactSparseMatrix",
     "GTPattern",
     "InvariantViolation",
@@ -85,7 +81,6 @@ __all__ = [
     "decode",
     "dimension_check",
     "down_transitions",
-    "edge_amplitude",
     "empty_triplet",
     "encode",
     "enumerate_gt",

@@ -3,15 +3,15 @@
 A transition runs from a pattern with ``n`` boxes to one with ``n + 1``:
 there is a smallest level ``k`` at which the patterns differ, and every
 level ``j >= k`` of the upper pattern exceeds the lower by exactly one,
-at position ``tau_j``.  Two engines compute the amplitude:
+at position ``tau_j``.  :func:`louck_amplitude` gives its amplitude by
+the closed-form product formula over partial hooks
+``p_{i,j} = m_{i,j} + j - i`` of the lower pattern, valid for any
+alphabet size.  The amplitude is a signed square root of a rational, so
+it is always a single-term :class:`~schurweyl.radicals.Radical`.
 
-* ``louck``: the closed-form product formula over partial hooks
-  ``p_{i,j} = m_{i,j} + j - i`` of the lower pattern, valid for any
-  alphabet size.  The amplitude is a signed square root of a rational,
-  so it is always a single-term :class:`~schurweyl.radicals.Radical`.
-* ``pattern``: counting rules special to two-letter alphabets.
-
-Both are exact; ``both`` evaluates the two and insists they agree.
+:func:`pattern_amplitude_d2` is the paper's entry-reading rule for
+two-letter alphabets.  It gives the same value on every d=2 edge and
+is kept as the reference that the tests and ``check`` compare against.
 """
 
 from __future__ import annotations
@@ -23,19 +23,13 @@ from math import gcd
 from schurweyl.radicals import Radical, radical_from_sqrt
 from schurweyl.tableaux import GTPattern
 
-ENGINES = ("louck", "pattern", "both")
-
 
 class NotAnEdge(ValueError):
     """The two patterns are not related by a single-box transition."""
 
 
 class WrongDimension(ValueError):
-    """The pattern engine only applies to two-letter alphabets."""
-
-
-class EngineMismatch(AssertionError):
-    """The two amplitude engines disagreed on an edge (should be impossible)."""
+    """The entry-reading rule only applies to two-letter alphabets."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
     upper pattern and on whether the bottom entries ``m_{1,1}`` agree.
     """
     if lower.d != 2:
-        raise WrongDimension(f"pattern engine needs d=2, got d={lower.d}")
+        raise WrongDimension(f"entry-reading rule needs d=2, got d={lower.d}")
     transition_context(lower, upper)
 
     m_low = lower.m(1, 1)
@@ -179,23 +173,6 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
     if m_low == m_up:
         return radical_from_sqrt(1, m_up - c, n)
     return radical_from_sqrt(-1, n - (m_up - c), n)
-
-
-def edge_amplitude(lower: GTPattern, upper: GTPattern, engine: str = "louck") -> Radical:
-    """Amplitude of the transition ``lower -> upper`` under the chosen engine."""
-    if engine == "louck":
-        return louck_amplitude(lower, upper)
-    if engine == "pattern":
-        return pattern_amplitude_d2(lower, upper)
-    if engine == "both":
-        still = louck_amplitude(lower, upper)
-        quick = pattern_amplitude_d2(lower, upper)
-        if still != quick:
-            raise EngineMismatch(
-                f"louck={still} pattern={quick} for {lower} -> {upper}"
-            )
-        return still
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 def _levels_ok(levels: list[list[int]], j: int) -> bool:

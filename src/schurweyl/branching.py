@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from schurweyl.amplitudes import down_transitions, edge_amplitude, up_transitions
-from schurweyl.radicals import ZERO, Radical
+from schurweyl.amplitudes import down_transitions, louck_amplitude, up_transitions
+from schurweyl.radicals import ONE, ZERO, Radical
 from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
     InvariantViolation,
     Partition,
     WeylTableau,
-    gt_to_weyl,
+    gt_to_weyl_unchecked,
     pad_partition,
     validate_gt,
     validate_path,
@@ -63,7 +63,7 @@ class SchurWeylTriplet:
     @property
     def weyl(self) -> WeylTableau:
         """Row view of the Weyl tableau, for rendering and serialization."""
-        return gt_to_weyl(self.pattern)
+        return gt_to_weyl_unchecked(self.pattern)
 
     def sort_key(self):
         return (self.shape, self.pattern.key(), self.young)
@@ -162,67 +162,60 @@ class ComputationalState(_AmplitudeMap):
         return sorted(self._terms.items())
 
 
-def branch_up(
-    triplet: SchurWeylTriplet, k: int, engine: str = "louck"
-) -> SchurWeylState:
-    """Append letter ``k``: the exact superposition one level up.
-
-    Each valid insertion of ``k`` into the Weyl tableau grows its shape
-    by one box within ``d`` rows; the Young tableau grows by the same
-    box, and the term is weighted by the transition amplitude.
-    """
-    if not 1 <= k <= triplet.d:
-        raise ValueError(f"letter out of range: {k} with d={triplet.d}")
-    lower = triplet.pattern
-    terms = {}
-    for upper in up_transitions(lower, k):
-        grown = SchurWeylTriplet(upper, triplet.young + (upper.shape,))
-        terms[grown] = edge_amplitude(lower, upper, engine)
-    return SchurWeylState(terms)
-
-
-def branch_down(
-    triplet: SchurWeylTriplet, engine: str = "louck"
-) -> list[tuple[SchurWeylTriplet, int, Radical]]:
-    """Strip the last letter: terms ``(lower triplet, letter, amplitude)``.
-
-    The Young tableau forces the lower shape (drop the last growth
-    step); each valid removal letter contributes one term.  Returns []
-    only for the level-0 triplet.
-    """
-    if not triplet.level:
-        return []
-    upper = triplet.pattern
-    young = triplet.young[:-1]
-    target_top = pad_partition(young[-1], triplet.d)
-    out = [
-        (SchurWeylTriplet(lower, young), k, edge_amplitude(lower, upper, engine))
-        for lower, k in down_transitions(upper)
-        if lower.levels[-1] == target_top
-    ]
-    out.sort(key=lambda term: (term[1], term[0].sort_key()))
-    return out
-
-
 def branch_up_state(
-    state: dict[SchurWeylTriplet, Radical], k: int, engine: str = "louck"
+    state: dict[SchurWeylTriplet, Radical], k: int
 ) -> dict[SchurWeylTriplet, Radical]:
-    """Append letter ``k`` to every term of ``{triplet: amplitude}``."""
+    """Append letter ``k`` to every term of ``{triplet: amplitude}``.
+
+    Each valid insertion of ``k`` into a Weyl tableau grows its shape by
+    one box within ``d`` rows; the Young tableau grows by the same box,
+    and the term is weighted by the transition amplitude.
+    """
     out: dict = {}
     for triplet, amp in state.items():
-        for grown, edge_amp in branch_up(triplet, k, engine).terms().items():
-            _merge(out, grown, amp * edge_amp)
+        lower = triplet.pattern
+        for upper in up_transitions(lower, k):
+            grown = SchurWeylTriplet(upper, triplet.young + (upper.shape,))
+            _merge(out, grown, amp * louck_amplitude(lower, upper))
     return out
 
 
 def branch_down_state(
-    state: dict[tuple[SchurWeylTriplet, Word], Radical], engine: str = "louck"
+    state: dict[tuple[SchurWeylTriplet, Word], Radical]
 ) -> dict[tuple[SchurWeylTriplet, Word], Radical]:
-    """Move the last letter of every term's triplet to the front of its word."""
+    """Move the last letter of every term's triplet to the front of its word.
+
+    The Young tableau forces the lower shape (drop the last growth
+    step); each valid removal letter contributes one term.
+    """
     out: dict = {}
     for (triplet, word), amp in state.items():
         if not triplet.level:
             raise InvariantViolation("nonempty register", f"{word}")
-        for shrunken, k, edge_amp in branch_down(triplet, engine):
-            _merge(out, (shrunken, (k, *word)), amp * edge_amp)
+        upper = triplet.pattern
+        young = triplet.young[:-1]
+        target_top = pad_partition(young[-1], triplet.d)
+        for lower, k in down_transitions(upper):
+            if lower.levels[-1] == target_top:
+                shrunken = SchurWeylTriplet(lower, young)
+                _merge(out, (shrunken, (k, *word)), amp * louck_amplitude(lower, upper))
     return out
+
+
+def branch_up(triplet: SchurWeylTriplet, k: int) -> SchurWeylState:
+    """Append letter ``k`` to one triplet: the exact superposition one level up."""
+    return SchurWeylState(branch_up_state({triplet: ONE}, k))
+
+
+def branch_down(triplet: SchurWeylTriplet) -> list[tuple[SchurWeylTriplet, int, Radical]]:
+    """Strip the last letter: terms ``(lower triplet, letter, amplitude)``.
+
+    Sorted by letter, then by triplet; [] only for the level-0 triplet.
+    """
+    if not triplet.level:
+        return []
+    terms = branch_down_state({(triplet, ()): ONE})
+    return sorted(
+        ((lower, word[0], amp) for (lower, word), amp in terms.items()),
+        key=lambda term: (term[1], term[0].sort_key()),
+    )

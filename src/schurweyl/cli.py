@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .amplitudes import ENGINES, EngineMismatch, louck_amplitude, pattern_amplitude_d2
+from .amplitudes import louck_amplitude, pattern_amplitude_d2
 from .graph import build
 from .radicals import ONE, Radical
 from .tableaux import (
@@ -54,11 +54,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _require_engine_fits(engine: str, d: int) -> None:
-    if engine != "louck" and d != 2:
-        raise UsageError(f"engine {engine!r} requires d = 2")
-
-
 def _resolve_size_bound(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -87,7 +82,7 @@ def _rows_text(rows, d: int | None = None) -> str:
 
 def cmd_encode(args) -> int:
     word = parse_word(args.word, args.d)
-    state = encode(word, args.d, args.engine)
+    state = encode(word, args.d)
     if args.format == "json":
         print(json.dumps(state_to_json_obj(state, args.d, len(word)), indent=2))
         return EXIT_OK
@@ -108,8 +103,7 @@ def cmd_decode(args) -> int:
     obj = json.loads(text)
     state = state_from_json_obj(obj)
     d, n = obj["d"], obj["n"]
-    _require_engine_fits(args.engine, d)
-    out = decode(state, args.engine)
+    out = decode(state)
     if args.format == "json":
         print(json.dumps(computational_to_json_obj(out, d, n), indent=2))
         return EXIT_OK
@@ -119,7 +113,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = build(args.d, args.n, args.engine)
+    graph = build(args.d, args.n)
     if args.dot is not None:
         Path(args.dot).write_text(graph.to_dot())
     if args.json_path is not None or args.format == "json":
@@ -171,7 +165,7 @@ def cmd_check(args) -> int:
     count = 0
     started = time.perf_counter()
     for word in words(args.d, args.n):
-        if encode(word, args.d, args.engine).norm_squared() != ONE:
+        if encode(word, args.d).norm_squared() != ONE:
             denormalized += 1
         count += 1
     elapsed = time.perf_counter() - started
@@ -182,7 +176,7 @@ def cmd_check(args) -> int:
 
     size = args.d**args.n
     if size <= size_bound:
-        matrix = schur_matrix(args.d, args.n, size_bound, args.engine)
+        matrix = schur_matrix(args.d, args.n, size_bound)
         suites.append(_suite("unitarity", verify_unitary(matrix), f"{size} x {size}"))
     else:
         suites.append(
@@ -193,7 +187,6 @@ def cmd_check(args) -> int:
         report = {
             "d": args.d,
             "n": args.n,
-            "engine": args.engine,
             "size_bound": size_bound,
             "suites": suites,
         }
@@ -216,12 +209,6 @@ def cmd_check(args) -> int:
 def _add_common(parser, with_d: bool = True) -> None:
     if with_d:
         parser.add_argument("--d", type=int, default=2, help="alphabet size (default 2)")
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="louck",
-        help="amplitude engine; pattern and both need d = 2 (default louck)",
-    )
     parser.add_argument(
         "--format",
         choices=("text", "json"),
@@ -280,14 +267,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _require_engine_fits(args.engine, getattr(args, "d", 2))
         return args.func(args)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EngineMismatch as exc:
-        print(f"engine disagreement: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except InvariantViolation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from schurweyl.amplitudes import edge_amplitude, up_transitions
+from schurweyl.amplitudes import louck_amplitude, up_transitions
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
@@ -21,15 +21,14 @@ from schurweyl.tableaux import (
     WeylTableau,
     check_partition,
     enumerate_gt,
-    gt_to_weyl,
+    gt_from_external,
+    gt_to_weyl_unchecked,
     json_field,
     letter_from_external,
     letter_to_external,
     partitions,
     render_tableau_rows,
     shape_to_text,
-    weyl_from_external,
-    weyl_to_gt,
 )
 
 
@@ -43,7 +42,7 @@ class SWYVertex:
     @property
     def tableau(self) -> WeylTableau:
         """Row view of the vertex's Weyl tableau, for rendering and serialization."""
-        return gt_to_weyl(self.pattern)
+        return gt_to_weyl_unchecked(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,12 @@ class SWYGraph:
             if vid != len(vertices):
                 raise InvariantViolation("dense vertex ids", f"id {vid} at {len(vertices)}")
             shape = check_partition(json_field(entry, "shape", list, "graph"))
-            weyl = weyl_from_external(json_field(entry, "tableau_rows", list, "graph", list), d)
-            if shape != weyl.shape or level != sum(shape):
+            pattern = gt_from_external(json_field(entry, "tableau_rows", list, "graph", list), d)
+            if shape != pattern.shape or level != sum(shape):
                 raise InvariantViolation(
                     "vertex matches its tableau", f"vertex {vid}: {shape} at level {level}"
                 )
-            vertices.append(SWYVertex(vid, level, shape, weyl_to_gt(weyl)))
+            vertices.append(SWYVertex(vid, level, shape, pattern))
         edges = []
         for entry in json_field(obj, "edges", list, "graph"):
             lower, upper, k = (
@@ -201,7 +200,7 @@ class SWYGraph:
         return "\n".join(lines) + "\n"
 
 
-def build(d: int, n_max: int, engine: str = "louck") -> SWYGraph:
+def build(d: int, n_max: int) -> SWYGraph:
     """All vertices up to level ``n_max`` with amplitude-labeled edges."""
     if d < 1:
         raise ValueError(f"alphabet size must be positive, got {d}")
@@ -227,7 +226,5 @@ def build(d: int, n_max: int, engine: str = "louck") -> SWYGraph:
             ]
             fan.sort()
             for vid, upper in fan:
-                edges.append(
-                    SWYEdge(v.id, vid, k, edge_amplitude(lower, upper, engine))
-                )
+                edges.append(SWYEdge(v.id, vid, k, louck_amplitude(lower, upper)))
     return SWYGraph(d, n_max, vertices, edges)

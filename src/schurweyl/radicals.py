@@ -16,6 +16,11 @@ from math import gcd, isqrt, sqrt
 
 from schurweyl.tableaux import InvariantViolation, json_field
 
+# Largest radicand a JSON document may carry.  Reading one means a
+# square-free split, whose trial division then stops near 65 536; the
+# package itself writes radicands of a few thousand at most.
+MAX_JSON_RADICAND = 2**48
+
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as ``n == s*s*m`` with ``m`` square-free.
@@ -209,8 +214,11 @@ class Radical:
             m, num, den = (
                 json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
             )
-            if m < 1:
-                raise InvariantViolation("radical document", f"field 'radicand': {m} < 1")
+            if not 1 <= m <= MAX_JSON_RADICAND:
+                raise InvariantViolation(
+                    "radical document",
+                    f"field 'radicand': {m} outside 1..{MAX_JSON_RADICAND}",
+                )
             if den == 0:
                 raise InvariantViolation("radical document", "field 'den': zero")
             terms[m] = terms.get(m, _ZERO_FRACTION) + Fraction(num, den)

@@ -252,7 +252,8 @@ class WeylTableau:
 def validate_weyl(t: WeylTableau) -> WeylTableau:
     if t.d < 1:
         raise InvariantViolation("alphabet size", f"d={t.d}")
-    check_partition(t.shape)
+    if check_partition(t.shape) != t.shape:
+        raise InvariantViolation("nonempty rows", f"{t.rows}")
     if len(t.rows) > t.d:
         raise InvariantViolation("at most d rows", f"{len(t.rows)} rows, d={t.d}")
     for row in t.rows:
@@ -322,7 +323,10 @@ def validate_gt(p: GTPattern) -> GTPattern:
 
 def weyl_to_gt(t: WeylTableau) -> GTPattern:
     """GT pattern whose level ``j`` is the shape of the entries-``<= j`` subtableau."""
-    validate_weyl(t)
+    return _weyl_to_gt_unchecked(validate_weyl(t))
+
+
+def _weyl_to_gt_unchecked(t: WeylTableau) -> GTPattern:
     levels = []
     for j in range(1, t.d + 1):
         counts = [sum(1 for x in row if x <= j) for row in t.rows]
@@ -332,7 +336,11 @@ def weyl_to_gt(t: WeylTableau) -> GTPattern:
 
 
 def gt_to_weyl(p: GTPattern) -> WeylTableau:
-    validate_gt(p)
+    return gt_to_weyl_unchecked(validate_gt(p))
+
+
+def gt_to_weyl_unchecked(p: GTPattern) -> WeylTableau:
+    """Row view of a pattern the package made itself; :func:`gt_to_weyl` validates."""
     d = p.d
     padded = [list(level) + [0] * (d - len(level)) for level in p.levels]
     rows = []
@@ -371,7 +379,7 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
 
 def enumerate_weyl(shape: Partition, d: int) -> list[WeylTableau]:
     """All standard Weyl tableaux of ``shape`` over ``{1..d}``, canonical order."""
-    return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]
+    return [gt_to_weyl_unchecked(p) for p in enumerate_gt(check_partition(shape), d)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +419,13 @@ def letter_from_external(text: str, d: int) -> int:
     return k
 
 
-def weyl_from_external(rows, d: int) -> WeylTableau:
-    """Validated Weyl tableau from rows over the external alphabet."""
-    return make_weyl([[letter_from_external(str(x), d) for x in row] for row in rows], d)
+def gt_from_external(rows, d: int) -> GTPattern:
+    """GT pattern of a Weyl tableau given as rows over the external alphabet.
+
+    The JSON readers' entry check: the rows are validated once, here.
+    """
+    rows = [[letter_from_external(str(x), d) for x in row] for row in rows]
+    return _weyl_to_gt_unchecked(make_weyl(rows, d))
 
 
 def word_to_text(word: tuple[int, ...], d: int) -> str:

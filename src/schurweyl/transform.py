@@ -26,12 +26,11 @@ from schurweyl.tableaux import (
     check_partition,
     enumerate_gt,
     enumerate_paths,
+    gt_from_external,
     json_field,
     letter_to_external,
     partitions,
     validate_path,
-    weyl_from_external,
-    weyl_to_gt,
     word_to_text,
 )
 
@@ -42,26 +41,24 @@ class SizeBoundExceeded(ValueError):
     """d**n is too large for a full-matrix operation."""
 
 
-def encode(word: Word, d: int, engine: str = "louck") -> SchurWeylState:
+def encode(word: Word, d: int) -> SchurWeylState:
     """Exact Schur-Weyl expansion of a computational basis word."""
     if d < 1:
         raise ValueError(f"alphabet size must be positive, got {d}")
-    for k in word:
-        if not 1 <= k <= d:
-            raise ValueError(f"letter out of range: {k} with d={d}")
+    # up_transitions rejects a letter outside 1..d
     state = {empty_triplet(d): ONE}
     for k in word:
-        state = branch_up_state(state, k, engine)
+        state = branch_up_state(state, k)
     return SchurWeylState(state)
 
 
-def decode(state: SchurWeylState, engine: str = "louck") -> ComputationalState:
+def decode(state: SchurWeylState) -> ComputationalState:
     """Exact computational-basis expansion of a Schur-Weyl state."""
     if not len(state):
         return ComputationalState({})
     terms = {(triplet, ()): amp for triplet, amp in state.terms().items()}
     for _ in range(state.level):
-        terms = branch_down_state(terms, engine)
+        terms = branch_down_state(terms)
     return ComputationalState({word: amp for (_, word), amp in terms.items()})
 
 
@@ -114,10 +111,7 @@ def check_size_bound(d: int, n: int, size_bound: int = DEFAULT_SIZE_BOUND) -> in
 
 
 def schur_matrix(
-    d: int,
-    n: int,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-    engine: str = "louck",
+    d: int, n: int, size_bound: int = DEFAULT_SIZE_BOUND
 ) -> ExactSparseMatrix:
     """Assemble the transform column by column via encode."""
     check_size_bound(d, n, size_bound)
@@ -125,7 +119,7 @@ def schur_matrix(
     index = {triplet: row for row, triplet in enumerate(basis)}
     entries: dict[tuple[int, int], Radical] = {}
     for col, word in enumerate(words(d, n)):
-        for triplet, amp in encode(word, d, engine).terms().items():
+        for triplet, amp in encode(word, d).terms().items():
             entries[(index[triplet], col)] = amp
     return ExactSparseMatrix(d, n, tuple(basis), entries)
 
@@ -177,15 +171,15 @@ def triplet_to_json_obj(triplet: SchurWeylTriplet) -> dict:
 def triplet_from_json_obj(obj: dict, d: int) -> SchurWeylTriplet:
     """Parse and validate one serialized triplet: the state reader's entry check."""
     shape = check_partition(json_field(obj, "shape", list, "state"))
-    weyl = weyl_from_external(json_field(obj, "weyl_rows", list, "state", list), d)
+    pattern = gt_from_external(json_field(obj, "weyl_rows", list, "state", list), d)
     young = validate_path(
         tuple(tuple(step) for step in json_field(obj, "young_path", list, "state", list))
     )
-    if not shape == weyl.shape == young[-1]:
+    if not shape == pattern.shape == young[-1]:
         raise InvariantViolation(
-            "components share one shape", f"{shape} / {weyl.shape} / {young[-1]}"
+            "components share one shape", f"{shape} / {pattern.shape} / {young[-1]}"
         )
-    return SchurWeylTriplet(weyl_to_gt(weyl), young)
+    return SchurWeylTriplet(pattern, young)
 
 
 def state_to_json_obj(state: SchurWeylState, d: int, n: int) -> dict:

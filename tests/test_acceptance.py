@@ -61,7 +61,7 @@ def test_criterion_1_golden_amplitudes():
         (gt2(2, 3, 2), gt2(3, 3, 3), radical_from_sqrt(-1, 1, 2)),
         (gt2(4, 7, 4), gt2(5, 7, 5), radical_from_sqrt(-1, 3, 4)),
     ]
-    with budget("criterion 1 (golden amplitudes, both engines)", 1):
+    with budget("criterion 1 (golden amplitudes, Louck and the d=2 rule)", 1):
         for lower, upper, expected in cases:
             assert louck_amplitude(lower, upper) == expected
             assert pattern_amplitude_d2(lower, upper) == expected

@@ -1,12 +1,10 @@
 import pytest
 
 from schurweyl.amplitudes import (
-    EngineMismatch,
     NotAnEdge,
     TransitionContext,
     WrongDimension,
     down_transitions,
-    edge_amplitude,
     louck_amplitude,
     partial_hook,
     pattern_amplitude_d2,
@@ -75,7 +73,6 @@ def test_golden_amplitudes_both_engines():
     for lower, upper, expected in cases:
         assert louck_amplitude(lower, upper) == expected
         assert pattern_amplitude_d2(lower, upper) == expected
-        assert edge_amplitude(lower, upper, "both") == expected
 
 
 def test_unit_amplitude_edges():
@@ -96,8 +93,6 @@ def test_pattern_engine_rejects_other_d():
     one = GTPattern(((1,), (1, 0), (1, 0, 0)))
     with pytest.raises(WrongDimension):
         pattern_amplitude_d2(zero, one)
-    with pytest.raises(ValueError):
-        edge_amplitude(zero, one, "fast")
 
 
 def test_pattern_equals_louck_d2():
@@ -106,7 +101,7 @@ def test_pattern_equals_louck_d2():
         for lower in all_patterns(n, 2):
             for k in (1, 2):
                 for upper in up_transitions(lower, k):
-                    assert edge_amplitude(lower, upper, "both") is not None
+                    assert pattern_amplitude_d2(lower, upper) == louck_amplitude(lower, upper)
                     edges += 1
     assert edges > 100
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -55,6 +56,23 @@ def test_encode_json_round_trip(capsys):
     code, out, _ = run(capsys, "encode", "--d", "2", "0101", "--format", "json")
     assert code == 0
     assert state_from_json_obj(json.loads(out)) == encode(parse_word("0101", 2), 2)
+
+
+def test_encode_decode_json_bytes_golden(tmp_path, capsys):
+    # sha256 of stdout: pins the canonical order of the state's terms
+    # and of the decoded words, not only their values
+    code, out, _ = run(capsys, "encode", "--d", "3", "1,2,3,1,2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6ed955d64c28cb362511b462ed6df19f187df2fc3786adfdbaf1127627e9e3d6"
+    )
+    state_file = tmp_path / "state.json"
+    state_file.write_text(out)
+    code, out, _ = run(capsys, "decode", str(state_file), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2214b13af0cd55c6025cfea2d79da52e5c4fed5e040dc2e07bd96011a5b685c7"
+    )
 
 
 def test_decode_round_trip_via_file(tmp_path, capsys):
@@ -122,6 +140,13 @@ def _shape_off_path(obj):
     obj["terms"][0]["shape"] = [1, 1]
 
 
+def _huge_radicand(obj):
+    # trial division on this radicand would run without bound
+    obj["terms"][0]["amplitude"]["terms"][0]["radicand"] = (
+        1000000000000000018000000000000000083
+    )
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -129,6 +154,7 @@ def _shape_off_path(obj):
         (_zero_den, "den"),
         (_string_terms, "terms"),
         (_shape_off_path, "shape"),
+        (_huge_radicand, "radicand"),
     ],
 )
 def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):
@@ -150,13 +176,12 @@ def test_decode_rejects_malformed_json(monkeypatch, capsys):
 
 
 def test_usage_errors(capsys):
-    assert run(capsys, "encode", "--d", "2", "0", "--engine", "bogus")[0] == 1
     assert run(capsys)[0] == 1
     assert run(capsys, "graph", "--d", "2")[0] == 1
-    code, _, err = run(capsys, "encode", "--d", "3", "1", "--engine", "pattern")
-    assert code == 1 and "requires d = 2" in err
-    code, _, err = run(capsys, "encode", "--d", "3", "1", "--engine", "both")
-    assert code == 1 and "requires d = 2" in err
+    # there is one amplitude formula, so no flag selects one
+    for engine in ("louck", "pattern"):
+        code, _, err = run(capsys, "encode", "--d", "2", "0", "--engine", engine)
+        assert code == 1 and "--engine" in err
 
 
 def test_validation_errors(capsys):
@@ -247,6 +272,7 @@ def test_check_json_report(capsys):
     code, out, _ = run(capsys, "check", "--d", "2", "--n", "3", "--format", "json")
     assert code == 0
     report = json.loads(out)
+    assert set(report) == {"d", "n", "size_bound", "suites"}
     assert report["d"] == 2 and report["n"] == 3
     assert [s["status"] for s in report["suites"]] == ["pass"] * 4
 

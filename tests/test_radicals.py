@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurweyl.radicals import (
+    MAX_JSON_RADICAND,
     ONE,
     ZERO,
     Radical,
     radical_from_sqrt,
     squarefree_decompose,
 )
+from schurweyl.tableaux import InvariantViolation
 
 
 def brute_squarefree(n):
@@ -106,6 +108,15 @@ def test_json_round_trip():
     assert Radical.from_json_obj(obj) == r
     with pytest.raises(ValueError):
         Radical.from_json_obj([1, 2])
+    # radicands are bounded so that reading one stays cheap; 2**48 is a
+    # perfect square, and the bound itself is read
+    def doc(m):
+        return {"terms": [{"radicand": m, "num": 1, "den": 1}]}
+
+    assert Radical.from_json_obj(doc(MAX_JSON_RADICAND)) == Radical({1: 2**24})
+    for m in (0, MAX_JSON_RADICAND + 1, 10**36):
+        with pytest.raises(InvariantViolation, match="radicand"):
+            Radical.from_json_obj(doc(m))
 
 
 rationals = st.fractions(

@@ -218,6 +218,8 @@ def test_weyl_validation():
         make_weyl([[1], [2], [3]], 2)
     with pytest.raises(InvariantViolation, match="entries in alphabet"):
         make_weyl([[1, 3]], 2)
+    with pytest.raises(InvariantViolation, match="nonempty rows"):
+        make_weyl([[1], []], 2)
 
 
 def test_content_examples():
