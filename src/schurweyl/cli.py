@@ -10,6 +10,8 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from pathlib import Path
 
 from .amplitudes import louck_amplitude, pattern_amplitude_d2
@@ -76,6 +78,73 @@ def _rows_text(rows, d: int | None = None) -> str:
     return "; ".join(render_tableau_rows(rows, d))
 
 
+def _dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+
+    The standard library's C encoder does not indent, so ``indent=2`` runs
+    its pure-Python encoder.  This writer visits each value once and writes
+    a list of ints in one join.  It takes what the commands emit: dicts with
+    string keys, lists, strings, ints, floats, booleans and None, of exactly
+    those types; anything else raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    # newline: a line break plus the indent of the enclosing container
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(item) is int:
+                out.append(f"{sep}{_quote(key)}: {item}")
+            else:
+                out.append(f"{sep}{_quote(key)}: ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if all(type(x) is int for x in value):
+            out.append(f"[{inner}{sep.join(map(str, value))}{newline}]")
+            return
+        out.append("[" + inner)
+        _write(value[0], inner, out)
+        for item in value[1:]:
+            out.append(sep)
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(str(value))
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is float:
+        if value != value:
+            out.append("NaN")
+        elif value in (inf, -inf):
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -84,7 +153,7 @@ def cmd_encode(args) -> int:
     word = parse_word(args.word, args.d)
     state = encode(word, args.d)
     if args.format == "json":
-        print(json.dumps(state_to_json_obj(state, args.d, len(word)), indent=2))
+        print(_dumps(state_to_json_obj(state, args.d, len(word))))
         return EXIT_OK
     for triplet, amp in state.sorted_terms():
         print(
@@ -105,7 +174,7 @@ def cmd_decode(args) -> int:
     d, n = obj["d"], obj["n"]
     out = decode(state)
     if args.format == "json":
-        print(json.dumps(computational_to_json_obj(out, d, n), indent=2))
+        print(_dumps(computational_to_json_obj(out, d, n)))
         return EXIT_OK
     for word, amp in out.sorted_terms():
         print(f"{word_to_text(word, d)}  {amp.to_string()}  ~{_approx(amp)}")
@@ -117,7 +186,7 @@ def cmd_graph(args) -> int:
     if args.dot is not None:
         Path(args.dot).write_text(graph.to_dot())
     if args.json_path is not None or args.format == "json":
-        text = json.dumps(graph.to_json_obj(), indent=2)
+        text = _dumps(graph.to_json_obj())
     if args.json_path is not None:
         Path(args.json_path).write_text(text + "\n")
     if args.format == "json":
@@ -190,7 +259,7 @@ def cmd_check(args) -> int:
             "size_bound": size_bound,
             "suites": suites,
         }
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     else:
         for suite in suites:
             print(f"{suite['status'].upper():4}  {suite['name']}  ({suite['detail']})")

@@ -24,8 +24,9 @@ from schurweyl.tableaux import (
     gt_from_external,
     gt_to_weyl_unchecked,
     json_field,
-    letter_from_external,
-    letter_to_external,
+    json_rows,
+    letter_from_json,
+    letter_offset,
     partitions,
     render_tableau_rows,
     shape_to_text,
@@ -108,6 +109,7 @@ class SWYGraph:
         )
 
     def to_json_obj(self):
+        shift = letter_offset(self.d)
         return {
             "d": self.d,
             "n_max": self.n_max,
@@ -116,10 +118,7 @@ class SWYGraph:
                     "id": v.id,
                     "level": v.level,
                     "shape": list(v.shape),
-                    "tableau_rows": [
-                        [int(letter_to_external(x, self.d)) for x in row]
-                        for row in v.tableau.rows
-                    ],
+                    "tableau_rows": [[x - shift for x in row] for row in v.tableau.rows],
                 }
                 for v in self.vertices
             ],
@@ -127,7 +126,7 @@ class SWYGraph:
                 {
                     "lower": e.lower,
                     "upper": e.upper,
-                    "k": int(letter_to_external(e.added_entry, self.d)),
+                    "k": e.added_entry - shift,
                     "amplitude": e.amplitude.to_json_obj(),
                 }
                 for e in self.edges
@@ -150,8 +149,8 @@ class SWYGraph:
             vid, level = (json_field(entry, key, int, "graph") for key in ("id", "level"))
             if vid != len(vertices):
                 raise InvariantViolation("dense vertex ids", f"id {vid} at {len(vertices)}")
-            shape = check_partition(json_field(entry, "shape", list, "graph"))
-            pattern = gt_from_external(json_field(entry, "tableau_rows", list, "graph", list), d)
+            shape = check_partition(json_field(entry, "shape", list, "graph", int))
+            pattern = gt_from_external(json_rows(entry, "tableau_rows", "graph"), d)
             if shape != pattern.shape or level != sum(shape):
                 raise InvariantViolation(
                     "vertex matches its tableau", f"vertex {vid}: {shape} at level {level}"
@@ -169,7 +168,7 @@ class SWYGraph:
             ):
                 raise InvariantViolation("edge joins adjacent levels", f"{lower} -> {upper}")
             amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "graph"))
-            edges.append(SWYEdge(lower, upper, letter_from_external(str(k), d), amp))
+            edges.append(SWYEdge(lower, upper, letter_from_json(k, d), amp))
         return cls(d, n_max, vertices, edges)
 
     def to_dot(self) -> str:
@@ -178,6 +177,7 @@ class SWYGraph:
             "  rankdir=BT;",
             '  node [shape=box, fontname="monospace"];',
         ]
+        shift = letter_offset(self.d)
         clusters: dict[tuple[int, Partition], list[SWYVertex]] = {}
         for v in self.vertices:
             clusters.setdefault((v.level, v.shape), []).append(v)
@@ -191,10 +191,7 @@ class SWYGraph:
                     lines.append(f'    v{v.id} [label="{label}"];')
                 lines.append("  }")
         for e in self.edges:
-            label = (
-                f"{letter_to_external(e.added_entry, self.d)}: "
-                f"{e.amplitude.to_string()}"
-            )
+            label = f"{e.added_entry - shift}: {e.amplitude.to_string()}"
             lines.append(f'  v{e.lower} -> v{e.upper} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

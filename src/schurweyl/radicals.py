@@ -208,7 +208,11 @@ class Radical:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Radical":
-        """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored."""
+        """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored.
+
+        Radicands may be any integers in ``1..MAX_JSON_RADICAND``; like
+        terms are merged after the square-free split, as in the constructor.
+        """
         terms: dict[int, Fraction] = {}
         for entry in json_field(obj, "terms", list, "radical"):
             m, num, den = (
@@ -221,8 +225,17 @@ class Radical:
                 )
             if den == 0:
                 raise InvariantViolation("radical document", "field 'den': zero")
-            terms[m] = terms.get(m, _ZERO_FRACTION) + Fraction(num, den)
-        return cls(terms)
+            s, m = squarefree_decompose(m)
+            coeff = Fraction(num * s, den)
+            if m in terms:
+                coeff += terms[m]
+            if coeff:
+                terms[m] = coeff
+            else:
+                terms.pop(m, None)
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
 
 _ZERO_FRACTION = Fraction(0)

@@ -27,6 +27,7 @@ sorting realizes all three.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
@@ -60,7 +61,7 @@ def check_partition(shape) -> Partition:
     """Validate and canonicalize a partition (strip trailing zeros)."""
     shape = tuple(shape)
     for part in shape:
-        if not isinstance(part, int) or part < 0:
+        if not isinstance(part, int) or isinstance(part, bool) or part < 0:
             raise InvariantViolation("weakly decreasing shape", f"bad part {part!r}")
     for a, b in zip(shape, shape[1:]):
         if a < b:
@@ -163,7 +164,27 @@ def grown_row(smaller: Partition, larger: Partition) -> int:
 # standard Young tableaux as growth paths
 
 
+def _adds_box(smaller: Partition, larger) -> bool:
+    """Whether ``larger`` is the partition ``smaller`` plus one box, in one pass."""
+    if not 0 <= len(larger) - len(smaller) <= 1:
+        return False
+    grown = False
+    for i, part in enumerate(larger):
+        if type(part) is not int or part < 1:  # bool is a subclass of int
+            return False
+        old = smaller[i] if i < len(smaller) else 0
+        if part != old:
+            if grown or part != old + 1 or (i and part > larger[i - 1]):
+                return False
+            grown = True
+    return grown
+
+
 def validate_path(path) -> GrowthPath:
+    path = tuple(tuple(shape) for shape in path)
+    if path and path[0] == () and all(map(_adds_box, path, path[1:])):
+        return path
+    # the step-by-step checks name the broken rule (and strip trailing zeros)
     path = tuple(check_partition(shape) for shape in path)
     if not path or path[0] != ():
         raise InvariantViolation("growth path starts empty", f"{path!r}")
@@ -294,8 +315,12 @@ class GTPattern:
 
     @property
     def shape(self) -> Partition:
+        """The top level without its trailing zeros; validated where the pattern entered."""
         top = self.levels[-1]
-        return check_partition(top)
+        end = len(top)
+        while end and not top[end - 1]:
+            end -= 1
+        return top[:end]
 
     def key(self) -> tuple[int, ...]:
         """Sort key: entries read top level to bottom, left to right."""
@@ -329,7 +354,7 @@ def weyl_to_gt(t: WeylTableau) -> GTPattern:
 def _weyl_to_gt_unchecked(t: WeylTableau) -> GTPattern:
     levels = []
     for j in range(1, t.d + 1):
-        counts = [sum(1 for x in row if x <= j) for row in t.rows]
+        counts = [bisect_right(row, j) for row in t.rows]  # rows are sorted
         counts += [0] * (j - len(counts))
         levels.append(tuple(counts[:j]))
     return GTPattern(tuple(levels))
@@ -341,18 +366,19 @@ def gt_to_weyl(p: GTPattern) -> WeylTableau:
 
 def gt_to_weyl_unchecked(p: GTPattern) -> WeylTableau:
     """Row view of a pattern the package made itself; :func:`gt_to_weyl` validates."""
-    d = p.d
-    padded = [list(level) + [0] * (d - len(level)) for level in p.levels]
+    levels = p.levels
     rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            here = padded[j][i]
-            before = padded[j - 1][i] if j > 0 else 0
-            row.extend([j + 1] * (here - before))
+    for i in range(p.d):
+        # row i holds m_{i+1,j} - m_{i+1,j-1} copies of letter j, for j > i
+        row: list[int] = []
+        before = 0
+        for j in range(i, p.d):
+            here = levels[j][i]
+            row += [j + 1] * (here - before)
+            before = here
         if row:
             rows.append(tuple(row))
-    return WeylTableau(tuple(rows), d)
+    return WeylTableau(tuple(rows), p.d)
 
 
 @cache
@@ -386,26 +412,35 @@ def enumerate_weyl(shape: Partition, d: int) -> list[WeylTableau]:
 # rendering, parsing and the external alphabet
 
 
+def _is_json(value, kind: type) -> bool:
+    # a JSON integer is an int, and bool is a subclass of int
+    return type(value) is int if kind is int else isinstance(value, kind)
+
+
 def json_field(obj, name: str, kind: type, document: str, items: type = object):
     """``obj[name]`` of a parsed JSON ``document``, checked to be a ``kind``.
 
     Booleans do not pass as integers, and a list must hold only ``items``.
     """
     value = obj.get(name) if isinstance(obj, dict) else None
-    if (
-        not isinstance(value, kind)
-        or isinstance(value, bool)
-        or (isinstance(value, list) and not all(isinstance(x, items) for x in value))
+    if not _is_json(value, kind) or (
+        items is not object and not all(_is_json(x, items) for x in value)
     ):
         raise InvariantViolation(f"{document} document", f"bad or missing field {name!r}")
     return value
 
 
-def letter_to_external(k: int, d: int) -> str:
-    """Internal letter 1..d to its display form ('0'/'1' when d == 2)."""
-    if not 1 <= k <= d:
-        raise InvariantViolation("entries in alphabet", f"{k} with d={d}")
-    return str(k - 1) if d == 2 else str(k)
+def json_rows(obj, name: str, document: str) -> tuple[tuple[int, ...], ...]:
+    """``obj[name]``, a list of lists of integers (tableau rows or growth steps), as tuples."""
+    rows = tuple(map(tuple, json_field(obj, name, list, document, list)))
+    if not all(type(x) is int for row in rows for x in row):
+        raise InvariantViolation(f"{document} document", f"bad or missing field {name!r}")
+    return rows
+
+
+def letter_offset(d: int) -> int:
+    """Internal letter minus external letter: 1 for the alphabet {0,1} (d == 2), else 0."""
+    return 1 if d == 2 else 0
 
 
 def letter_from_external(text: str, d: int) -> int:
@@ -413,24 +448,33 @@ def letter_from_external(text: str, d: int) -> int:
         value = int(text)
     except ValueError:
         raise InvariantViolation("entries in alphabet", f"{text!r}") from None
-    k = value + 1 if d == 2 else value
+    k = value + letter_offset(d)
     if not 1 <= k <= d:
         raise InvariantViolation("entries in alphabet", f"{text!r} with d={d}")
     return k
 
 
+def letter_from_json(x: int, d: int) -> int:
+    """Internal letter of the external integer letter ``x`` of a JSON document."""
+    k = x + letter_offset(d)
+    if not 1 <= k <= d:
+        raise InvariantViolation("entries in alphabet", f"{str(x)!r} with d={d}")
+    return k
+
+
 def gt_from_external(rows, d: int) -> GTPattern:
-    """GT pattern of a Weyl tableau given as rows over the external alphabet.
+    """GT pattern of a Weyl tableau given as integer rows over the external alphabet.
 
     The JSON readers' entry check: the rows are validated once, here.
     """
-    rows = [[letter_from_external(str(x), d) for x in row] for row in rows]
+    rows = [[letter_from_json(x, d) for x in row] for row in rows]
     return _weyl_to_gt_unchecked(make_weyl(rows, d))
 
 
 def word_to_text(word: tuple[int, ...], d: int) -> str:
-    letters = [letter_to_external(k, d) for k in word]
-    return "".join(letters) if d == 2 else ",".join(letters)
+    """Text of a word the package made: '0101' for d == 2, '1,2,3' otherwise."""
+    shift = letter_offset(d)
+    return ("" if d == 2 else ",").join([str(k - shift) for k in word])
 
 
 def parse_word(text: str, d: int) -> tuple[int, ...]:
@@ -450,9 +494,8 @@ def render_tableau_rows(rows: Rows, d: int | None = None) -> list[str]:
     """One string per row; entries go through the external alphabet when d is given."""
     if not rows:
         return ["()"]
-    if d is None:
-        return [" ".join(str(x) for x in row) for row in rows]
-    return [" ".join(letter_to_external(x, d) for x in row) for row in rows]
+    shift = 0 if d is None else letter_offset(d)
+    return [" ".join([str(x - shift) for x in row]) for row in rows]
 
 
 def render_gt(p: GTPattern) -> list[str]:

@@ -22,13 +22,16 @@ from schurweyl.branching import (
 )
 from schurweyl.radicals import ONE, ZERO, Radical
 from schurweyl.tableaux import (
+    GrowthPath,
+    GTPattern,
     InvariantViolation,
     check_partition,
     enumerate_gt,
     enumerate_paths,
     gt_from_external,
     json_field,
-    letter_to_external,
+    json_rows,
+    letter_offset,
     partitions,
     validate_path,
     word_to_text,
@@ -158,28 +161,12 @@ def dimension_check(d: int, n: int) -> bool:
 
 
 def triplet_to_json_obj(triplet: SchurWeylTriplet) -> dict:
+    shift = letter_offset(triplet.d)
     return {
         "shape": list(triplet.shape),
-        "weyl_rows": [
-            [int(letter_to_external(x, triplet.d)) for x in row]
-            for row in triplet.weyl.rows
-        ],
+        "weyl_rows": [[x - shift for x in row] for row in triplet.weyl.rows],
         "young_path": [list(shape) for shape in triplet.young],
     }
-
-
-def triplet_from_json_obj(obj: dict, d: int) -> SchurWeylTriplet:
-    """Parse and validate one serialized triplet: the state reader's entry check."""
-    shape = check_partition(json_field(obj, "shape", list, "state"))
-    pattern = gt_from_external(json_field(obj, "weyl_rows", list, "state", list), d)
-    young = validate_path(
-        tuple(tuple(step) for step in json_field(obj, "young_path", list, "state", list))
-    )
-    if not shape == pattern.shape == young[-1]:
-        raise InvariantViolation(
-            "components share one shape", f"{shape} / {pattern.shape} / {young[-1]}"
-        )
-    return SchurWeylTriplet(pattern, young)
 
 
 def state_to_json_obj(state: SchurWeylState, d: int, n: int) -> dict:
@@ -192,21 +179,41 @@ def state_to_json_obj(state: SchurWeylState, d: int, n: int) -> dict:
 
 
 def state_from_json_obj(obj) -> SchurWeylState:
+    """Parse and validate a state document: the entry check of outside states.
+
+    Terms share their Weyl tableaux and growth paths, so each distinct
+    one is checked once per document.
+    """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
     if d < 1 or n < 0:
         raise InvariantViolation("state document", f"bad d={d!r} or n={n!r}")
     entries = json_field(obj, "terms", list, "state")
     if not entries:
         raise InvariantViolation("state document", "no terms")
+    patterns: dict[tuple, GTPattern] = {}
+    paths: dict[tuple, GrowthPath] = {}
     terms: dict[SchurWeylTriplet, Radical] = {}
     for entry in entries:
-        triplet = triplet_from_json_obj(entry, d)
-        if triplet.level != n:
+        shape = check_partition(json_field(entry, "shape", list, "state", int))
+        rows = json_rows(entry, "weyl_rows", "state")
+        pattern = patterns.get(rows)
+        if pattern is None:
+            pattern = patterns[rows] = gt_from_external(rows, d)
+        steps = json_rows(entry, "young_path", "state")
+        young = paths.get(steps)
+        if young is None:
+            young = paths[steps] = validate_path(steps)
+        if not shape == pattern.shape == young[-1]:
             raise InvariantViolation(
-                "terms share level and alphabet", f"{triplet.shape} at n={n}"
+                "components share one shape", f"{shape} / {pattern.shape} / {young[-1]}"
             )
+        if len(young) - 1 != n:
+            raise InvariantViolation("terms share level and alphabet", f"{shape} at n={n}")
+        triplet = SchurWeylTriplet(pattern, young)
         amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "state"))
-        terms[triplet] = terms.get(triplet, ZERO) + amp
+        if triplet in terms:
+            amp = terms[triplet] + amp
+        terms[triplet] = amp
     return SchurWeylState(terms)
 
 

@@ -147,6 +147,21 @@ def _huge_radicand(obj):
     )
 
 
+def _string_letters(obj):
+    # int("1") and int(" 1 ") parse, but the writer never emits a string letter
+    obj["terms"][0]["weyl_rows"] = [["0", " 1 "]]
+
+
+def _bool_shape_part(obj):
+    # False == 0, and a trailing zero part is dropped: [2, 0] reads as (2,)
+    obj["terms"][0]["shape"] = [2, False]
+
+
+def _bool_path_part(obj):
+    # True == 1, so [[], [True], [2]] would compare equal to a valid path
+    obj["terms"][0]["young_path"][1] = [True]
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -155,6 +170,9 @@ def _huge_radicand(obj):
         (_string_terms, "terms"),
         (_shape_off_path, "shape"),
         (_huge_radicand, "radicand"),
+        (_string_letters, "weyl_rows"),
+        (_bool_shape_part, "shape"),
+        (_bool_path_part, "young_path"),
     ],
 )
 def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):

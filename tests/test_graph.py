@@ -155,6 +155,9 @@ def test_json_round_trip():
         ("edges", 0, "upper", 99, "edge joins adjacent levels"),
         ("edges", 0, "upper", 0, "edge joins adjacent levels"),
         ("edges", 0, "k", 2, "entries in alphabet"),
+        # a string letter and a boolean part compare or parse as valid ones
+        ("vertices", 1, "tableau_rows", [["0"]], "'tableau_rows'"),
+        ("vertices", 1, "shape", [True], "'shape'"),
     ],
 )
 def test_json_rejects_bad_graph(section, index, field, value, match):
