@@ -52,6 +52,27 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return square, free
 
 
+def _fold_terms(pairs) -> dict[int, Fraction]:
+    """Canonical term map of ``sum c * sqrt(m)`` over ``(m, c)`` pairs of int and Fraction.
+
+    Radicands are reduced to square-free form, like terms merged and zeros dropped.
+    """
+    folded: dict[int, Fraction] = {}
+    for radicand, coeff in pairs:
+        if not coeff:
+            continue
+        s, m = squarefree_decompose(radicand)
+        if s != 1:
+            coeff *= s
+        if m in folded:
+            coeff += folded[m]
+        if coeff:
+            folded[m] = coeff
+        else:
+            folded.pop(m, None)
+    return folded
+
+
 class Radical:
     """An exact real number ``sum_m c_m * sqrt(m)`` in canonical form."""
 
@@ -64,19 +85,11 @@ class Radical:
         square-free form and like terms are merged, so the constructor
         always yields the canonical representation.
         """
-        folded: dict[int, Fraction] = {}
-        if terms:
-            for radicand, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                s, m = squarefree_decompose(radicand)
-                new = folded.get(m, _ZERO_FRACTION) + coeff * s
-                if new:
-                    folded[m] = new
-                else:
-                    folded.pop(m, None)
-        self._terms = folded
+        self._terms = (
+            _fold_terms((radicand, Fraction(coeff)) for radicand, coeff in terms.items())
+            if terms
+            else {}
+        )
 
     @classmethod
     def from_rational(cls, value) -> "Radical":
@@ -210,10 +223,10 @@ class Radical:
     def from_json_obj(cls, obj) -> "Radical":
         """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored.
 
-        Radicands may be any integers in ``1..MAX_JSON_RADICAND``; like
-        terms are merged after the square-free split, as in the constructor.
+        Radicands may be any integers in ``1..MAX_JSON_RADICAND``; they are
+        folded into canonical form as in the constructor.
         """
-        terms: dict[int, Fraction] = {}
+        pairs = []
         for entry in json_field(obj, "terms", list, "radical"):
             m, num, den = (
                 json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
@@ -225,16 +238,9 @@ class Radical:
                 )
             if den == 0:
                 raise InvariantViolation("radical document", "field 'den': zero")
-            s, m = squarefree_decompose(m)
-            coeff = Fraction(num * s, den)
-            if m in terms:
-                coeff += terms[m]
-            if coeff:
-                terms[m] = coeff
-            else:
-                terms.pop(m, None)
+            pairs.append((m, Fraction(num, den)))
         out = cls.__new__(cls)
-        out._terms = terms
+        out._terms = _fold_terms(pairs)
         return out
 
 

@@ -164,27 +164,7 @@ def grown_row(smaller: Partition, larger: Partition) -> int:
 # standard Young tableaux as growth paths
 
 
-def _adds_box(smaller: Partition, larger) -> bool:
-    """Whether ``larger`` is the partition ``smaller`` plus one box, in one pass."""
-    if not 0 <= len(larger) - len(smaller) <= 1:
-        return False
-    grown = False
-    for i, part in enumerate(larger):
-        if type(part) is not int or part < 1:  # bool is a subclass of int
-            return False
-        old = smaller[i] if i < len(smaller) else 0
-        if part != old:
-            if grown or part != old + 1 or (i and part > larger[i - 1]):
-                return False
-            grown = True
-    return grown
-
-
 def validate_path(path) -> GrowthPath:
-    path = tuple(tuple(shape) for shape in path)
-    if path and path[0] == () and all(map(_adds_box, path, path[1:])):
-        return path
-    # the step-by-step checks name the broken rule (and strip trailing zeros)
     path = tuple(check_partition(shape) for shape in path)
     if not path or path[0] != ():
         raise InvariantViolation("growth path starts empty", f"{path!r}")
@@ -448,17 +428,15 @@ def letter_from_external(text: str, d: int) -> int:
         value = int(text)
     except ValueError:
         raise InvariantViolation("entries in alphabet", f"{text!r}") from None
-    k = value + letter_offset(d)
-    if not 1 <= k <= d:
-        raise InvariantViolation("entries in alphabet", f"{text!r} with d={d}")
-    return k
+    return letter_from_json(value, d, text)
 
 
-def letter_from_json(x: int, d: int) -> int:
-    """Internal letter of the external integer letter ``x`` of a JSON document."""
+def letter_from_json(x: int, d: int, text: str | None = None) -> int:
+    """Internal letter of the external integer letter ``x``, spelled ``text`` in the input."""
     k = x + letter_offset(d)
     if not 1 <= k <= d:
-        raise InvariantViolation("entries in alphabet", f"{str(x)!r} with d={d}")
+        shown = str(x) if text is None else text
+        raise InvariantViolation("entries in alphabet", f"{shown!r} with d={d}")
     return k
 
 
