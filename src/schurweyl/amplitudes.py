@@ -9,6 +9,13 @@ the closed-form product formula over partial hooks
 alphabet size.  The amplitude is a signed square root of a rational, so
 it is always a single-term :class:`~schurweyl.radicals.Radical`.
 
+The branching rule reads amplitudes from two cached fans, one per
+direction, and nowhere else: :func:`up_transitions` lists every edge
+that leaves a pattern by one letter, :func:`down_transitions` every
+edge that enters a pattern from one lower shape.  Each fan computes the
+amplitudes of its edges once, on a cache miss; the formulas themselves
+are not cached.
+
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
 is kept as the reference that the tests and ``check`` compare against.
@@ -16,12 +23,11 @@ is kept as the reference that the tests and ``check`` compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
 from schurweyl.radicals import Radical, radical_from_sqrt
-from schurweyl.tableaux import GTPattern
+from schurweyl.tableaux import GTPattern, Partition, pad_partition
 
 
 class NotAnEdge(ValueError):
@@ -32,25 +38,12 @@ class WrongDimension(ValueError):
     """The entry-reading rule only applies to two-letter alphabets."""
 
 
-@dataclass(frozen=True)
-class TransitionContext:
-    """Where an upper pattern exceeds a lower one.
-
-    ``k`` is the smallest differing level and ``taus[j - k]`` is the
-    1-based position of the extra box at level ``j``, for ``j = k..d``.
-    """
-
-    lower: GTPattern
-    upper: GTPattern
-    k: int
-    taus: tuple[int, ...]
-
-    def tau(self, j: int) -> int:
-        return self.taus[j - self.k]
-
-
-def transition_context(lower: GTPattern, upper: GTPattern) -> TransitionContext:
+def transition_context(lower: GTPattern, upper: GTPattern) -> tuple[int, tuple[int, ...]]:
     """Locate the bumped positions of a single-box transition.
+
+    Returns ``(k, taus)``: ``k`` is the smallest differing level and
+    ``taus[j - k]`` is the 1-based position of the extra box at level
+    ``j``, for ``j = k..d``.
 
     Both arguments must be valid GT patterns, as made by
     :func:`~schurweyl.tableaux.enumerate_gt`, :func:`up_transitions` or
@@ -76,15 +69,9 @@ def transition_context(lower: GTPattern, upper: GTPattern) -> TransitionContext:
         taus.append(bumped[0] + 1)
     if not k:
         raise NotAnEdge("patterns are identical")
-    return TransitionContext(lower, upper, k, tuple(taus))
+    return k, tuple(taus)
 
 
-def partial_hook(p: GTPattern, i: int, j: int) -> int:
-    """Partial hook ``p_{i,j} = m_{i,j} + j - i``."""
-    return p.m(i, j) + j - i
-
-
-@cache
 def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     """Exact transition amplitude from the product formula over partial hooks.
 
@@ -97,10 +84,11 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     root at the end.
 
     The trust contract is that of :func:`transition_context`: valid GT
-    patterns in, :class:`NotAnEdge` for a pair that is not an edge.
+    patterns in, :class:`NotAnEdge` for a pair that is not an edge.  The
+    fans call it once per edge; read amplitudes from them instead.
     """
-    ctx = transition_context(lower, upper)
-    d, k = lower.d, ctx.k
+    k, taus = transition_context(lower, upper)
+    d = lower.d
     # hooks[j - 1][i - 1] is the partial hook p_{i,j} = m_{i,j} + j - i
     hooks = [
         [m + j - i for i, m in enumerate(level, start=1)]
@@ -108,7 +96,7 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     ]
     sign = num = den = 1
     for j in range(k + 1, d + 1):
-        t_up, t_lo = ctx.tau(j), ctx.tau(j - 1)
+        t_up, t_lo = taus[j - k], taus[j - k - 1]
         row, below = hooks[j - 1], hooks[j - 2]
         h_up, h_lo = row[t_up - 1], below[t_lo - 1]
         level_num = level_den = 1
@@ -127,7 +115,7 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
         num *= abs(level_num)
         den *= abs(level_den)
     if k > 1:
-        t = ctx.tau(k)
+        t = taus[0]
         row = hooks[k - 1]
         h = row[t - 1]
         level_num = level_den = 1
@@ -144,7 +132,6 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     return radical_from_sqrt(sign, num // g, den // g)
 
 
-@cache
 def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
     """Exact d=2 transition amplitude from the entry-counting rules.
 
@@ -184,21 +171,24 @@ def _levels_ok(levels: list[list[int]], j: int) -> bool:
 
 
 @cache
-def up_transitions(lower: GTPattern, k: int) -> tuple[GTPattern, ...]:
-    """All valid upper patterns reached from ``lower`` by inserting letter ``k``.
+def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical], ...]:
+    """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
     Levels ``k..d`` each gain one box; a depth-first scan over the bump
     positions prunes on in-betweenness as soon as a level is placed.
+    ``lower`` must be a valid GT pattern; a letter outside ``1..d``
+    raises ``ValueError``.
     """
     d = lower.d
     if not 1 <= k <= d:
         raise ValueError(f"letter out of range: {k} with d={d}")
     levels = [list(level) for level in lower.levels]
-    found: list[GTPattern] = []
+    found: list[tuple[GTPattern, Radical]] = []
 
     def scan(j: int) -> None:
         if j > d:
-            found.append(GTPattern(tuple(tuple(level) for level in levels)))
+            upper = GTPattern(tuple(tuple(level) for level in levels))
+            found.append((upper, louck_amplitude(lower, upper)))
             return
         row = levels[j - 1]
         for pos in range(j):
@@ -212,34 +202,41 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[GTPattern, ...]:
 
 
 @cache
-def down_transitions(upper: GTPattern) -> tuple[tuple[GTPattern, int], ...]:
-    """All ``(lower, k)`` whose transition by letter ``k`` yields ``upper``.
+def down_transitions(
+    upper: GTPattern, shape: Partition
+) -> tuple[tuple[GTPattern, int, Radical], ...]:
+    """The down fan of ``upper`` onto ``shape``: every ``(lower, k, amplitude)``.
 
-    Walks levels top-down removing one box per level until it stops;
+    Each entry is an edge of the up fan of letter ``k`` at a ``lower`` of
+    the given shape, with the same amplitude.  ``upper`` must be a valid
+    GT pattern and ``shape`` its shape less one box, as the growth path of
+    a triplet forces.  The top level is fixed to ``shape``; the scan then
+    walks levels top-down removing one box per level until it stops, and
     stopping after level ``j+1`` removes letter ``k = j + 1``.
     """
     d = upper.d
     levels = [list(level) for level in upper.levels]
-    found: list[tuple[GTPattern, int]] = []
+    levels[-1] = list(pad_partition(shape, d))
+    found: list[tuple[GTPattern, int, Radical]] = []
 
     def emit(k: int) -> None:
-        found.append((GTPattern(tuple(tuple(level) for level in levels)), k))
+        lower = GTPattern(tuple(tuple(level) for level in levels))
+        found.append((lower, k, louck_amplitude(lower, upper)))
 
     def scan(j: int) -> None:
         # levels above j are already decremented and mutually consistent
         if j == 0:
             emit(1)
             return
-        if j < d and _levels_ok(levels, j + 1):
+        if _levels_ok(levels, j + 1):
             emit(j + 1)
         row = levels[j - 1]
         for pos in range(j):
             row[pos] -= 1
             if row[pos] >= 0 and (pos + 1 == j or row[pos] >= row[pos + 1]):
-                if j == d or _levels_ok(levels, j + 1):
+                if _levels_ok(levels, j + 1):
                     scan(j - 1)
             row[pos] += 1
 
-    if sum(upper.levels[-1]):
-        scan(d)
+    scan(d - 1)
     return tuple(found)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from schurweyl.amplitudes import down_transitions, louck_amplitude, up_transitions
+from schurweyl.amplitudes import down_transitions, up_transitions
 from schurweyl.radicals import ONE, ZERO, Radical
 from schurweyl.tableaux import (
     GrowthPath,
@@ -29,7 +29,6 @@ from schurweyl.tableaux import (
     Partition,
     WeylTableau,
     gt_to_weyl_unchecked,
-    pad_partition,
     validate_gt,
     validate_path,
 )
@@ -173,10 +172,9 @@ def branch_up_state(
     """
     out: dict = {}
     for triplet, amp in state.items():
-        lower = triplet.pattern
-        for upper in up_transitions(lower, k):
+        for upper, edge in up_transitions(triplet.pattern, k):
             grown = SchurWeylTriplet(upper, triplet.young + (upper.shape,))
-            _merge(out, grown, amp * louck_amplitude(lower, upper))
+            _merge(out, grown, amp * edge)
     return out
 
 
@@ -192,13 +190,9 @@ def branch_down_state(
     for (triplet, word), amp in state.items():
         if not triplet.level:
             raise InvariantViolation("nonempty register", f"{word}")
-        upper = triplet.pattern
         young = triplet.young[:-1]
-        target_top = pad_partition(young[-1], triplet.d)
-        for lower, k in down_transitions(upper):
-            if lower.levels[-1] == target_top:
-                shrunken = SchurWeylTriplet(lower, young)
-                _merge(out, (shrunken, (k, *word)), amp * louck_amplitude(lower, upper))
+        for lower, k, edge in down_transitions(triplet.pattern, young[-1]):
+            _merge(out, (SchurWeylTriplet(lower, young), (k, *word)), amp * edge)
     return out
 
 

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import inf
 from pathlib import Path
 
-from .amplitudes import louck_amplitude, pattern_amplitude_d2
+from .amplitudes import pattern_amplitude_d2
 from .graph import build
 from .radicals import ONE, Radical
 from .tableaux import (
@@ -222,7 +222,7 @@ def cmd_check(args) -> int:
         for edge in graph.edges:
             lower = graph.vertex(edge.lower).pattern
             upper = graph.vertex(edge.upper).pattern
-            if pattern_amplitude_d2(lower, upper) != louck_amplitude(lower, upper):
+            if pattern_amplitude_d2(lower, upper) != edge.amplitude:
                 mismatched += 1
         suites.append(
             _suite("pattern-louck equivalence", mismatched == 0, f"{len(graph.edges)} edges")

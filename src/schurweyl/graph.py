@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from schurweyl.amplitudes import louck_amplitude, up_transitions
+from schurweyl.amplitudes import up_transitions
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
@@ -62,30 +62,11 @@ class SWYGraph:
         self.n_max = n_max
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._up: dict[int, list[SWYEdge]] = {v.id: [] for v in self.vertices}
-        self._down: dict[int, list[SWYEdge]] = {v.id: [] for v in self.vertices}
-        for edge in self.edges:
-            self._up[edge.lower].append(edge)
-            self._down[edge.upper].append(edge)
 
     def vertex(self, v: int) -> SWYVertex:
         if not 0 <= v < len(self.vertices):
             raise ValueError(f"unknown vertex {v}")
         return self.vertices[v]
-
-    def up_edges(self, v: int, k: int | None = None) -> list[SWYEdge]:
-        self.vertex(v)
-        edges = self._up[v]
-        if k is None:
-            return list(edges)
-        return [e for e in edges if e.added_entry == k]
-
-    def down_edges(self, v: int, k: int | None = None) -> list[SWYEdge]:
-        self.vertex(v)
-        edges = self._down[v]
-        if k is None:
-            return list(edges)
-        return [e for e in edges if e.added_entry == k]
 
     def level_vertices(self, level: int) -> list[SWYVertex]:
         if not 0 <= level <= self.n_max:
@@ -215,13 +196,7 @@ def build(d: int, n_max: int) -> SWYGraph:
     for v in vertices:
         if v.level == n_max:
             continue
-        lower = v.pattern
         for k in range(1, d + 1):
-            fan = [
-                (ids[(v.level + 1, upper)], upper)
-                for upper in up_transitions(lower, k)
-            ]
-            fan.sort()
-            for vid, upper in fan:
-                edges.append(SWYEdge(v.id, vid, k, louck_amplitude(lower, upper)))
+            fan = {ids[(v.level + 1, upper)]: amp for upper, amp in up_transitions(v.pattern, k)}
+            edges.extend(SWYEdge(v.id, vid, k, fan[vid]) for vid in sorted(fan))
     return SWYGraph(d, n_max, vertices, edges)

@@ -21,6 +21,12 @@ from schurweyl.tableaux import InvariantViolation, json_field
 # package itself writes radicands of a few thousand at most.
 MAX_JSON_RADICAND = 2**48
 
+# Largest bit length of a coefficient's ``num`` or ``den`` in a JSON
+# document; the package writes 18 bits at most.  Times the square part of a
+# radicand (below 2**24) and summed over the terms of any document, such a
+# coefficient stays far inside the float range, so ``approx`` is finite.
+MAX_JSON_COEFFICIENT_BITS = 512
+
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as ``n == s*s*m`` with ``m`` square-free.
@@ -91,10 +97,6 @@ class Radical:
             else {}
         )
 
-    @classmethod
-    def from_rational(cls, value) -> "Radical":
-        return cls({1: Fraction(value)})
-
     @property
     def terms(self) -> dict[int, Fraction]:
         """Copy of the canonical term map (square-free radicand -> coefficient)."""
@@ -105,9 +107,6 @@ class Radical:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(m == 1 for m in self._terms)
 
     def add(self, other: "Radical") -> "Radical":
         merged = dict(self._terms)
@@ -223,8 +222,9 @@ class Radical:
     def from_json_obj(cls, obj) -> "Radical":
         """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored.
 
-        Radicands may be any integers in ``1..MAX_JSON_RADICAND``; they are
-        folded into canonical form as in the constructor.
+        Radicands may be any integers in ``1..MAX_JSON_RADICAND`` and
+        ``num``/``den`` have at most ``MAX_JSON_COEFFICIENT_BITS`` bits; the
+        terms are folded into canonical form as in the constructor.
         """
         pairs = []
         for entry in json_field(obj, "terms", list, "radical"):
@@ -238,6 +238,12 @@ class Radical:
                 )
             if den == 0:
                 raise InvariantViolation("radical document", "field 'den': zero")
+            for key, value in (("num", num), ("den", den)):
+                if value.bit_length() > MAX_JSON_COEFFICIENT_BITS:
+                    raise InvariantViolation(
+                        "radical document",
+                        f"field {key!r}: more than {MAX_JSON_COEFFICIENT_BITS} bits",
+                    )
             pairs.append((m, Fraction(num, den)))
         out = cls.__new__(cls)
         out._terms = _fold_terms(pairs)

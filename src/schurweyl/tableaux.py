@@ -106,32 +106,6 @@ def removable_boxes(shape: Partition) -> list[BoxCoord]:
     return out
 
 
-def addable_boxes(shape: Partition) -> list[BoxCoord]:
-    """Boxes whose addition leaves a partition, top row first.
-
-    The row just below the last nonzero part is always addable.
-    """
-    out = [BoxCoord(1, shape[0] + 1)] if shape else [BoxCoord(1, 1)]
-    for i in range(2, len(shape) + 1):
-        if shape[i - 1] < shape[i - 2]:
-            out.append(BoxCoord(i, shape[i - 1] + 1))
-    if shape:
-        out.append(BoxCoord(len(shape) + 1, 1))
-    return out
-
-
-def add_box(shape: Partition, row: int) -> Partition:
-    """Add a box to ``row`` (1-based), which must be addable."""
-    if row == len(shape) + 1:
-        return shape + (1,)
-    if not 1 <= row <= len(shape):
-        raise InvariantViolation("addable box", f"row {row} of {shape}")
-    grown = shape[: row - 1] + (shape[row - 1] + 1,) + shape[row:]
-    if row > 1 and grown[row - 1] > grown[row - 2]:
-        raise InvariantViolation("addable box", f"row {row} of {shape}")
-    return grown
-
-
 def remove_box(shape: Partition, row: int) -> Partition:
     """Remove a box from ``row`` (1-based), which must be removable."""
     if not 1 <= row <= len(shape):
@@ -474,10 +448,3 @@ def render_tableau_rows(rows: Rows, d: int | None = None) -> list[str]:
         return ["()"]
     shift = 0 if d is None else letter_offset(d)
     return [" ".join([str(x - shift) for x in row]) for row in rows]
-
-
-def render_gt(p: GTPattern) -> list[str]:
-    """Top level first, each line centered under the widest one."""
-    lines = [" ".join(str(x) for x in level) for level in reversed(p.levels)]
-    width = max(len(line) for line in lines)
-    return [line.center(width).rstrip() for line in lines]

@@ -227,15 +227,3 @@ def computational_to_json_obj(state: ComputationalState, d: int, n: int) -> dict
         ],
     }
 
-
-def matrix_to_json_obj(m: ExactSparseMatrix) -> dict:
-    return {
-        "d": m.d,
-        "n": m.n,
-        "order": "triplet-major",
-        "basis": [triplet_to_json_obj(t) for t in m.basis],
-        "entries": [
-            {"row": row, "col": col, "amplitude": amp.to_json_obj()}
-            for (row, col), amp in sorted(m.entries.items())
-        ],
-    }

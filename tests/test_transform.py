@@ -22,7 +22,6 @@ from schurweyl.transform import (
     decode,
     dimension_check,
     encode,
-    matrix_to_json_obj,
     schur_basis,
     schur_matrix,
     state_from_json_obj,
@@ -215,12 +214,3 @@ def test_computational_json():
         {"radicand": 1, "num": 1, "den": 1}
     ]
 
-
-def test_matrix_json():
-    m = schur_matrix(2, 2)
-    obj = matrix_to_json_obj(m)
-    assert obj["order"] == "triplet-major"
-    assert len(obj["basis"]) == 4
-    rows_cols = [(e["row"], e["col"]) for e in obj["entries"]]
-    assert rows_cols == sorted(rows_cols)
-    assert json.dumps(obj) == json.dumps(matrix_to_json_obj(schur_matrix(2, 2)))
