@@ -27,7 +27,7 @@ from functools import cache
 from math import gcd
 
 from schurweyl.radicals import Radical, radical_from_sqrt
-from schurweyl.tableaux import GTPattern, Partition, pad_partition
+from schurweyl.tableaux import GTPattern, Partition, interlaces, pad_partition
 
 
 class NotAnEdge(ValueError):
@@ -162,43 +162,32 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
     return radical_from_sqrt(-1, n - (m_up - c), n)
 
 
-def _levels_ok(levels: list[list[int]], j: int) -> bool:
-    """In-betweenness between levels ``j-1`` and ``j`` (1-based), both current."""
-    if j < 2:
-        return True
-    upper, lower = levels[j - 1], levels[j - 2]
-    return all(upper[i] >= lower[i] >= upper[i + 1] for i in range(j - 1))
-
-
 @cache
 def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical], ...]:
     """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
-    Levels ``k..d`` each gain one box; a depth-first scan over the bump
-    positions prunes on in-betweenness as soon as a level is placed.
-    ``lower`` must be a valid GT pattern; a letter outside ``1..d``
-    raises ``ValueError``.
+    Levels ``k..d`` each gain one box.  Each candidate holds the levels
+    placed so far, bottom-up; the scan places one level for all of them at
+    a time and keeps a candidate only if its new level interlaces the one
+    below.  ``lower`` must be a valid GT pattern; a letter outside
+    ``1..d`` raises ``ValueError``.
     """
     d = lower.d
     if not 1 <= k <= d:
         raise ValueError(f"letter out of range: {k} with d={d}")
-    levels = [list(level) for level in lower.levels]
-    found: list[tuple[GTPattern, Radical]] = []
-
-    def scan(j: int) -> None:
-        if j > d:
-            upper = GTPattern(tuple(tuple(level) for level in levels))
-            found.append((upper, louck_amplitude(lower, upper)))
-            return
+    levels = lower.levels
+    candidates = [levels[: k - 1]]
+    for j in range(k, d + 1):
         row = levels[j - 1]
-        for pos in range(j):
-            row[pos] += 1
-            if (pos == 0 or row[pos - 1] >= row[pos]) and _levels_ok(levels, j):
-                scan(j + 1)
-            row[pos] -= 1
-
-    scan(k)
-    return tuple(found)
+        grown = [row[:pos] + (row[pos] + 1,) + row[pos + 1 :] for pos in range(j)]
+        # interlacing the placed level below implies the partition check
+        candidates = [
+            (*placed, new)
+            for placed in candidates
+            for new in grown
+            if j == 1 or interlaces(new, placed[-1])
+        ]
+    return tuple((upper, louck_amplitude(lower, upper)) for upper in map(GTPattern, candidates))
 
 
 @cache
@@ -211,32 +200,27 @@ def down_transitions(
     the given shape, with the same amplitude.  ``upper`` must be a valid
     GT pattern and ``shape`` its shape less one box, as the growth path of
     a triplet forces.  The top level is fixed to ``shape``; the scan then
-    walks levels top-down removing one box per level until it stops, and
-    stopping after level ``j+1`` removes letter ``k = j + 1``.
+    places levels ``d-1..1`` top-down, one level for all candidates at a
+    time.  Each level either stays as in ``upper``, which ends an edge
+    with ``k = j + 1``, or loses one box and must interlace the level above.
     """
-    d = upper.d
-    levels = [list(level) for level in upper.levels]
-    levels[-1] = list(pad_partition(shape, d))
-    found: list[tuple[GTPattern, int, Radical]] = []
-
-    def emit(k: int) -> None:
-        lower = GTPattern(tuple(tuple(level) for level in levels))
-        found.append((lower, k, louck_amplitude(lower, upper)))
-
-    def scan(j: int) -> None:
-        # levels above j are already decremented and mutually consistent
-        if j == 0:
-            emit(1)
-            return
-        if _levels_ok(levels, j + 1):
-            emit(j + 1)
+    levels = upper.levels
+    # a candidate is the levels placed so far, bottom-up, each one box short
+    candidates = [(pad_partition(shape, upper.d),)]
+    edges = []
+    for j in range(upper.d - 1, 0, -1):
         row = levels[j - 1]
-        for pos in range(j):
-            row[pos] -= 1
-            if row[pos] >= 0 and (pos + 1 == j or row[pos] >= row[pos + 1]):
-                if _levels_ok(levels, j + 1):
-                    scan(j - 1)
-            row[pos] += 1
-
-    scan(d - 1)
-    return tuple(found)
+        shrunk = [row[:pos] + (row[pos] - 1,) + row[pos + 1 :] for pos in range(j)]
+        edges += [
+            (levels[:j] + placed, j + 1) for placed in candidates if interlaces(placed[0], row)
+        ]
+        # interlacing the placed level above implies the partition and sign checks
+        candidates = [
+            (new, *placed)
+            for placed in candidates
+            for new in shrunk
+            if interlaces(placed[0], new)
+        ]
+    edges += [(placed, 1) for placed in candidates]
+    lowers = [(GTPattern(placed), k) for placed, k in edges]
+    return tuple((lower, k, louck_amplitude(lower, upper)) for lower, k in lowers)

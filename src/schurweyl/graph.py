@@ -19,6 +19,7 @@ from schurweyl.tableaux import (
     InvariantViolation,
     Partition,
     WeylTableau,
+    check_alphabet,
     check_partition,
     enumerate_gt,
     gt_from_external,
@@ -123,8 +124,9 @@ class SWYGraph:
         vertices one level apart with a letter in the alphabet.
         """
         d, n_max = (json_field(obj, key, int, "graph") for key in ("d", "n_max"))
-        if d < 1 or n_max < 0:
-            raise InvariantViolation("graph document", f"bad d={d} or n_max={n_max}")
+        check_alphabet(d)
+        if n_max < 0:
+            raise InvariantViolation("graph document", f"bad n_max={n_max}")
         vertices: list[SWYVertex] = []
         for entry in json_field(obj, "vertices", list, "graph"):
             vid, level = (json_field(entry, key, int, "graph") for key in ("id", "level"))
@@ -180,8 +182,7 @@ class SWYGraph:
 
 def build(d: int, n_max: int) -> SWYGraph:
     """All vertices up to level ``n_max`` with amplitude-labeled edges."""
-    if d < 1:
-        raise ValueError(f"alphabet size must be positive, got {d}")
+    check_alphabet(d)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     vertices: list[SWYVertex] = []

@@ -207,16 +207,14 @@ class Radical:
     def __repr__(self):
         return f"Radical({self.to_string()})"
 
-    def to_json_obj(self, approx: bool = True):
-        obj = {
+    def to_json_obj(self):
+        return {
             "terms": [
                 {"radicand": m, "num": c.numerator, "den": c.denominator}
                 for m, c in self.items()
-            ]
+            ],
+            "approx": self.to_float(),
         }
-        if approx:
-            obj["approx"] = self.to_float()
-        return obj
 
     @classmethod
     def from_json_obj(cls, obj) -> "Radical":

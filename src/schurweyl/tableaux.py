@@ -36,6 +36,8 @@ Partition = tuple[int, ...]
 GrowthPath = tuple[Partition, ...]
 Rows = tuple[tuple[int, ...], ...]
 
+MAX_ALPHABET = 64  # the largest alphabet size d the package accepts
+
 
 class InvariantViolation(ValueError):
     """A combinatorial object failed one of its defining constraints."""
@@ -46,6 +48,12 @@ class InvariantViolation(ValueError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+
+def check_alphabet(d: int) -> None:
+    """Bound the alphabet size ``d`` where it enters the package: ``1..MAX_ALPHABET``."""
+    if not 1 <= d <= MAX_ALPHABET:
+        raise InvariantViolation("alphabet size", f"d={d} outside 1..{MAX_ALPHABET}")
 
 
 class BoxCoord(NamedTuple):
@@ -225,8 +233,7 @@ class WeylTableau:
 
 
 def validate_weyl(t: WeylTableau) -> WeylTableau:
-    if t.d < 1:
-        raise InvariantViolation("alphabet size", f"d={t.d}")
+    check_alphabet(t.d)
     if check_partition(t.shape) != t.shape:
         raise InvariantViolation("nonempty rows", f"{t.rows}")
     if len(t.rows) > t.d:
@@ -281,22 +288,23 @@ class GTPattern:
         return tuple(x for level in reversed(self.levels) for x in level)
 
 
+def interlaces(longer: tuple[int, ...], shorter: tuple[int, ...]) -> bool:
+    """GT in-betweenness of adjacent levels: ``longer[i] >= shorter[i] >= longer[i+1]``."""
+    for i, x in enumerate(shorter):
+        if not longer[i] >= x >= longer[i + 1]:
+            return False
+    return True
+
+
 def validate_gt(p: GTPattern) -> GTPattern:
-    if not p.levels:
-        raise InvariantViolation("alphabet size", "empty pattern")
+    check_alphabet(p.d)
     for j, level in enumerate(p.levels, start=1):
         if len(level) != j:
             raise InvariantViolation("triangular pattern", f"level {j} has {len(level)} entries")
         if any(x < 0 for x in level):
             raise InvariantViolation("nonnegative entries", f"level {j}: {level}")
-    for a, b in zip(p.levels[0], p.levels[0][1:]):
-        if a < b:
-            raise InvariantViolation("in-betweenness", f"{p.levels}")
-    for j in range(2, p.d + 1):
-        upper, lower = p.levels[j - 1], p.levels[j - 2]
-        for i in range(j - 1):
-            if not upper[i] >= lower[i] >= upper[i + 1]:
-                raise InvariantViolation("in-betweenness", f"levels {j-1},{j} of {p.levels}")
+        if j > 1 and not interlaces(level, p.levels[j - 2]):
+            raise InvariantViolation("in-betweenness", f"levels {j-1},{j} of {p.levels}")
     return p
 
 
@@ -338,8 +346,7 @@ def gt_to_weyl_unchecked(p: GTPattern) -> WeylTableau:
 @cache
 def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
     """All GT patterns with top level ``shape`` (zero-padded to ``d``), canonical order."""
-    if d < 1:
-        raise InvariantViolation("alphabet size", f"d={d}")
+    check_alphabet(d)
     shape = check_partition(shape)
     top = pad_partition(shape, d)
 

@@ -25,6 +25,7 @@ from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
     InvariantViolation,
+    check_alphabet,
     check_partition,
     enumerate_gt,
     enumerate_paths,
@@ -46,8 +47,7 @@ class SizeBoundExceeded(ValueError):
 
 def encode(word: Word, d: int) -> SchurWeylState:
     """Exact Schur-Weyl expansion of a computational basis word."""
-    if d < 1:
-        raise ValueError(f"alphabet size must be positive, got {d}")
+    check_alphabet(d)
     # up_transitions rejects a letter outside 1..d
     state = {empty_triplet(d): ONE}
     for k in word:
@@ -93,9 +93,6 @@ class ExactSparseMatrix:
     @property
     def size(self) -> int:
         return self.d**self.n
-
-    def entry(self, row: int, col: int) -> Radical:
-        return self.entries.get((row, col), ZERO)
 
     def columns(self) -> list[dict[int, Radical]]:
         cols: list[dict[int, Radical]] = [dict() for _ in range(self.size)]
@@ -185,8 +182,7 @@ def state_from_json_obj(obj) -> SchurWeylState:
     one is checked once per document.
     """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
-    if d < 1 or n < 0:
-        raise InvariantViolation("state document", f"bad d={d!r} or n={n!r}")
+    check_alphabet(d)  # a term whose level is not n fails below, so n needs no check here
     entries = json_field(obj, "terms", list, "state")
     if not entries:
         raise InvariantViolation("state document", "no terms")

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from schurweyl.amplitudes import (
@@ -130,6 +133,51 @@ def test_up_down_transitions_agree():
                         down_edges.append(((lower, upper, k), amp))
             assert len(down_edges) == len(up_edges)
             assert dict(down_edges) == up_edges
+    # and both hold exactly the pairs of valid patterns that
+    # transition_context reads as an edge, an oracle apart from either scan
+    for d, n_max in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3)):
+        for n in range(0, n_max + 1):
+            uppers = list(all_patterns(n + 1, d))
+            for lower in all_patterns(n, d):
+                letters = {upper: edge_letter(lower, upper) for upper in uppers}
+                for k in range(1, d + 1):
+                    expected = {upper for upper, letter in letters.items() if letter == k}
+                    assert {upper for upper, _ in up_transitions(lower, k)} == expected
+            for upper in uppers:
+                for box in removable_boxes(upper.shape):
+                    shape = remove_box(upper.shape, box.row)
+                    letters = ((p, edge_letter(p, upper)) for p in enumerate_gt(shape, d))
+                    expected = {(p, k) for p, k in letters if k is not None}
+                    found = {(lower, k) for lower, k, _ in down_transitions(upper, shape)}
+                    assert found == expected
+
+
+def edge_letter(lower, upper):
+    """The letter ``k`` that ``transition_context`` reads off a pair, None off an edge."""
+    try:
+        return transition_context(lower, upper)[0]
+    except NotAnEdge:
+        return None
+
+
+def test_fans_do_not_grow_the_stack():
+    # both scans are iterative: at d = 64 they run under a recursion limit
+    # a few dozen frames above the caller's
+    d = 64
+    zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
+    first = GTPattern(tuple((1,) + (0,) * (j - 1) for j in range(1, d + 1)))
+    up_transitions.cache_clear()
+    down_transitions.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        assert up_transitions(zero, 1) == ((first, ONE),)
+        [(last, amp)] = up_transitions(zero, d)
+        assert amp == ONE
+        assert last.levels == zero.levels[:-1] + (first.levels[-1],)
+        assert down_transitions(first, ()) == ((zero, 1, ONE),)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def content_and_shape_pairs(lower, d, n):

@@ -216,6 +216,39 @@ def test_validation_errors(capsys):
     assert run(capsys, "encode", "--d", "0", "")[0] == 2
 
 
+def test_alphabet_bound_exits_cleanly(tmp_path, capsys):
+    # d is bounded where it enters, before any fan is scanned
+    document = tmp_path / "d1600.json"
+    document.write_text(
+        json.dumps(
+            {
+                "d": 1600,
+                "n": 1,
+                "terms": [
+                    {
+                        "shape": [1],
+                        "weyl_rows": [[1]],
+                        "young_path": [[], [1]],
+                        "amplitude": {"terms": [{"radicand": 1, "num": 1, "den": 1}]},
+                    }
+                ],
+            }
+        )
+    )
+    for argv in (
+        ["encode", "--d", "1100", "1"],
+        ["decode", str(document)],
+        ["encode", "--d", "65", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("invariant: alphabet size") and "1..64" in err
+        assert "Traceback" not in err
+    code, out, _ = run(capsys, "encode", "--d", "64", "1")
+    assert code == 0
+    assert out == "1  ~1  (1)  weyl [1]  young [1]\n"
+
+
 SMALL = st.integers(min_value=-1, max_value=5)
 LETTERS = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "a", " ", ""])
 

@@ -181,6 +181,14 @@ def test_json_rejects_bad_graph(section, index, field, value, match):
         SWYGraph.from_json_obj(obj)
 
 
+def test_alphabet_bound_on_graphs():
+    for d in (0, 65):
+        with pytest.raises(InvariantViolation, match="alphabet size"):
+            build(d, 1)
+        with pytest.raises(InvariantViolation, match="alphabet size"):
+            SWYGraph.from_json_obj(dict(build(2, 1).to_json_obj(), d=d))
+
+
 def test_dot_output():
     g = build(2, 1)
     dot = g.to_dot()

@@ -7,7 +7,9 @@ from schurweyl.tableaux import (
     BoxCoord,
     GTPattern,
     InvariantViolation,
+    MAX_ALPHABET,
     WeylTableau,
+    check_alphabet,
     check_partition,
     enumerate_gt,
     enumerate_paths,
@@ -15,6 +17,7 @@ from schurweyl.tableaux import (
     enumerate_weyl,
     grown_row,
     gt_to_weyl,
+    interlaces,
     letter_from_external,
     letter_from_json,
     letter_offset,
@@ -273,6 +276,28 @@ def test_gt_validation():
         validate_gt(GTPattern(((1, 1),)))
     with pytest.raises(InvariantViolation, match="nonnegative"):
         validate_gt(GTPattern(((-1,), (0, 0))))
+
+
+def test_interlaces():
+    assert interlaces((3, 1), (2,)) and interlaces((3, 1), (3,)) and interlaces((3, 1), (1,))
+    assert not interlaces((3, 1), (4,)) and not interlaces((3, 1), (0,))
+    assert interlaces((2, 2, 0), (2, 1)) and not interlaces((2, 2, 0), (1, 2))
+    assert interlaces((5,), ())
+
+
+def test_alphabet_bound():
+    # one bound on d wherever it enters: tableaux, patterns and enumeration
+    check_alphabet(1)
+    check_alphabet(MAX_ALPHABET)
+    for d in (0, -1, MAX_ALPHABET + 1):
+        with pytest.raises(InvariantViolation, match=f"alphabet size .*1..{MAX_ALPHABET}"):
+            check_alphabet(d)
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        validate_weyl(WeylTableau((), MAX_ALPHABET + 1))
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        validate_gt(GTPattern(()))
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        enumerate_gt((), MAX_ALPHABET + 1)
 
 
 def test_canonical_weyl_order():

@@ -200,10 +200,14 @@ def test_state_json_validation():
     bad["terms"][0]["weyl_rows"] = [[1, 0]]
     with pytest.raises(InvariantViolation, match="weakly increasing rows"):
         state_from_json_obj(bad)
-    mismatched = json.loads(json.dumps(good))
-    mismatched["n"] = 2
-    with pytest.raises(InvariantViolation, match="share level"):
-        state_from_json_obj(mismatched)
+    for n in (2, -1):
+        mismatched = json.loads(json.dumps(good))
+        mismatched["n"] = n
+        with pytest.raises(InvariantViolation, match="share level"):
+            state_from_json_obj(mismatched)
+    for d in (0, 65):
+        with pytest.raises(InvariantViolation, match="alphabet size"):
+            state_from_json_obj(dict(good, d=d))
 
 
 def test_computational_json():
