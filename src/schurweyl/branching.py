@@ -84,11 +84,13 @@ def empty_triplet(d: int) -> SchurWeylTriplet:
 
 
 def _merge(acc: dict, key, amp: Radical) -> None:
-    new = acc.get(key, ZERO) + amp
-    if new.is_zero():
-        acc.pop(key, None)
+    # a new key stores the product as it is; a state holds no zero amplitude
+    if key in acc:
+        amp = acc[key] + amp
+    if amp:
+        acc[key] = amp
     else:
-        acc[key] = new
+        acc.pop(key, None)
 
 
 class _AmplitudeMap:

@@ -119,9 +119,10 @@ class SWYGraph:
     def from_json_obj(cls, obj) -> "SWYGraph":
         """Parse and validate :meth:`to_json_obj` output.
 
-        Ids must be dense and in order, each vertex's shape and level
-        must match its tableau, and every edge must join existing
-        vertices one level apart with a letter in the alphabet.
+        Ids must be dense and in order, no vertex may lie above ``n_max``,
+        each vertex's shape and level must match its tableau, and every
+        edge must join existing vertices one level apart with a letter in
+        the alphabet.
         """
         d, n_max = (json_field(obj, key, int, "graph") for key in ("d", "n_max"))
         check_alphabet(d)
@@ -132,6 +133,10 @@ class SWYGraph:
             vid, level = (json_field(entry, key, int, "graph") for key in ("id", "level"))
             if vid != len(vertices):
                 raise InvariantViolation("dense vertex ids", f"id {vid} at {len(vertices)}")
+            if level > n_max:
+                raise InvariantViolation(
+                    "vertex level within n_max", f"vertex {vid}: level {level} > {n_max}"
+                )
             shape = check_partition(json_field(entry, "shape", list, "graph", int))
             pattern = gt_from_external(json_rows(entry, "tableau_rows", "graph"), d)
             if shape != pattern.shape or level != sum(shape):

@@ -58,97 +58,97 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return square, free
 
 
-def _fold_terms(pairs) -> dict[int, Fraction]:
-    """Canonical term map of ``sum c * sqrt(m)`` over ``(m, c)`` pairs of int and Fraction.
+def _fold_terms(triples) -> dict[int, tuple[int, int]]:
+    """Canonical term map of ``sum num/den * sqrt(m)`` over ``(m, num, den)`` int triples.
 
-    Radicands are reduced to square-free form, like terms merged and zeros dropped.
+    Radicands are reduced to square-free form, like terms merged, zeros
+    dropped and each coefficient stored as a reduced pair with ``den > 0``.
     """
-    folded: dict[int, Fraction] = {}
-    for radicand, coeff in pairs:
-        if not coeff:
-            continue
-        s, m = squarefree_decompose(radicand)
-        if s != 1:
-            coeff *= s
-        if m in folded:
-            coeff += folded[m]
-        if coeff:
-            folded[m] = coeff
-        else:
-            folded.pop(m, None)
+    folded: dict[int, tuple[int, int]] = {}
+    for radicand, num, den in triples:
+        if num:
+            s, m = squarefree_decompose(radicand)
+            _accumulate(folded, m, num * s, den)
     return folded
 
 
+def _accumulate(terms: dict[int, tuple[int, int]], m: int, num: int, den: int) -> None:
+    """Add ``num/den * sqrt(m)`` (``num != 0``) to a term map, keeping its pairs canonical."""
+    if m in terms:
+        p, q = terms[m]
+        num, den = p * den + num * q, q * den
+        if not num:
+            del terms[m]
+            return
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    terms[m] = (num // g, den // g)
+
+
+def _new(terms: dict[int, tuple[int, int]]) -> "Radical":
+    out = Radical.__new__(Radical)
+    out._terms = terms
+    return out
+
+
 class Radical:
-    """An exact real number ``sum_m c_m * sqrt(m)`` in canonical form."""
+    """An exact real number ``sum_m c_m * sqrt(m)`` in canonical form.
+
+    Each coefficient is held as an int pair ``(num, den)`` with ``den > 0``,
+    ``gcd(num, den) == 1`` and ``num != 0``; :attr:`terms` and :meth:`items`
+    give them as ``Fraction`` values.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         """Build from a ``{radicand: coefficient}`` mapping.
 
-        Radicands may be any positive integers; they are reduced to
-        square-free form and like terms are merged, so the constructor
-        always yields the canonical representation.
+        Radicands may be any positive integers and coefficients anything
+        ``Fraction`` accepts; radicands are reduced to square-free form and
+        like terms are merged, so the constructor always yields the
+        canonical representation.
         """
-        self._terms = (
-            _fold_terms((radicand, Fraction(coeff)) for radicand, coeff in terms.items())
-            if terms
-            else {}
-        )
+        rationals = ((m, Fraction(c)) for m, c in terms.items()) if terms else ()
+        self._terms = _fold_terms((m, c.numerator, c.denominator) for m, c in rationals)
 
     @property
     def terms(self) -> dict[int, Fraction]:
         """Copy of the canonical term map (square-free radicand -> coefficient)."""
-        return dict(self._terms)
+        return {m: Fraction(p, q) for m, (p, q) in self._terms.items()}
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._terms.items()))
+        return tuple(sorted(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def add(self, other: "Radical") -> "Radical":
         merged = dict(self._terms)
-        for m, c in other._terms.items():
-            new = merged.get(m, _ZERO_FRACTION) + c
-            if new:
-                merged[m] = new
-            else:
-                merged.pop(m, None)
-        out = Radical.__new__(Radical)
-        out._terms = merged
-        return out
+        for m, (p, q) in other._terms.items():
+            _accumulate(merged, m, p, q)
+        return _new(merged)
 
     def mul(self, other: "Radical") -> "Radical":
         # sqrt(m1)*sqrt(m2) == g*sqrt(m1*m2/g^2) for g = gcd(m1, m2),
         # and m1*m2/g^2 is square-free when m1, m2 are, so no refactoring
         # of the product radicand is ever needed.
-        acc: dict[int, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        acc: dict[int, tuple[int, int]] = {}
+        for m1, (p1, q1) in self._terms.items():
+            for m2, (p2, q2) in other._terms.items():
                 g = gcd(m1, m2)
-                m = (m1 // g) * (m2 // g)
-                c = c1 * c2 * g
-                new = acc.get(m, _ZERO_FRACTION) + c
-                if new:
-                    acc[m] = new
-                else:
-                    acc.pop(m, None)
-        out = Radical.__new__(Radical)
-        out._terms = acc
-        return out
+                _accumulate(acc, (m1 // g) * (m2 // g), p1 * p2 * g, q1 * q2)
+        return _new(acc)
 
     def neg(self) -> "Radical":
-        out = Radical.__new__(Radical)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _new({m: (-p, q) for m, (p, q) in self._terms.items()})
 
     def square(self) -> "Radical":
         return self.mul(self)
 
     def to_float(self) -> float:
-        return sum((float(c) * sqrt(m) for m, c in self._terms.items()), 0.0)
+        return sum((p / q * sqrt(m) for m, (p, q) in self._terms.items()), 0.0)
 
     def __add__(self, other):
         if not isinstance(other, Radical):
@@ -174,7 +174,7 @@ class Radical:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self.items())
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
@@ -191,14 +191,14 @@ class Radical:
         if not self._terms:
             return "0"
         parts = []
-        for m, c in self.items():
-            body = str(abs(c))
+        for m, (p, q) in sorted(self._terms.items()):
+            body = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
             if m != 1:
                 body += f"*sqrt({m})"
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if p > 0 else "-" + body)
             else:
-                parts.append(("+" if c > 0 else "-") + body)
+                parts.append(("+" if p > 0 else "-") + body)
         return "".join(parts)
 
     def __str__(self):
@@ -210,8 +210,8 @@ class Radical:
     def to_json_obj(self):
         return {
             "terms": [
-                {"radicand": m, "num": c.numerator, "den": c.denominator}
-                for m, c in self.items()
+                {"radicand": m, "num": p, "den": q}
+                for m, (p, q) in sorted(self._terms.items())
             ],
             "approx": self.to_float(),
         }
@@ -224,7 +224,7 @@ class Radical:
         ``num``/``den`` have at most ``MAX_JSON_COEFFICIENT_BITS`` bits; the
         terms are folded into canonical form as in the constructor.
         """
-        pairs = []
+        triples = []
         for entry in json_field(obj, "terms", list, "radical"):
             m, num, den = (
                 json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
@@ -242,13 +242,9 @@ class Radical:
                         "radical document",
                         f"field {key!r}: more than {MAX_JSON_COEFFICIENT_BITS} bits",
                     )
-            pairs.append((m, Fraction(num, den)))
-        out = cls.__new__(cls)
-        out._terms = _fold_terms(pairs)
-        return out
+            triples.append((m, num, den))
+        return _new(_fold_terms(triples))
 
-
-_ZERO_FRACTION = Fraction(0)
 
 ZERO = Radical()
 ONE = Radical({1: 1})
@@ -267,7 +263,6 @@ def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:
     if sign == 0 or num == 0:
         return ZERO
     s, m = squarefree_decompose(num * den)
-    # m is square-free and the coefficient nonzero: already canonical
-    out = Radical.__new__(Radical)
-    out._terms = {m: Fraction(sign * s, den)}
-    return out
+    # m is square-free and the coefficient nonzero: canonical once reduced
+    g = gcd(s, den)
+    return _new({m: (sign * s // g, den // g)})

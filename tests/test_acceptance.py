@@ -1,7 +1,8 @@
 """Acceptance gate: nine exactness criteria, one test and one report line each.
 
 Every assertion is exact (no tolerances); each criterion also enforces its
-runtime budget and prints one pass line with the measured time.
+runtime budget, in process CPU time, and prints one pass line with the
+measured time.
 """
 
 import random
@@ -38,9 +39,11 @@ from schurweyl.transform import (
 
 @contextmanager
 def budget(label: str, bound_ms: float):
-    start = time.perf_counter()
+    # CPU time of this process, so that a stall while another process holds
+    # the CPU does not count against a block
+    start = time.process_time()
     yield
-    elapsed = (time.perf_counter() - start) * 1000
+    elapsed = (time.process_time() - start) * 1000
     assert elapsed < bound_ms, f"{label}: {elapsed:.2f} ms over budget {bound_ms} ms"
     print(f"{label}: PASS ({elapsed:.2f} ms < {bound_ms:g} ms)")
 

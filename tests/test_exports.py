@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -49,3 +50,22 @@ def test_cache_inventory():
         assert c.cache_info().currsize == 0
     amplitudes = {c.__name__ for c in caches if c.__module__ == "schurweyl.amplitudes"}
     assert amplitudes == {"up_transitions", "down_transitions"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_fraction_only_in_radicals():
+    # exact coefficients are int pairs inside the ring; Fraction is only the
+    # public face of Radical's constructor, terms and items
+    importing = sorted(
+        path.name for path in PACKAGE.rglob("*.py") if "fractions" in imported_modules(path)
+    )
+    assert importing == ["radicals.py"]

@@ -181,6 +181,15 @@ def test_json_rejects_bad_graph(section, index, field, value, match):
         SWYGraph.from_json_obj(obj)
 
 
+def test_json_rejects_level_above_n_max():
+    # vertices above n_max would be edge endpoints that to_dot never
+    # declares and levels that level_census rejects
+    obj = dict(build(2, 2).to_json_obj(), n_max=0)
+    with pytest.raises(InvariantViolation, match="vertex level within n_max"):
+        SWYGraph.from_json_obj(obj)
+    assert SWYGraph.from_json_obj(dict(obj, n_max=2)) == build(2, 2)
+
+
 def test_alphabet_bound_on_graphs():
     for d in (0, 65):
         with pytest.raises(InvariantViolation, match="alphabet size"):

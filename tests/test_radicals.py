@@ -181,3 +181,80 @@ def test_float_tracks_exact(a):
 def test_hash_consistent_with_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+# Reference ring: {square-free radicand: Fraction}, folded by brute force.
+
+
+def ref_fold(pairs):
+    out = {}
+    for m, c in pairs:
+        s, free = brute_squarefree(m)
+        out[free] = out.get(free, 0) + c * s
+    return {m: Fraction(c) for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    return ref_fold((m1 * m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+
+
+def ref_string(ref):
+    parts = []
+    for m, c in sorted(ref.items()):
+        body = str(abs(c)) + ("" if m == 1 else f"*sqrt({m})")
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
+def assert_matches(r, ref):
+    # canonical form: square-free radicands, int pairs, den > 0, reduced, nonzero
+    for m, (num, den) in r._terms.items():
+        assert brute_squarefree(m) == (1, m)
+        assert type(num) is int and type(den) is int
+        assert den > 0 and num != 0 and math.gcd(num, den) == 1
+    assert r.terms == ref
+    assert r.to_string() == ref_string(ref)
+    obj = r.to_json_obj()
+    assert obj["terms"] == [
+        {"radicand": m, "num": c.numerator, "den": c.denominator}
+        for m, c in sorted(ref.items())
+    ]
+    # the float is Fraction's own, term by term in the map's order
+    exact_sum = sum((float(c) * math.sqrt(m) for m, c in r.terms.items()), 0.0)
+    assert obj["approx"] == r.to_float() == exact_sum
+    ref_sum = sum(float(c) * math.sqrt(m) for m, c in ref.items())
+    assert math.isclose(r.to_float(), ref_sum, rel_tol=1e-12, abs_tol=1e-12)
+    assert Radical.from_json_obj(obj) == r
+
+
+raw_maps = st.dictionaries(
+    st.integers(min_value=1, max_value=72),
+    st.fractions(min_value=-6, max_value=6, max_denominator=36),
+    max_size=4,
+)
+
+
+@given(raw_maps, raw_maps)
+def test_ring_matches_fraction_reference(x, y):
+    a, b = Radical(x), Radical(y)
+    ra, rb = ref_fold(x.items()), ref_fold(y.items())
+    assert_matches(a, ra)
+    assert_matches(b, rb)
+    assert_matches(a + b, ref_fold([*ra.items(), *rb.items()]))
+    assert_matches(a - b, ref_fold([*ra.items(), *((m, -c) for m, c in rb.items())]))
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(-a, {m: -c for m, c in ra.items()})
+    assert_matches(a.square(), ref_mul(ra, ra))
+
+
+def test_multi_term_cases():
+    root2, root3 = radical_from_sqrt(1, 2, 1), radical_from_sqrt(1, 3, 1)
+    both = root2 + root3
+    assert_matches(both, {2: Fraction(1), 3: Fraction(1)})
+    assert both * (root2 - root3) == -ONE
+    folded = Radical({12: Fraction(-1, 4)})
+    assert_matches(folded, {3: Fraction(-1, 2)})
+    assert folded.to_string() == "-1/2*sqrt(3)"
+    # a document's pair need not be reduced, nor its denominator positive
+    doc = {"terms": [{"radicand": 12, "num": 2, "den": -8}, {"radicand": 2, "num": 3, "den": 6}]}
+    assert_matches(Radical.from_json_obj(doc), {2: Fraction(1, 2), 3: Fraction(-1, 2)})

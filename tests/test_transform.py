@@ -190,6 +190,24 @@ def test_state_json_round_trip():
     assert merged.amplitude(first[0]) == first[1] + first[1]
 
 
+def test_decode_multi_term_amplitudes():
+    # the transform's own amplitudes were single-term wherever measured; a user's
+    # document need not be, and decode must carry such values exactly
+    word = (1, 2, 3, 1, 2)
+    root2, root3 = radical_from_sqrt(1, 2, 1), radical_from_sqrt(1, 3, 1)
+    state = encode(word, 3)
+
+    def scaled(factor):
+        scaled_terms = {t: amp * factor for t, amp in state.terms().items()}
+        return state_to_json_obj(SchurWeylState(scaled_terms), 3, 5)
+
+    doc = scaled(root2)
+    doc["terms"] += scaled(root3)["terms"]
+    out = decode(state_from_json_obj(json.loads(json.dumps(doc))))
+    assert out.terms() == {word: root2 + root3}
+    assert out.terms()[word].terms == {2: 1, 3: 1}
+
+
 def test_state_json_validation():
     with pytest.raises(InvariantViolation):
         state_from_json_obj({"d": 2, "n": 1})
