@@ -30,13 +30,11 @@ from schurweyl.radicals import Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
-    WeylTableau,
     enumerate_gt,
     enumerate_paths,
     enumerate_syt,
     enumerate_weyl,
     gt_to_weyl,
-    make_weyl,
     parse_word,
     partitions,
     path_to_syt,
@@ -71,7 +69,6 @@ __all__ = [
     "SchurWeylState",
     "SchurWeylTriplet",
     "SizeBoundExceeded",
-    "WeylTableau",
     "WrongDimension",
     "branch_down",
     "branch_down_state",
@@ -89,7 +86,6 @@ __all__ = [
     "enumerate_weyl",
     "gt_to_weyl",
     "louck_amplitude",
-    "make_weyl",
     "parse_word",
     "partitions",
     "path_to_syt",

@@ -27,8 +27,6 @@ from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
     Partition,
-    WeylTableau,
-    gt_to_weyl_unchecked,
     validate_gt,
     validate_path,
 )
@@ -58,11 +56,6 @@ class SchurWeylTriplet:
     @property
     def d(self) -> int:
         return self.pattern.d
-
-    @property
-    def weyl(self) -> WeylTableau:
-        """Row view of the Weyl tableau, for rendering and serialization."""
-        return gt_to_weyl_unchecked(self.pattern)
 
     def sort_key(self):
         return (self.shape, self.pattern.key(), self.young)

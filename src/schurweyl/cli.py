@@ -19,6 +19,8 @@ from .graph import build
 from .radicals import ONE, Radical
 from .tableaux import (
     InvariantViolation,
+    check_alphabet,
+    gt_to_external,
     parse_word,
     path_to_syt,
     render_tableau_rows,
@@ -74,8 +76,8 @@ def _approx(amp: Radical) -> str:
     return format(amp.to_float(), ".10g")
 
 
-def _rows_text(rows, d: int | None = None) -> str:
-    return "; ".join(render_tableau_rows(rows, d))
+def _rows_text(rows) -> str:
+    return "; ".join(render_tableau_rows(rows))
 
 
 def _dumps(obj) -> str:
@@ -158,7 +160,7 @@ def cmd_encode(args) -> int:
     for triplet, amp in state.sorted_terms():
         print(
             f"{amp.to_string()}  ~{_approx(amp)}  {shape_to_text(triplet.shape)}"
-            f"  weyl [{_rows_text(triplet.weyl.rows, args.d)}]"
+            f"  weyl [{_rows_text(gt_to_external(triplet.pattern))}]"
             f"  young [{_rows_text(path_to_syt(triplet.young))}]"
         )
     return EXIT_OK
@@ -213,6 +215,9 @@ def _skipped(name: str, detail: str) -> dict:
 
 
 def cmd_check(args) -> int:
+    check_alphabet(args.d)
+    if args.n < 0:
+        raise InvariantViolation("word length", f"--n {args.n} is negative")
     size_bound = _resolve_size_bound(args.size_bound)
     suites = []
 

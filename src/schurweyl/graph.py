@@ -18,12 +18,11 @@ from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
     Partition,
-    WeylTableau,
     check_alphabet,
     check_partition,
     enumerate_gt,
     gt_from_external,
-    gt_to_weyl_unchecked,
+    gt_to_external,
     json_field,
     json_rows,
     letter_from_json,
@@ -40,11 +39,6 @@ class SWYVertex:
     level: int
     shape: Partition
     pattern: GTPattern
-
-    @property
-    def tableau(self) -> WeylTableau:
-        """Row view of the vertex's Weyl tableau, for rendering and serialization."""
-        return gt_to_weyl_unchecked(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class SWYGraph:
                     "id": v.id,
                     "level": v.level,
                     "shape": list(v.shape),
-                    "tableau_rows": [[x - shift for x in row] for row in v.tableau.rows],
+                    "tableau_rows": gt_to_external(v.pattern),
                 }
                 for v in self.vertices
             ],
@@ -175,7 +169,7 @@ class SWYGraph:
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
                 for v in members:
-                    label = "\\n".join(render_tableau_rows(v.tableau.rows, self.d))
+                    label = "\\n".join(render_tableau_rows(gt_to_external(v.pattern)))
                     lines.append(f'    v{v.id} [label="{label}"];')
                 lines.append("  }")
         for e in self.edges:

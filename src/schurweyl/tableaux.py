@@ -8,10 +8,11 @@ Conventions used throughout the package:
   the sequence of partitions obtained by restricting to entries
   ``<= i`` for ``i = 0..n``; the row-grid is a derived view.
 * A standard Weyl tableau (semistandard, entries bounded by the
-  alphabet size ``d``) is stored canonically as its GT pattern; the
-  rows over the internal alphabet ``{1..d}`` (:class:`WeylTableau`)
-  are the view used at the text/JSON boundary.  The external two-letter
-  alphabet ``{0,1}`` maps ``0 -> 1``, ``1 -> 2`` at that boundary only.
+  alphabet size ``d``) is stored canonically as its GT pattern; its
+  row grid over ``{1..d}`` is read by :func:`weyl_to_gt` and written by
+  :func:`gt_to_weyl`, at the text/JSON boundary only.  The external
+  two-letter alphabet ``{0,1}`` maps ``0 -> 1``, ``1 -> 2`` there
+  (:func:`gt_from_external`, :func:`gt_to_external`).
 * A GT pattern lists ``d`` levels, level ``j`` holding ``j`` entries;
   entry ``(i, j)`` counts the boxes in row ``i`` of the Weyl tableau
   whose entries are at most ``j``.  The top level, zero-padded, is the
@@ -180,8 +181,11 @@ def syt_to_path(rows) -> GrowthPath:
 
 
 def path_to_syt(path) -> Rows:
-    """Row grid of the standard Young tableau with the given growth path."""
-    path = validate_path(path)
+    """Row grid of the standard Young tableau with the growth path the package made.
+
+    The path was validated where it entered; a step that is not one box
+    still fails in :func:`grown_row`.
+    """
     rows: list[list[int]] = []
     for step, (smaller, larger) in enumerate(zip(path, path[1:]), start=1):
         row = grown_row(smaller, larger)
@@ -206,54 +210,6 @@ def enumerate_paths(shape: Partition) -> tuple[GrowthPath, ...]:
 
 def enumerate_syt(shape: Partition) -> list[Rows]:
     return [path_to_syt(path) for path in enumerate_paths(shape)]
-
-
-# ---------------------------------------------------------------------------
-# standard Weyl tableaux
-
-
-@dataclass(frozen=True)
-class WeylTableau:
-    """Rows of a semistandard tableau over the internal alphabet {1..d}."""
-
-    rows: Rows
-    d: int
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(row) for row in self.rows)
-
-    def content(self) -> tuple[int, ...]:
-        """How many times each letter occurs, indexed 0..d-1 for letters 1..d."""
-        counts = [0] * self.d
-        for row in self.rows:
-            for x in row:
-                counts[x - 1] += 1
-        return tuple(counts)
-
-
-def validate_weyl(t: WeylTableau) -> WeylTableau:
-    check_alphabet(t.d)
-    if check_partition(t.shape) != t.shape:
-        raise InvariantViolation("nonempty rows", f"{t.rows}")
-    if len(t.rows) > t.d:
-        raise InvariantViolation("at most d rows", f"{len(t.rows)} rows, d={t.d}")
-    for row in t.rows:
-        for x in row:
-            if not isinstance(x, int) or not 1 <= x <= t.d:
-                raise InvariantViolation("entries in alphabet", f"{x!r} with d={t.d}")
-        for a, b in zip(row, row[1:]):
-            if a > b:
-                raise InvariantViolation("weakly increasing rows", f"{row}")
-    for upper, lower in zip(t.rows, t.rows[1:]):
-        for a, b in zip(upper, lower):
-            if a >= b:
-                raise InvariantViolation("strictly increasing columns", f"{t.rows}")
-    return t
-
-
-def make_weyl(rows, d: int) -> WeylTableau:
-    return validate_weyl(WeylTableau(tuple(tuple(row) for row in rows), d))
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +264,40 @@ def validate_gt(p: GTPattern) -> GTPattern:
     return p
 
 
-def weyl_to_gt(t: WeylTableau) -> GTPattern:
-    """GT pattern whose level ``j`` is the shape of the entries-``<= j`` subtableau."""
-    return _weyl_to_gt_unchecked(validate_weyl(t))
+def weyl_to_gt(rows, d: int) -> GTPattern:
+    """GT pattern of a Weyl tableau given as rows over ``{1..d}``; the one Weyl reader.
 
-
-def _weyl_to_gt_unchecked(t: WeylTableau) -> GTPattern:
+    The rows are validated here.  Level ``j`` of the pattern is the shape
+    of the entries-``<= j`` subtableau.
+    """
+    check_alphabet(d)
+    rows = tuple(tuple(row) for row in rows)
+    shape = tuple(len(row) for row in rows)
+    if check_partition(shape) != shape:
+        raise InvariantViolation("nonempty rows", f"{rows}")
+    if len(rows) > d:
+        raise InvariantViolation("at most d rows", f"{len(rows)} rows, d={d}")
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int) or not 1 <= x <= d:
+                raise InvariantViolation("entries in alphabet", f"{x!r} with d={d}")
+        for a, b in zip(row, row[1:]):
+            if a > b:
+                raise InvariantViolation("weakly increasing rows", f"{row}")
+    for upper, lower in zip(rows, rows[1:]):
+        for a, b in zip(upper, lower):
+            if a >= b:
+                raise InvariantViolation("strictly increasing columns", f"{rows}")
     levels = []
-    for j in range(1, t.d + 1):
-        counts = [bisect_right(row, j) for row in t.rows]  # rows are sorted
+    for j in range(1, d + 1):
+        counts = [bisect_right(row, j) for row in rows]  # rows are sorted
         counts += [0] * (j - len(counts))
         levels.append(tuple(counts[:j]))
     return GTPattern(tuple(levels))
 
 
-def gt_to_weyl(p: GTPattern) -> WeylTableau:
-    return gt_to_weyl_unchecked(validate_gt(p))
-
-
-def gt_to_weyl_unchecked(p: GTPattern) -> WeylTableau:
-    """Row view of a pattern the package made itself; :func:`gt_to_weyl` validates."""
+def gt_to_weyl(p: GTPattern) -> Rows:
+    """Rows over ``{1..d}`` of a pattern validated where it entered; the one Weyl writer."""
     levels = p.levels
     rows = []
     for i in range(p.d):
@@ -340,7 +310,7 @@ def gt_to_weyl_unchecked(p: GTPattern) -> WeylTableau:
             before = here
         if row:
             rows.append(tuple(row))
-    return WeylTableau(tuple(rows), p.d)
+    return tuple(rows)
 
 
 @cache
@@ -364,9 +334,9 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
     return tuple(out)
 
 
-def enumerate_weyl(shape: Partition, d: int) -> list[WeylTableau]:
-    """All standard Weyl tableaux of ``shape`` over ``{1..d}``, canonical order."""
-    return [gt_to_weyl_unchecked(p) for p in enumerate_gt(check_partition(shape), d)]
+def enumerate_weyl(shape: Partition, d: int) -> list[Rows]:
+    """All standard Weyl tableaux of ``shape`` over ``{1..d}`` as rows, canonical order."""
+    return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +394,15 @@ def letter_from_json(x: int, d: int, text: str | None = None) -> int:
 def gt_from_external(rows, d: int) -> GTPattern:
     """GT pattern of a Weyl tableau given as integer rows over the external alphabet.
 
-    The JSON readers' entry check: the rows are validated once, here.
+    The JSON readers' entry check: the rows are validated once, by :func:`weyl_to_gt`.
     """
-    rows = [[letter_from_json(x, d) for x in row] for row in rows]
-    return _weyl_to_gt_unchecked(make_weyl(rows, d))
+    return weyl_to_gt([[letter_from_json(x, d) for x in row] for row in rows], d)
+
+
+def gt_to_external(p: GTPattern) -> list[list[int]]:
+    """Rows of the pattern's Weyl tableau over the external alphabet, as JSON lists."""
+    shift = letter_offset(p.d)
+    return [[x - shift for x in row] for row in gt_to_weyl(p)]
 
 
 def word_to_text(word: tuple[int, ...], d: int) -> str:
@@ -449,9 +424,8 @@ def shape_to_text(shape: Partition) -> str:
     return "(" + ",".join(str(part) for part in shape) + ")"
 
 
-def render_tableau_rows(rows: Rows, d: int | None = None) -> list[str]:
-    """One string per row; entries go through the external alphabet when d is given."""
+def render_tableau_rows(rows) -> list[str]:
+    """One string per row of a row grid; ``["()"]`` for the empty tableau."""
     if not rows:
         return ["()"]
-    shift = 0 if d is None else letter_offset(d)
-    return [" ".join([str(x - shift) for x in row]) for row in rows]
+    return [" ".join(map(str, row)) for row in rows]

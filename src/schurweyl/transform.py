@@ -30,9 +30,9 @@ from schurweyl.tableaux import (
     enumerate_gt,
     enumerate_paths,
     gt_from_external,
+    gt_to_external,
     json_field,
     json_rows,
-    letter_offset,
     partitions,
     validate_path,
     word_to_text,
@@ -158,10 +158,9 @@ def dimension_check(d: int, n: int) -> bool:
 
 
 def triplet_to_json_obj(triplet: SchurWeylTriplet) -> dict:
-    shift = letter_offset(triplet.d)
     return {
         "shape": list(triplet.shape),
-        "weyl_rows": [[x - shift for x in row] for row in triplet.weyl.rows],
+        "weyl_rows": gt_to_external(triplet.pattern),
         "young_path": [list(shape) for shape in triplet.young],
     }
 

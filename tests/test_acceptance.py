@@ -20,7 +20,6 @@ from schurweyl.tableaux import (
     enumerate_syt,
     enumerate_weyl,
     gt_to_weyl,
-    make_weyl,
     partitions,
     path_to_syt,
     syt_to_path,
@@ -53,7 +52,7 @@ def gt2(m11, a, b):
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
-    t = SchurWeylTriplet(weyl_to_gt(make_weyl(weyl_rows, d)), syt_to_path(syt_rows))
+    t = SchurWeylTriplet(weyl_to_gt(weyl_rows, d), syt_to_path(syt_rows))
     assert t.shape == tuple(shape)
     return t
 
@@ -80,12 +79,12 @@ def test_criterion_2_golden_branchings():
     lower_young = syt_to_path([[1, 2]])
     down_expected = [
         (
-            SchurWeylTriplet(weyl_to_gt(make_weyl([[2, 2]], 2)), lower_young),
+            SchurWeylTriplet(weyl_to_gt([[2, 2]], 2), lower_young),
             1,
             radical_from_sqrt(-1, 2, 3),
         ),
         (
-            SchurWeylTriplet(weyl_to_gt(make_weyl([[1, 2]], 2)), lower_young),
+            SchurWeylTriplet(weyl_to_gt([[1, 2]], 2), lower_young),
             2,
             radical_from_sqrt(1, 1, 3),
         ),
@@ -126,8 +125,8 @@ def test_criterion_4_engine_equivalence():
         graph = build(2, 8)
         checked = 0
         for edge in graph.edges:
-            lower = weyl_to_gt(graph.vertex(edge.lower).tableau)
-            upper = weyl_to_gt(graph.vertex(edge.upper).tableau)
+            lower = graph.vertex(edge.lower).pattern
+            upper = graph.vertex(edge.upper).pattern
             assert pattern_amplitude_d2(lower, upper) == louck_amplitude(lower, upper)
             checked += 1
         assert checked == len(graph.edges) and checked > 200
@@ -161,8 +160,8 @@ def test_criterion_7_round_trips():
             for d in range(1, 4):
                 for shape in partitions(n, d):
                     weyls = enumerate_weyl(shape, d)
-                    assert [weyl_to_gt(t) for t in weyls] == list(enumerate_gt(shape, d))
-                    assert [gt_to_weyl(weyl_to_gt(t)) for t in weyls] == weyls
+                    assert [weyl_to_gt(t, d) for t in weyls] == list(enumerate_gt(shape, d))
+                    assert [gt_to_weyl(weyl_to_gt(t, d)) for t in weyls] == weyls
             for shape in partitions(n, n or 1):
                 syts = enumerate_syt(shape)
                 assert [syt_to_path(rows) for rows in syts] == list(enumerate_paths(shape))

@@ -19,7 +19,7 @@ from schurweyl.tableaux import (
     InvariantViolation,
     enumerate_gt,
     enumerate_paths,
-    make_weyl,
+    gt_to_weyl,
     partitions,
     syt_to_path,
     weyl_to_gt,
@@ -34,7 +34,7 @@ def all_triplets(n, d):
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
-    t = SchurWeylTriplet(weyl_to_gt(make_weyl(weyl_rows, d)), syt_to_path(syt_rows))
+    t = SchurWeylTriplet(weyl_to_gt(weyl_rows, d), syt_to_path(syt_rows))
     assert t.shape == tuple(shape)
     return t
 
@@ -44,12 +44,12 @@ def test_validate_triplet():
     with pytest.raises(InvariantViolation, match="share one shape"):
         validate_triplet(
             SchurWeylTriplet(
-                weyl_to_gt(make_weyl([[1, 2]], 2)), syt_to_path([[1, 2], [3]])
+                weyl_to_gt([[1, 2]], 2), syt_to_path([[1, 2], [3]])
             )
         )
     with pytest.raises(InvariantViolation):
         validate_triplet(
-            SchurWeylTriplet(weyl_to_gt(make_weyl([[1]], 2)), ((), (2,)))
+            SchurWeylTriplet(weyl_to_gt([[1]], 2), ((), (2,)))
         )
 
 
@@ -61,7 +61,7 @@ def test_branch_up_first_letter():
             [(grown, amp)] = state.sorted_terms()
             assert amp == ONE
             assert grown.shape == (1,)
-            assert grown.weyl.rows == ((k,),)
+            assert gt_to_weyl(grown.pattern) == ((k,),)
             assert grown.young == ((), (1,))
     with pytest.raises(ValueError):
         branch_up(empty_triplet(2), 3)
@@ -96,12 +96,12 @@ def test_branch_down_golden():
     lower_young = syt_to_path([[1, 2]])
     assert terms == [
         (
-            SchurWeylTriplet(weyl_to_gt(make_weyl([[2, 2]], 2)), lower_young),
+            SchurWeylTriplet(weyl_to_gt([[2, 2]], 2), lower_young),
             1,
             radical_from_sqrt(-1, 2, 3),
         ),
         (
-            SchurWeylTriplet(weyl_to_gt(make_weyl([[1, 2]], 2)), lower_young),
+            SchurWeylTriplet(weyl_to_gt([[1, 2]], 2), lower_young),
             2,
             radical_from_sqrt(1, 1, 3),
         ),
@@ -111,7 +111,7 @@ def test_branch_down_golden():
 def test_branch_down_level_one_and_zero():
     for d in (1, 2, 3):
         for k in range(1, d + 1):
-            start = SchurWeylTriplet(weyl_to_gt(make_weyl([[k]], d)), ((), (1,)))
+            start = SchurWeylTriplet(weyl_to_gt([[k]], d), ((), (1,)))
             assert branch_down(start) == [(empty_triplet(d), k, ONE)]
         assert branch_down(empty_triplet(d)) == []
 
@@ -122,7 +122,7 @@ def test_branch_down_keeps_young_fixed():
     terms = branch_down(start)
     expected_young = syt_to_path([[1, 3], [2]])
     assert [t.young for t, _, _ in terms] == [expected_young] * len(terms)
-    assert {(t.weyl.rows, k) for t, k, _ in terms} == {
+    assert {(gt_to_weyl(t.pattern), k) for t, k, _ in terms} == {
         (((1, 2), (2,)), 1),
         (((1, 1), (2,)), 2),
     }

@@ -13,7 +13,7 @@ from schurweyl import cli
 from schurweyl.branching import SchurWeylState, SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE
-from schurweyl.tableaux import make_weyl, parse_word, syt_to_path, weyl_to_gt
+from schurweyl.tableaux import parse_word, syt_to_path, weyl_to_gt
 from schurweyl.transform import encode, state_from_json_obj, state_to_json_obj
 
 GOLDEN_0101 = """\
@@ -89,7 +89,7 @@ def test_decode_golden_from_stdin(monkeypatch, capsys):
     triplet_state = SchurWeylState(
         {
             SchurWeylTriplet(
-                weyl_to_gt(make_weyl([[1, 1], [2, 2]], 2)), syt_to_path([[1, 3], [2, 4]])
+                weyl_to_gt([[1, 1], [2, 2]], 2), syt_to_path([[1, 3], [2, 4]])
             ): ONE
         }
     )
@@ -239,11 +239,16 @@ def test_alphabet_bound_exits_cleanly(tmp_path, capsys):
         ["encode", "--d", "1100", "1"],
         ["decode", str(document)],
         ["encode", "--d", "65", "1"],
+        ["check", "--d", "-1", "--n", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("invariant: alphabet size") and "1..64" in err
         assert "Traceback" not in err
+    # check bounds its word length where it enters too
+    code, out, err = run(capsys, "check", "--d", "3", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "invariant: word length (--n -1 is negative)\n"
     code, out, _ = run(capsys, "encode", "--d", "64", "1")
     assert code == 0
     assert out == "1  ~1  (1)  weyl [1]  young [1]\n"

@@ -69,3 +69,30 @@ def test_fraction_only_in_radicals():
         path.name for path in PACKAGE.rglob("*.py") if "fractions" in imported_modules(path)
     )
     assert importing == ["radicals.py"]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a module imports, defines, reads or looks up as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_weyl_rows_only_in_tableaux():
+    # a Weyl tableau is a GT pattern inside the package; other modules reach
+    # its rows only through gt_from_external and gt_to_external, and the
+    # package root re-exports the two row converters as public API
+    names = {path.name: referenced_names(path) for path in PACKAGE.rglob("*.py")}
+    reaching = sorted(
+        name for name, used in names.items() if used & {"gt_to_weyl", "weyl_to_gt"}
+    )
+    assert reaching == ["__init__.py", "tableaux.py"]
+    assert not any("WeylTableau" in used for used in names.values())

@@ -10,8 +10,7 @@ from schurweyl.radicals import ONE, ZERO, radical_from_sqrt
 from schurweyl.tableaux import (
     InvariantViolation,
     enumerate_paths,
-    make_weyl,
-    weyl_to_gt,
+    gt_to_weyl,
 )
 
 
@@ -31,7 +30,7 @@ def test_build_small_levels():
     g = build(2, 1)
     assert [v.shape for v in g.level_vertices(0)] == [()]
     level1 = g.level_vertices(1)
-    assert [v.tableau.rows for v in level1] == [((1,),), ((2,),)]
+    assert [gt_to_weyl(v.pattern) for v in level1] == [((1,),), ((2,),)]
     assert len(g.edges) == 2
     assert g.level_census(0) == {(): 1}
 
@@ -53,7 +52,7 @@ def test_vertex_ids_dense_and_canonical():
         key=lambda v: (
             v.level,
             tuple(-part for part in v.shape),
-            tuple(-x for x in weyl_to_gt(v.tableau).key()),
+            tuple(-x for x in v.pattern.key()),
         ),
     )
     assert list(g.vertices) == ordered
@@ -61,9 +60,9 @@ def test_vertex_ids_dense_and_canonical():
 
 def test_golden_edge_amplitude():
     g = build(2, 2)
-    [zero] = [v for v in g.level_vertices(1) if v.tableau.rows == ((1,),)]
+    [zero] = [v for v in g.level_vertices(1) if gt_to_weyl(v.pattern) == ((1,),)]
     [row2] = [
-        v for v in g.level_vertices(2) if v.tableau.rows == ((1, 2),)
+        v for v in g.level_vertices(2) if gt_to_weyl(v.pattern) == ((1, 2),)
     ]
     [edge] = [
         e for e in up_edges(g, zero.id) if e.upper == row2.id
@@ -74,7 +73,7 @@ def test_golden_edge_amplitude():
 
 def test_up_edges_examples():
     g = build(2, 2)
-    [zero] = [v for v in g.level_vertices(1) if v.tableau.rows == ((1,),)]
+    [zero] = [v for v in g.level_vertices(1) if gt_to_weyl(v.pattern) == ((1,),)]
     up = up_edges(g, zero.id, k=2)
     assert len(up) == 2
     shapes = {g.vertex(e.upper).shape for e in up}
@@ -90,11 +89,11 @@ def test_down_edges_golden():
     [v] = [
         v
         for v in g.level_vertices(3)
-        if v.tableau.rows == ((1, 2), (2,))
+        if gt_to_weyl(v.pattern) == ((1, 2), (2,))
     ]
     down = down_edges(g, v.id)
     # three parents: both shape-(2) tableaux plus the (1,1) column
-    by_parent = {g.vertex(e.lower).tableau.rows: e for e in down}
+    by_parent = {gt_to_weyl(g.vertex(e.lower).pattern): e for e in down}
     assert len(down) == len(by_parent) == 3
     assert by_parent[((2, 2),)].amplitude == radical_from_sqrt(-1, 2, 3)
     assert by_parent[((2, 2),)].added_entry == 1

@@ -2,13 +2,13 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from schurweyl.tableaux import (
     BoxCoord,
     GTPattern,
     InvariantViolation,
     MAX_ALPHABET,
-    WeylTableau,
     check_alphabet,
     check_partition,
     enumerate_gt,
@@ -16,12 +16,13 @@ from schurweyl.tableaux import (
     enumerate_syt,
     enumerate_weyl,
     grown_row,
+    gt_from_external,
+    gt_to_external,
     gt_to_weyl,
     interlaces,
     letter_from_external,
     letter_from_json,
     letter_offset,
-    make_weyl,
     pad_partition,
     parse_word,
     partitions,
@@ -33,7 +34,6 @@ from schurweyl.tableaux import (
     syt_to_path,
     validate_gt,
     validate_path,
-    validate_weyl,
     weyl_to_gt,
     word_to_text,
 )
@@ -103,6 +103,24 @@ def brute_weyl(shape, d):
                 )
             )
     return out
+
+
+def is_semistandard(rows, d):
+    """Whether a row grid is a standard Weyl tableau over {1..d}, cell by cell."""
+    shape = [len(row) for row in rows]
+    return (
+        len(rows) <= d
+        and all(shape) and shape == sorted(shape, reverse=True)
+        and all(type(x) is int and 1 <= x <= d for row in rows for x in row)
+        and all(a <= b for row in rows for a, b in zip(row, row[1:]))
+        and all(a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
+    )
+
+
+def content(p):
+    """How many times each letter 1..d occurs, read off the pattern's level sums."""
+    sums = [0] + [sum(level) for level in p.levels]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
 def hook_length_count(shape):
@@ -211,33 +229,54 @@ def test_path_validation():
 
 
 def test_weyl_validation():
-    make_weyl([[1, 1, 2], [2]], 2)
+    weyl_to_gt([[1, 1, 2], [2]], 2)
     with pytest.raises(InvariantViolation, match="weakly increasing rows"):
-        make_weyl([[2, 1]], 2)
+        weyl_to_gt([[2, 1]], 2)
     with pytest.raises(InvariantViolation, match="strictly increasing columns"):
-        make_weyl([[1, 1], [1]], 2)
+        weyl_to_gt([[1, 1], [1]], 2)
     with pytest.raises(InvariantViolation, match="at most d rows"):
-        make_weyl([[1], [2], [3]], 2)
+        weyl_to_gt([[1], [2], [3]], 2)
     with pytest.raises(InvariantViolation, match="entries in alphabet"):
-        make_weyl([[1, 3]], 2)
+        weyl_to_gt([[1, 3]], 2)
     with pytest.raises(InvariantViolation, match="nonempty rows"):
-        make_weyl([[1], []], 2)
+        weyl_to_gt([[1], []], 2)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.lists(st.integers(-1, d + 1), max_size=4), max_size=d + 1),
+        )
+    )
+)
+def test_weyl_reader_matches_brute_check(case):
+    # the one Weyl reader rejects exactly the grids that are not semistandard
+    # over 1..d, and on the rest its pattern is valid and writes the grid back
+    d, grid = case
+    rows = tuple(map(tuple, grid))
+    if not is_semistandard(rows, d):
+        with pytest.raises(InvariantViolation):
+            weyl_to_gt(rows, d)
+        return
+    p = weyl_to_gt(rows, d)
+    validate_gt(p)
+    assert gt_to_weyl(p) == rows
 
 
 def test_content_examples():
-    t = make_weyl([[1, 1, 2, 2], [2, 3], [4, 4]], 4)
-    assert t.shape == (4, 2, 2)
-    assert t.content() == (2, 3, 1, 2)
-    assert WeylTableau((), 3).content() == (0, 0, 0)
-    assert make_weyl([[1, 1, 2], [2]], 2).content() == (2, 2)
+    p = weyl_to_gt([[1, 1, 2, 2], [2, 3], [4, 4]], 4)
+    assert p.shape == (4, 2, 2)
+    assert content(p) == (2, 3, 1, 2)
+    assert content(weyl_to_gt((), 3)) == (0, 0, 0)
+    assert content(weyl_to_gt([[1, 1, 2], [2]], 2)) == (2, 2)
 
 
 def test_weyl_gt_golden():
-    assert weyl_to_gt(make_weyl([[1, 1], [2]], 2)) == GTPattern(((2,), (2, 1)))
-    assert weyl_to_gt(make_weyl([[1, 1, 1], [2, 2, 2]], 2)) == GTPattern(((3,), (3, 3)))
-    empty = WeylTableau((), 3)
-    assert weyl_to_gt(empty) == GTPattern(((0,), (0, 0), (0, 0, 0)))
-    assert gt_to_weyl(GTPattern(((0,), (0, 0), (0, 0, 0)))) == empty
+    assert weyl_to_gt([[1, 1], [2]], 2) == GTPattern(((2,), (2, 1)))
+    assert weyl_to_gt([[1, 1, 1], [2, 2, 2]], 2) == GTPattern(((3,), (3, 3)))
+    assert weyl_to_gt((), 3) == GTPattern(((0,), (0, 0), (0, 0, 0)))
+    assert gt_to_weyl(GTPattern(((0,), (0, 0), (0, 0, 0)))) == ()
 
 
 def test_gt_round_trip_exhaustive():
@@ -245,22 +284,20 @@ def test_gt_round_trip_exhaustive():
         for n in range(0, 6):
             for shape in partitions(n, d):
                 tableaux = enumerate_weyl(shape, d)
-                grids = sorted(t.rows for t in tableaux)
-                assert grids == sorted(brute_weyl(shape, d))
+                assert sorted(tableaux) == sorted(brute_weyl(shape, d))
                 for t in tableaux:
-                    validate_weyl(t)
-                    p = weyl_to_gt(t)
+                    p = weyl_to_gt(t, d)
                     validate_gt(p)
                     assert p.shape == shape
                     assert pad_partition(shape, d) == p.levels[-1]
                     assert gt_to_weyl(p) == t
                 for p in enumerate_gt(shape, d):
-                    assert weyl_to_gt(gt_to_weyl(p)) == p
+                    assert weyl_to_gt(gt_to_weyl(p), d) == p
 
 
 def test_enumerate_weyl_counts():
     assert len(enumerate_weyl((2,), 2)) == 3
-    assert sorted(t.content() for t in enumerate_weyl((2,), 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert sorted(content(p) for p in enumerate_gt((2,), 2)) == [(0, 2), (1, 1), (2, 0)]
     assert len(enumerate_weyl((1, 1), 2)) == 1
     assert len(enumerate_weyl((3,), 2)) == 4
     with pytest.raises(InvariantViolation):
@@ -271,7 +308,7 @@ def test_gt_validation():
     with pytest.raises(InvariantViolation, match="in-betweenness"):
         validate_gt(GTPattern(((3,), (2, 1))))
     with pytest.raises(InvariantViolation, match="in-betweenness"):
-        gt_to_weyl(GTPattern(((0,), (1, 1))))
+        validate_gt(GTPattern(((0,), (1, 1))))
     with pytest.raises(InvariantViolation, match="triangular"):
         validate_gt(GTPattern(((1, 1),)))
     with pytest.raises(InvariantViolation, match="nonnegative"):
@@ -293,7 +330,7 @@ def test_alphabet_bound():
         with pytest.raises(InvariantViolation, match=f"alphabet size .*1..{MAX_ALPHABET}"):
             check_alphabet(d)
     with pytest.raises(InvariantViolation, match="alphabet size"):
-        validate_weyl(WeylTableau((), MAX_ALPHABET + 1))
+        weyl_to_gt((), MAX_ALPHABET + 1)
     with pytest.raises(InvariantViolation, match="alphabet size"):
         validate_gt(GTPattern(()))
     with pytest.raises(InvariantViolation, match="alphabet size"):
@@ -303,12 +340,12 @@ def test_alphabet_bound():
 def test_canonical_weyl_order():
     # d=2 level-1 vertices: [1] before [2], i.e. external [0] before [1]
     tableaux = enumerate_weyl((1,), 2)
-    assert [t.rows for t in tableaux] == [((1,),), ((2,),)]
-    keys = [weyl_to_gt(t).key() for t in tableaux]
+    assert tableaux == [((1,),), ((2,),)]
+    keys = [weyl_to_gt(t, 2).key() for t in tableaux]
     assert keys == sorted(keys, reverse=True)
     for d in (2, 3):
         for shape in [(2,), (2, 1), (3, 1)]:
-            keys = [weyl_to_gt(t).key() for t in enumerate_weyl(shape, d)]
+            keys = [weyl_to_gt(t, d).key() for t in enumerate_weyl(shape, d)]
             assert keys == sorted(keys, reverse=True)
 
 
@@ -343,6 +380,8 @@ def test_external_alphabet():
 def test_rendering():
     assert shape_to_text((3, 1)) == "(3,1)"
     assert shape_to_text(()) == "()"
-    t = make_weyl([[1, 1, 2], [2]], 2)
-    assert render_tableau_rows(t.rows, 2) == ["0 0 1", "1"]
-    assert render_tableau_rows((), 2) == ["()"]
+    p = weyl_to_gt([[1, 1, 2], [2]], 2)
+    assert gt_to_external(p) == [[0, 0, 1], [1]]
+    assert gt_from_external([[0, 0, 1], [1]], 2) == p
+    assert render_tableau_rows(gt_to_external(p)) == ["0 0 1", "1"]
+    assert render_tableau_rows(()) == ["()"]

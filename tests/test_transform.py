@@ -8,7 +8,7 @@ from schurweyl.branching import SchurWeylState, SchurWeylTriplet
 from schurweyl.radicals import ONE, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     InvariantViolation,
-    make_weyl,
+    gt_to_weyl,
     parse_word,
     syt_to_path,
     weyl_to_gt,
@@ -32,7 +32,7 @@ from schurweyl.transform import (
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
-    t = SchurWeylTriplet(weyl_to_gt(make_weyl(weyl_rows, d)), syt_to_path(syt_rows))
+    t = SchurWeylTriplet(weyl_to_gt(weyl_rows, d), syt_to_path(syt_rows))
     assert t.shape == tuple(shape)
     return t
 
@@ -57,14 +57,14 @@ def test_encode_trivial_cases():
             state = encode((k,), d)
             assert len(state) == 1
             [(t, amp)] = state.sorted_terms()
-            assert amp == ONE and t.weyl.rows == ((k,),)
+            assert amp == ONE and gt_to_weyl(t.pattern) == ((k,),)
     for n in range(0, 7):
         state = encode((1,) * n, 2)
         assert len(state) == 1
         [(t, amp)] = state.sorted_terms()
         assert amp == ONE
         assert t.shape == ((n,) if n else ())
-        assert t.weyl.rows == (((1,) * n,) if n else ())
+        assert gt_to_weyl(t.pattern) == (((1,) * n,) if n else ())
     with pytest.raises(ValueError):
         encode((3,), 2)
 
@@ -118,10 +118,10 @@ def test_matrix_small_identity():
 def test_matrix_2_2_golden():
     m = schur_matrix(2, 2)
     s = radical_from_sqrt(1, 1, 2)
-    assert m.basis[0].weyl.rows == ((1, 1),)
-    assert m.basis[1].weyl.rows == ((1, 2),)
-    assert m.basis[2].weyl.rows == ((2, 2),)
-    assert m.basis[3].weyl.rows == ((1,), (2,))
+    assert gt_to_weyl(m.basis[0].pattern) == ((1, 1),)
+    assert gt_to_weyl(m.basis[1].pattern) == ((1, 2),)
+    assert gt_to_weyl(m.basis[2].pattern) == ((2, 2),)
+    assert gt_to_weyl(m.basis[3].pattern) == ((1,), (2,))
     assert m.entries == {
         (0, 0): ONE,
         (1, 1): s,
