@@ -76,6 +76,40 @@ def test_encode_decode_json_bytes_golden(tmp_path, capsys):
     )
 
 
+def sha256_of_stdout(capsys, *argv) -> str:
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, argv
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_more_stdout_bytes_golden(tmp_path, capsys):
+    # d = 4 text and JSON, the d = 3 text forms, and the check report:
+    # outputs no other golden pins byte for byte
+    d4_state = tmp_path / "d4.json"
+    code, out, _ = run(capsys, "encode", "--d", "4", "4,1,3,2,2,1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bd925a38f16b81b322ad3344ef12e9dcfebf585cdc55387e92fe13d4ff6f6950"
+    )
+    d4_state.write_text(out)
+    assert sha256_of_stdout(capsys, "decode", str(d4_state), "--format", "json") == (
+        "ecd407ff508c376de9ce7b3b9e9aae1f015c6741075ae399963d5a4f935c3f91"
+    )
+    assert sha256_of_stdout(capsys, "encode", "--d", "3", "1,2,3,1,2,2") == (
+        "5a2412d0173f57b5d6484960de846314d915e6d134ec5c0cf1993a61339d1c19"
+    )
+    d3_state = tmp_path / "d3.json"
+    code, out, _ = run(capsys, "encode", "--d", "3", "1,2,3,1,2", "--format", "json")
+    assert code == 0
+    d3_state.write_text(out)
+    assert sha256_of_stdout(capsys, "decode", str(d3_state)) == (
+        "ad553db83bae520ae2313e29b162bf1338d2228b8388d7a4a75d040af5af37f6"
+    )
+    assert sha256_of_stdout(capsys, "check", "--d", "3", "--n", "4", "--format", "json") == (
+        "eb229b8b56488bdb4d08bae695d3073130dd9b6803a027f41566d28a16da815d"
+    )
+
+
 def test_decode_round_trip_via_file(tmp_path, capsys):
     state_file = tmp_path / "state.json"
     obj = state_to_json_obj(encode(parse_word("0110", 2), 2), 2, 4)
