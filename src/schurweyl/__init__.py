@@ -15,12 +15,8 @@ from schurweyl.amplitudes import (
     up_transitions,
 )
 from schurweyl.branching import (
-    ComputationalState,
-    SchurWeylState,
     SchurWeylTriplet,
-    branch_down,
     branch_down_state,
-    branch_up,
     branch_up_state,
     empty_triplet,
     validate_triplet,
@@ -57,7 +53,6 @@ from schurweyl.transform import (
 
 __all__ = [
     "DEFAULT_SIZE_BOUND",
-    "ComputationalState",
     "ExactSparseMatrix",
     "GTPattern",
     "InvariantViolation",
@@ -66,13 +61,10 @@ __all__ = [
     "SWYEdge",
     "SWYGraph",
     "SWYVertex",
-    "SchurWeylState",
     "SchurWeylTriplet",
     "SizeBoundExceeded",
     "WrongDimension",
-    "branch_down",
     "branch_down_state",
-    "branch_up",
     "branch_up_state",
     "build",
     "decode",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .amplitudes import pattern_amplitude_d2
 from .graph import build
-from .radicals import ONE, Radical
+from .radicals import ONE, ZERO, Radical
 from .tableaux import (
     InvariantViolation,
     check_alphabet,
@@ -34,6 +34,7 @@ from .transform import (
     dimension_check,
     encode,
     schur_matrix,
+    sorted_terms,
     state_from_json_obj,
     state_to_json_obj,
     verify_unitary,
@@ -157,7 +158,7 @@ def cmd_encode(args) -> int:
     if args.format == "json":
         print(_dumps(state_to_json_obj(state, args.d, len(word))))
         return EXIT_OK
-    for triplet, amp in state.sorted_terms():
+    for triplet, amp in sorted_terms(state):
         print(
             f"{amp.to_string()}  ~{_approx(amp)}  {shape_to_text(triplet.shape)}"
             f"  weyl [{_rows_text(gt_to_external(triplet.pattern))}]"
@@ -171,14 +172,17 @@ def cmd_decode(args) -> int:
         text = sys.stdin.read()
     else:
         text = Path(args.state).read_text()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise InvariantViolation("state document", "nested too deeply") from None
     state = state_from_json_obj(obj)
     d, n = obj["d"], obj["n"]
     out = decode(state)
     if args.format == "json":
         print(_dumps(computational_to_json_obj(out, d, n)))
         return EXIT_OK
-    for word, amp in out.sorted_terms():
+    for word, amp in sorted(out.items()):
         print(f"{word_to_text(word, d)}  {amp.to_string()}  ~{_approx(amp)}")
     return EXIT_OK
 
@@ -239,7 +243,8 @@ def cmd_check(args) -> int:
     count = 0
     started = time.perf_counter()
     for word in words(args.d, args.n):
-        if encode(word, args.d).norm_squared() != ONE:
+        amps = encode(word, args.d).values()
+        if sum((amp.square() for amp in amps), ZERO) != ONE:
             denormalized += 1
         count += 1
     elapsed = time.perf_counter() - started

@@ -57,6 +57,13 @@ class SWYGraph:
         self.n_max = n_max
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
+        self._rows = None
+
+    def _weyl_rows(self) -> list[list[list[int]]]:
+        # each vertex's external rows, made once for both serializers
+        if self._rows is None:
+            self._rows = [gt_to_external(v.pattern) for v in self.vertices]
+        return self._rows
 
     def vertex(self, v: int) -> SWYVertex:
         if not 0 <= v < len(self.vertices):
@@ -86,6 +93,7 @@ class SWYGraph:
 
     def to_json_obj(self):
         shift = letter_offset(self.d)
+        rows = self._weyl_rows()
         return {
             "d": self.d,
             "n_max": self.n_max,
@@ -94,7 +102,7 @@ class SWYGraph:
                     "id": v.id,
                     "level": v.level,
                     "shape": list(v.shape),
-                    "tableau_rows": gt_to_external(v.pattern),
+                    "tableau_rows": [row[:] for row in rows[v.id]],
                 }
                 for v in self.vertices
             ],
@@ -160,6 +168,7 @@ class SWYGraph:
             '  node [shape=box, fontname="monospace"];',
         ]
         shift = letter_offset(self.d)
+        rows = self._weyl_rows()
         clusters: dict[tuple[int, Partition], list[SWYVertex]] = {}
         for v in self.vertices:
             clusters.setdefault((v.level, v.shape), []).append(v)
@@ -169,7 +178,7 @@ class SWYGraph:
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
                 for v in members:
-                    label = "\\n".join(render_tableau_rows(gt_to_external(v.pattern)))
+                    label = "\\n".join(render_tableau_rows(rows[v.id]))
                     lines.append(f'    v{v.id} [label="{label}"];')
                 lines.append("  }")
         for e in self.edges:

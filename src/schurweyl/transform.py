@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 from schurweyl.branching import (
-    ComputationalState,
-    SchurWeylState,
     SchurWeylTriplet,
     Word,
     branch_down_state,
@@ -45,24 +43,29 @@ class SizeBoundExceeded(ValueError):
     """d**n is too large for a full-matrix operation."""
 
 
-def encode(word: Word, d: int) -> SchurWeylState:
+def encode(word: Word, d: int) -> dict[SchurWeylTriplet, Radical]:
     """Exact Schur-Weyl expansion of a computational basis word."""
     check_alphabet(d)
     # up_transitions rejects a letter outside 1..d
     state = {empty_triplet(d): ONE}
     for k in word:
         state = branch_up_state(state, k)
-    return SchurWeylState(state)
+    return state
 
 
-def decode(state: SchurWeylState) -> ComputationalState:
-    """Exact computational-basis expansion of a Schur-Weyl state."""
-    if not len(state):
-        return ComputationalState({})
-    terms = {(triplet, ()): amp for triplet, amp in state.terms().items()}
-    for _ in range(state.level):
+def decode(state: dict[SchurWeylTriplet, Radical]) -> dict[Word, Radical]:
+    """Exact computational-basis expansion of ``{triplet: amplitude}``.
+
+    The entry check of a state a caller built: its terms share one level
+    and one alphabet.
+    """
+    shared = {(triplet.level, triplet.d) for triplet in state}
+    if len(shared) > 1:
+        raise InvariantViolation("terms share level and alphabet")
+    terms = {(triplet, ()): amp for triplet, amp in state.items()}
+    for _ in range(next(iter(state)).level if state else 0):
         terms = branch_down_state(terms)
-    return ComputationalState({word: amp for (_, word), amp in terms.items()})
+    return {word: amp for (_, word), amp in terms.items()}
 
 
 def words(d: int, n: int):
@@ -119,7 +122,7 @@ def schur_matrix(
     index = {triplet: row for row, triplet in enumerate(basis)}
     entries: dict[tuple[int, int], Radical] = {}
     for col, word in enumerate(words(d, n)):
-        for triplet, amp in encode(word, d).terms().items():
+        for triplet, amp in encode(word, d).items():
             entries[(index[triplet], col)] = amp
     return ExactSparseMatrix(d, n, tuple(basis), entries)
 
@@ -165,20 +168,28 @@ def triplet_to_json_obj(triplet: SchurWeylTriplet) -> dict:
     }
 
 
-def state_to_json_obj(state: SchurWeylState, d: int, n: int) -> dict:
+def sorted_terms(
+    state: dict[SchurWeylTriplet, Radical]
+) -> list[tuple[SchurWeylTriplet, Radical]]:
+    """The terms of a state in canonical order: descending triplet sort key."""
+    return sorted(state.items(), key=lambda item: item[0].sort_key(), reverse=True)
+
+
+def state_to_json_obj(state: dict[SchurWeylTriplet, Radical], d: int, n: int) -> dict:
     terms = []
-    for triplet, amp in state.sorted_terms():
+    for triplet, amp in sorted_terms(state):
         term = triplet_to_json_obj(triplet)
         term["amplitude"] = amp.to_json_obj()
         terms.append(term)
     return {"d": d, "n": n, "terms": terms}
 
 
-def state_from_json_obj(obj) -> SchurWeylState:
+def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     """Parse and validate a state document: the entry check of outside states.
 
     Terms share their Weyl tableaux and growth paths, so each distinct
-    one is checked once per document.
+    one is checked once per document.  A zero amplitude, written as such
+    or summed from terms that cancel, is dropped.
     """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
     check_alphabet(d)  # a term whose level is not n fails below, so n needs no check here
@@ -209,16 +220,16 @@ def state_from_json_obj(obj) -> SchurWeylState:
         if triplet in terms:
             amp = terms[triplet] + amp
         terms[triplet] = amp
-    return SchurWeylState(terms)
+    return {triplet: amp for triplet, amp in terms.items() if amp}
 
 
-def computational_to_json_obj(state: ComputationalState, d: int, n: int) -> dict:
+def computational_to_json_obj(state: dict[Word, Radical], d: int, n: int) -> dict:
     return {
         "d": d,
         "n": n,
         "terms": [
             {"word": word_to_text(word, d), "amplitude": amp.to_json_obj()}
-            for word, amp in state.sorted_terms()
+            for word, amp in sorted(state.items())
         ],
     }
 

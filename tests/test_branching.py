@@ -4,12 +4,8 @@ import random
 import pytest
 
 from schurweyl.branching import (
-    ComputationalState,
-    SchurWeylState,
     SchurWeylTriplet,
-    branch_down,
     branch_down_state,
-    branch_up,
     branch_up_state,
     empty_triplet,
     validate_triplet,
@@ -24,6 +20,7 @@ from schurweyl.tableaux import (
     syt_to_path,
     weyl_to_gt,
 )
+from schurweyl.transform import computational_to_json_obj, decode
 
 
 def all_triplets(n, d):
@@ -31,6 +28,13 @@ def all_triplets(n, d):
         for pattern in enumerate_gt(shape, d):
             for path in enumerate_paths(shape):
                 yield SchurWeylTriplet(pattern, path)
+
+
+def norm_squared(state):
+    total = ZERO
+    for amp in state.values():
+        total = total + amp.square()
+    return total
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
@@ -56,77 +60,74 @@ def test_validate_triplet():
 def test_branch_up_first_letter():
     for d in (1, 2, 3):
         for k in range(1, d + 1):
-            state = branch_up(empty_triplet(d), k)
+            state = branch_up_state({empty_triplet(d): ONE}, k)
             assert len(state) == 1
-            [(grown, amp)] = state.sorted_terms()
+            [(grown, amp)] = state.items()
             assert amp == ONE
             assert grown.shape == (1,)
             assert gt_to_weyl(grown.pattern) == ((k,),)
             assert grown.young == ((), (1,))
     with pytest.raises(ValueError):
-        branch_up(empty_triplet(2), 3)
+        branch_up_state({empty_triplet(2): ONE}, 3)
 
 
 def test_branch_up_golden_two_letter():
     # |(2,1), [[0,1],[1]], [[1,2],[3]]> plus letter 0
     start = triplet((2, 1), [[1, 2], [2]], [[1, 2], [3]], 2)
-    state = branch_up(start, 1)
+    state = branch_up_state({start: ONE}, 1)
     expected = {
         triplet((3, 1), [[1, 1, 2], [2]], [[1, 2, 4], [3]], 2): radical_from_sqrt(1, 1, 2),
         triplet((2, 2), [[1, 1], [2, 2]], [[1, 2], [3, 4]], 2): radical_from_sqrt(-1, 1, 2),
     }
-    assert state.terms() == expected
+    assert state == expected
 
 
 def test_branch_up_second_golden():
     # |(1), [0], [1]> plus letter 1 splits evenly
     start = triplet((1,), [[1]], [[1]], 2)
-    state = branch_up(start, 2)
+    state = branch_up_state({start: ONE}, 2)
     expected = {
         triplet((2,), [[1, 2]], [[1, 2]], 2): radical_from_sqrt(1, 1, 2),
         triplet((1, 1), [[1], [2]], [[1], [2]], 2): radical_from_sqrt(1, 1, 2),
     }
-    assert state.terms() == expected
+    assert state == expected
 
 
 def test_branch_down_golden():
     # |(2,1), [[0,1],[1]], [[1,2],[3]]> strips to level 2
     start = triplet((2, 1), [[1, 2], [2]], [[1, 2], [3]], 2)
-    terms = branch_down(start)
+    terms = branch_down_state({(start, ()): ONE})
     lower_young = syt_to_path([[1, 2]])
-    assert terms == [
-        (
-            SchurWeylTriplet(weyl_to_gt([[2, 2]], 2), lower_young),
-            1,
-            radical_from_sqrt(-1, 2, 3),
+    assert terms == {
+        (SchurWeylTriplet(weyl_to_gt([[2, 2]], 2), lower_young), (1,)): (
+            radical_from_sqrt(-1, 2, 3)
         ),
-        (
-            SchurWeylTriplet(weyl_to_gt([[1, 2]], 2), lower_young),
-            2,
-            radical_from_sqrt(1, 1, 3),
+        (SchurWeylTriplet(weyl_to_gt([[1, 2]], 2), lower_young), (2,)): (
+            radical_from_sqrt(1, 1, 3)
         ),
-    ]
+    }
 
 
 def test_branch_down_level_one_and_zero():
     for d in (1, 2, 3):
         for k in range(1, d + 1):
             start = SchurWeylTriplet(weyl_to_gt([[k]], d), ((), (1,)))
-            assert branch_down(start) == [(empty_triplet(d), k, ONE)]
-        assert branch_down(empty_triplet(d)) == []
+            assert branch_down_state({(start, ()): ONE}) == {(empty_triplet(d), (k,)): ONE}
+        with pytest.raises(InvariantViolation, match="register"):
+            branch_down_state({(empty_triplet(d), ()): ONE})
 
 
 def test_branch_down_keeps_young_fixed():
     # the lower Young tableau always drops the last growth step
     start = triplet((2, 2), [[1, 1], [2, 2]], [[1, 3], [2, 4]], 2)
-    terms = branch_down(start)
+    terms = branch_down_state({(start, ()): ONE})
     expected_young = syt_to_path([[1, 3], [2]])
-    assert [t.young for t, _, _ in terms] == [expected_young] * len(terms)
-    assert {(gt_to_weyl(t.pattern), k) for t, k, _ in terms} == {
+    assert [t.young for t, _ in terms] == [expected_young] * len(terms)
+    assert {(gt_to_weyl(t.pattern), k) for t, (k,) in terms} == {
         (((1, 2), (2,)), 1),
         (((1, 1), (2,)), 2),
     }
-    amps = {k: amp for _, k, amp in terms}
+    amps = {k: amp for (_, (k,)), amp in terms.items()}
     assert amps[1] == radical_from_sqrt(-1, 1, 2)
     assert amps[2] == radical_from_sqrt(1, 1, 2)
 
@@ -136,14 +137,11 @@ def test_branch_isometries_exhaustive():
         for n in range(0, 4):
             for t in all_triplets(n, d):
                 for k in range(1, d + 1):
-                    up = branch_up(t, k)
-                    assert up.norm_squared() == ONE
+                    up = branch_up_state({t: ONE}, k)
+                    assert norm_squared(up) == ONE
                 if n:
-                    down = branch_down(t)
-                    total = ZERO
-                    for _, _, amp in down:
-                        total = total + amp.square()
-                    assert total == ONE
+                    down = branch_down_state({(t, ()): ONE})
+                    assert norm_squared(down) == ONE
 
 
 def test_branch_up_columns_orthogonal():
@@ -151,7 +149,7 @@ def test_branch_up_columns_orthogonal():
     for d in (2, 3):
         for n in range(0, 4):
             for t in all_triplets(n, d):
-                states = {k: branch_up(t, k).terms() for k in range(1, d + 1)}
+                states = {k: branch_up_state({t: ONE}, k) for k in range(1, d + 1)}
                 for k1, k2 in itertools.combinations(states, 2):
                     inner = ZERO
                     for key, amp in states[k1].items():
@@ -165,7 +163,7 @@ def test_row_bound_respected():
     # d=2 never grows a third row
     t = triplet((1, 1), [[1], [2]], [[1], [2]], 2)
     for k in (1, 2):
-        for grown, _ in branch_up(t, k).terms().items():
+        for grown in branch_up_state({t: ONE}, k):
             assert len(grown.shape) <= 2
 
 
@@ -203,10 +201,14 @@ def test_state_level_errors():
     t = triplet((1,), [[1]], [[1]], 2)
     with pytest.raises(InvariantViolation, match="register"):
         branch_down_state({(empty_triplet(2), (1,)): ONE})
-    with pytest.raises(InvariantViolation, match="share level"):
-        SchurWeylState(
-            {t: ONE, triplet((2,), [[1, 1]], [[1, 2]], 2): ONE}
-        )
+    # decode is the entry check of a caller-built state
+    for mixed in (
+        {t: ONE, triplet((2,), [[1, 1]], [[1, 2]], 2): ONE},
+        {t: ONE, triplet((1,), [[1]], [[1]], 3): ONE},
+    ):
+        with pytest.raises(InvariantViolation, match="terms share level and alphabet"):
+            decode(mixed)
+    assert decode({}) == {}
 
 
 def test_state_merging_and_cancellation():
@@ -224,8 +226,8 @@ def test_state_merging_and_cancellation():
 
 
 def test_computational_state():
-    state = ComputationalState({(1, 2): ONE, (2, 1): radical_from_sqrt(-1, 1, 1)})
-    assert state.sorted_terms()[0][0] == (1, 2)
-    assert state.norm_squared() == Radical({1: 2})
-    with pytest.raises(InvariantViolation):
-        ComputationalState({(1,): ONE, (1, 1): ONE})
+    # a word state is a plain dict; its writer lists words in ascending order
+    state = {(2, 1): radical_from_sqrt(-1, 1, 1), (1, 2): ONE}
+    obj = computational_to_json_obj(state, 3, 2)
+    assert [term["word"] for term in obj["terms"]] == ["1,2", "2,1"]
+    assert norm_squared(state) == Radical({1: 2})

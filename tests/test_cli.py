@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schurweyl import cli
-from schurweyl.branching import SchurWeylState, SchurWeylTriplet
+from schurweyl.branching import SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE
 from schurweyl.tableaux import parse_word, syt_to_path, weyl_to_gt
@@ -120,13 +120,9 @@ def test_decode_round_trip_via_file(tmp_path, capsys):
 
 
 def test_decode_golden_from_stdin(monkeypatch, capsys):
-    triplet_state = SchurWeylState(
-        {
-            SchurWeylTriplet(
-                weyl_to_gt([[1, 1], [2, 2]], 2), syt_to_path([[1, 3], [2, 4]])
-            ): ONE
-        }
-    )
+    triplet_state = {
+        SchurWeylTriplet(weyl_to_gt([[1, 1], [2, 2]], 2), syt_to_path([[1, 3], [2, 4]])): ONE
+    }
     obj = state_to_json_obj(triplet_state, 2, 4)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
     code, out, _ = run(capsys, "decode")
@@ -232,6 +228,39 @@ def test_decode_rejects_malformed_json(monkeypatch, capsys):
     code, _, err = run(capsys, "decode")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_decode_rejects_deep_nesting(tmp_path, capsys):
+    # the JSON parser recurses once per bracket
+    document = tmp_path / "deep.json"
+    document.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "decode", str(document))
+    assert (code, out) == (2, "")
+    assert err == "invariant: state document (nested too deeply)\n"
+
+
+def _one_term(num):
+    return {
+        "shape": [1],
+        "weyl_rows": [[0]],
+        "young_path": [[], [1]],
+        "amplitude": {"terms": [{"radicand": 1, "num": num, "den": 1}] if num else []},
+    }
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[_one_term(1), _one_term(-1)], [_one_term(0)]],
+    ids=["cancelling-pair", "empty-amplitude"],
+)
+def test_decode_zero_state(tmp_path, capsys, terms):
+    # a document is where a zero amplitude can enter; the reader drops it
+    document = tmp_path / "zero.json"
+    document.write_text(json.dumps({"d": 2, "n": 1, "terms": terms}))
+    code, out, err = run(capsys, "decode", str(document), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "d": 2,\n  "n": 1,\n  "terms": []\n}\n'
+    assert run(capsys, "decode", str(document)) == (0, "", "")
 
 
 def test_usage_errors(capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import schurweyl
 from schurweyl.graph import build
-from schurweyl.transform import decode, encode
+from schurweyl.transform import decode, encode, state_from_json_obj, state_to_json_obj
 
 PACKAGE = Path(schurweyl.__file__).parent
 
@@ -96,3 +96,18 @@ def test_weyl_rows_only_in_tableaux():
     )
     assert reaching == ["__init__.py", "tableaux.py"]
     assert not any("WeylTableau" in used for used in names.values())
+
+
+def test_states_are_plain_dicts():
+    # a state is a {label: amplitude} dict end to end; no wrapper class returns
+    state = encode((1, 2, 3, 1), 3)
+    assert type(state) is dict
+    assert type(decode(state)) is dict
+    assert type(state_from_json_obj(state_to_json_obj(state, 3, 4))) is dict
+    defined = {
+        node.name
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert not defined & {"SchurWeylState", "ComputationalState", "_AmplitudeMap"}

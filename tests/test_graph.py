@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from schurweyl.branching import SchurWeylTriplet, branch_up
+from schurweyl.branching import SchurWeylTriplet, branch_up_state
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE, ZERO, radical_from_sqrt
 from schurweyl.tableaux import (
@@ -135,7 +135,7 @@ def test_branch_up_term_count_matches_up_edges():
         for path in enumerate_paths(v.shape):
             t = SchurWeylTriplet(v.pattern, path)
             for k in (1, 2):
-                assert len(branch_up(t, k)) == len(up_edges(g, v.id, k))
+                assert len(branch_up_state({t: ONE}, k)) == len(up_edges(g, v.id, k))
 
 
 def test_json_round_trip():
@@ -263,3 +263,27 @@ def test_graph_bytes_golden(d, n, json_sha256, dot_sha256):
     text = json.dumps(g.to_json_obj(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
     assert hashlib.sha256(g.to_dot().encode()).hexdigest() == dot_sha256
+
+
+def test_serializers_convert_each_vertex_once(monkeypatch):
+    # JSON and DOT share one conversion of each vertex's rows per graph
+    import schurweyl.graph as graph_module
+
+    calls = []
+    original = graph_module.gt_to_external
+
+    def counting(pattern):
+        calls.append(pattern)
+        return original(pattern)
+
+    monkeypatch.setattr(graph_module, "gt_to_external", counting)
+    g = build(3, 4)
+    dot = g.to_dot()
+    obj = g.to_json_obj()
+    assert len(calls) == len(g.vertices)
+    # the document's rows are its own: editing them leaves the graph's output as it was
+    rows = obj["vertices"][-1]["tableau_rows"]
+    rows[0][0] = 99
+    assert g.to_dot() == dot
+    assert g.to_json_obj()["vertices"][-1]["tableau_rows"] != rows
+    assert len(calls) == len(g.vertices)
