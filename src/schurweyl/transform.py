@@ -57,12 +57,12 @@ def decode(state: dict[SchurWeylTriplet, Radical]) -> dict[Word, Radical]:
     """Exact computational-basis expansion of ``{triplet: amplitude}``.
 
     The entry check of a state a caller built: its terms share one level
-    and one alphabet.
+    and one alphabet, and a zero amplitude is dropped.
     """
     shared = {(triplet.level, triplet.d) for triplet in state}
     if len(shared) > 1:
         raise InvariantViolation("terms share level and alphabet")
-    terms = {(triplet, ()): amp for triplet, amp in state.items()}
+    terms = {(triplet, ()): amp for triplet, amp in state.items() if amp}
     for _ in range(next(iter(state)).level if state else 0):
         terms = branch_down_state(terms)
     return {word: amp for (_, word), amp in terms.items()}

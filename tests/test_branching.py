@@ -209,6 +209,7 @@ def test_state_level_errors():
         with pytest.raises(InvariantViolation, match="terms share level and alphabet"):
             decode(mixed)
     assert decode({}) == {}
+    assert decode({t: ZERO, triplet((1,), [[2]], [[1]], 2): ONE}) == {(2,): ONE}
 
 
 def test_state_merging_and_cancellation():
