@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .amplitudes import pattern_amplitude_d2
 from .graph import build
-from .radicals import ONE, ZERO, Radical
+from .radicals import ONE, Radical
 from .tableaux import (
     InvariantViolation,
     check_alphabet,
@@ -29,6 +29,7 @@ from .tableaux import (
 )
 from .transform import (
     DEFAULT_SIZE_BOUND,
+    column_norms,
     computational_to_json_obj,
     decode,
     dimension_check,
@@ -38,7 +39,6 @@ from .transform import (
     state_from_json_obj,
     state_to_json_obj,
     verify_unitary,
-    words,
 )
 
 EXIT_OK = 0
@@ -242,10 +242,8 @@ def cmd_check(args) -> int:
     denormalized = 0
     count = 0
     started = time.perf_counter()
-    for word in words(args.d, args.n):
-        amps = encode(word, args.d).values()
-        if sum((amp.square() for amp in amps), ZERO) != ONE:
-            denormalized += 1
+    for norm in column_norms(args.d, args.n):
+        denormalized += norm != ONE
         count += 1
     elapsed = time.perf_counter() - started
     suites.append(_suite("column normalization", denormalized == 0, f"{count} words"))

@@ -11,28 +11,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from schurweyl.branching import (
-    SchurWeylTriplet,
-    Word,
-    branch_down_state,
-    branch_up_state,
-    empty_triplet,
-)
+from schurweyl.branching import Engine, SchurWeylTriplet, Word
 from schurweyl.radicals import ONE, ZERO, Radical
 from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
     InvariantViolation,
+    Partition,
+    Rows,
     check_alphabet,
     check_partition,
     enumerate_gt,
     enumerate_paths,
+    grown_row,
     gt_from_external,
     gt_to_external,
     json_field,
     json_rows,
     partitions,
-    validate_path,
     word_to_text,
 )
 
@@ -46,11 +42,12 @@ class SizeBoundExceeded(ValueError):
 def encode(word: Word, d: int) -> dict[SchurWeylTriplet, Radical]:
     """Exact Schur-Weyl expansion of a computational basis word."""
     check_alphabet(d)
+    engine = Engine()
+    state = engine.start(d)
     # up_transitions rejects a letter outside 1..d
-    state = {empty_triplet(d): ONE}
     for k in word:
-        state = branch_up_state(state, k)
-    return state
+        state = engine.up(state, k)
+    return engine.triplets(state)
 
 
 def decode(state: dict[SchurWeylTriplet, Radical]) -> dict[Word, Radical]:
@@ -62,10 +59,53 @@ def decode(state: dict[SchurWeylTriplet, Radical]) -> dict[Word, Radical]:
     shared = {(triplet.level, triplet.d) for triplet in state}
     if len(shared) > 1:
         raise InvariantViolation("terms share level and alphabet")
-    terms = {(triplet, ()): amp for triplet, amp in state.items() if amp}
-    for _ in range(next(iter(state)).level if state else 0):
-        terms = branch_down_state(terms)
-    return {word: amp for (_, word), amp in terms.items()}
+    if not shared:
+        return {}
+    [(n, d)] = shared
+    engine = Engine()
+    # a word is an int whose base-d digits, most significant first, are its letters less one
+    terms = {(*label, 0): amp for label, amp in engine.labels(state).items() if amp}
+    for step in range(n):
+        terms = engine.down(terms, d**step)
+    return {_word(word, d, n): amp for (_, _, word), amp in terms.items()}
+
+
+def _word(number: int, d: int, n: int) -> Word:
+    letters = []
+    for _ in range(n):
+        number, digit = divmod(number, d)
+        letters.append(digit + 1)
+    return tuple(reversed(letters))
+
+
+def _column_states(engine: Engine, d: int, n: int):
+    """The up state of every length-``n`` word over ``{1..d}``, in ascending word order.
+
+    A depth-first walk over the word trie in a loop: each prefix's state
+    is built once, from its parent's, and the stack holds one state per
+    letter of the current word.
+    """
+    letters: list[int] = []
+    states = [engine.start(d)]
+    while True:
+        while len(letters) < n:
+            letters.append(1)
+            states.append(engine.up(states[-1], 1))
+        yield states.pop()
+        while letters and letters[-1] == d:
+            letters.pop()
+            states.pop()
+        if not letters:
+            return
+        letters[-1] += 1
+        states.append(engine.up(states[-1], letters[-1]))
+
+
+def column_norms(d: int, n: int):
+    """The exact squared norm of ``encode(word, d)`` for every word of :func:`words`, in order."""
+    check_alphabet(d)
+    for state in _column_states(Engine(), d, n):
+        yield sum((amp.square() for amp in state.values()), ZERO)
 
 
 def words(d: int, n: int):
@@ -116,14 +156,15 @@ def check_size_bound(d: int, n: int, size_bound: int = DEFAULT_SIZE_BOUND) -> in
 def schur_matrix(
     d: int, n: int, size_bound: int = DEFAULT_SIZE_BOUND
 ) -> ExactSparseMatrix:
-    """Assemble the transform column by column via encode."""
+    """Assemble the transform column by column, one encode state per word."""
     check_size_bound(d, n, size_bound)
     basis = schur_basis(d, n)
-    index = {triplet: row for row, triplet in enumerate(basis)}
+    engine = Engine()
+    rows = {engine.label(triplet): row for row, triplet in enumerate(basis)}
     entries: dict[tuple[int, int], Radical] = {}
-    for col, word in enumerate(words(d, n)):
-        for triplet, amp in encode(word, d).items():
-            entries[(index[triplet], col)] = amp
+    for col, state in enumerate(_column_states(engine, d, n)):
+        for label, amp in state.items():
+            entries[(rows[label], col)] = amp
     return ExactSparseMatrix(d, n, tuple(basis), entries)
 
 
@@ -188,19 +229,21 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     """Parse and validate a state document: the entry check of outside states.
 
     Terms share their Weyl tableaux and growth paths, so each distinct
-    one is checked once per document.  A zero amplitude, written as such
-    or summed from terms that cancel, is dropped.
+    one is checked once per document, and a new growth path checks only
+    the steps past the longest prefix already seen.  A zero amplitude,
+    written as such or summed from terms that cancel, is dropped.
     """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
     check_alphabet(d)  # a term whose level is not n fails below, so n needs no check here
     entries = json_field(obj, "terms", list, "state")
     if not entries:
         raise InvariantViolation("state document", "no terms")
-    patterns: dict[tuple, GTPattern] = {}
-    paths: dict[tuple, GrowthPath] = {}
+    patterns: dict[Rows, GTPattern] = {}
+    paths: dict[Rows, GrowthPath] = {}
+    prefixes = _PrefixTable()
     terms: dict[SchurWeylTriplet, Radical] = {}
     for entry in entries:
-        shape = check_partition(json_field(entry, "shape", list, "state", int))
+        shape = tuple(json_field(entry, "shape", list, "state", int))
         rows = json_rows(entry, "weyl_rows", "state")
         pattern = patterns.get(rows)
         if pattern is None:
@@ -208,7 +251,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
         steps = json_rows(entry, "young_path", "state")
         young = paths.get(steps)
         if young is None:
-            young = paths[steps] = validate_path(steps)
+            young = paths[steps] = prefixes.read(steps)
         if not shape == pattern.shape == young[-1]:
             raise InvariantViolation(
                 "components share one shape", f"{shape} / {pattern.shape} / {young[-1]}"
@@ -221,6 +264,38 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
             amp = terms[triplet] + amp
         terms[triplet] = amp
     return {triplet: amp for triplet, amp in terms.items() if amp}
+
+
+class _PrefixTable:
+    """The growth-path prefixes one document has validated, as a trie of written steps.
+
+    Node 0 is the empty prefix; ``children`` maps ``(node, step)`` to the
+    node one step longer and ``shapes`` holds each node's canonical shape.
+    """
+
+    def __init__(self):
+        self.children: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.shapes: list[Partition] = [()]
+
+    def read(self, steps: Rows) -> GrowthPath:
+        """Validate a growth path as :func:`validate_path` does, checking only its new steps."""
+        node, young = 0, []
+        for step in steps:
+            child = self.children.get((node, step))
+            if child is None:
+                shape = check_partition(step)
+                if not node:
+                    if shape:
+                        raise InvariantViolation("growth path starts empty", f"{steps!r}")
+                else:
+                    grown_row(self.shapes[node], shape)
+                child = self.children[(node, step)] = len(self.shapes)
+                self.shapes.append(shape)
+            young.append(self.shapes[child])
+            node = child
+        if not young:
+            raise InvariantViolation("growth path starts empty", f"{steps!r}")
+        return tuple(young)
 
 
 def computational_to_json_obj(state: dict[Word, Radical], d: int, n: int) -> dict:

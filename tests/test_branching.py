@@ -1,8 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 
+import schurweyl
+from schurweyl.amplitudes import down_transitions, up_transitions
 from schurweyl.branching import (
     SchurWeylTriplet,
     branch_down_state,
@@ -20,7 +24,13 @@ from schurweyl.tableaux import (
     syt_to_path,
     weyl_to_gt,
 )
-from schurweyl.transform import computational_to_json_obj, decode
+from schurweyl.transform import (
+    computational_to_json_obj,
+    decode,
+    encode,
+    schur_matrix,
+    words,
+)
 
 
 def all_triplets(n, d):
@@ -232,3 +242,104 @@ def test_computational_state():
     obj = computational_to_json_obj(state, 3, 2)
     assert [term["word"] for term in obj["terms"]] == ["1,2", "2,1"]
     assert norm_squared(state) == Radical({1: 2})
+
+
+# ---------------------------------------------------------------------------
+# a reference fold keyed by triplets, reading only the two transition fans
+
+
+def reference_up(state, k):
+    out = {}
+    for t, amp in state.items():
+        for upper, edge in up_transitions(t.pattern, k):
+            key = SchurWeylTriplet(upper, t.young + (upper.shape,))
+            out[key] = out.get(key, ZERO) + amp * edge
+    return {key: amp for key, amp in out.items() if amp}
+
+
+def reference_down(state):
+    out = {}
+    for (t, word), amp in state.items():
+        young = t.young[:-1]
+        for lower, k, edge in down_transitions(t.pattern, young[-1]):
+            key = (SchurWeylTriplet(lower, young), (k, *word))
+            out[key] = out.get(key, ZERO) + amp * edge
+    return {key: amp for key, amp in out.items() if amp}
+
+
+def reference_encode(word, d):
+    state = {empty_triplet(d): ONE}
+    for k in word:
+        state = reference_up(state, k)
+    return state
+
+
+def reference_decode(state):
+    terms = {(t, ()): amp for t, amp in state.items()}
+    for _ in range(len(next(iter(state)).young) - 1):
+        terms = reference_down(terms)
+    return {word: amp for (_, word), amp in terms.items()}
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (4, 4)])
+def test_engine_matches_reference_fold(d, n):
+    for word in words(d, n):
+        state = encode(word, d)
+        assert state == reference_encode(word, d)
+        assert decode(state) == reference_decode(state) == {word: ONE}
+
+
+def test_engine_matches_reference_on_superpositions():
+    # decode of a sum of columns, where terms of different words merge and cancel
+    rng = random.Random(11)
+    for d, n in [(2, 6), (3, 4)]:
+        pool = list(words(d, n))
+        for _ in range(5):
+            state = {}
+            for word in rng.sample(pool, 3):
+                weight = radical_from_sqrt(1, rng.randint(1, 5), 1)
+                for t, amp in encode(word, d).items():
+                    state[t] = state.get(t, ZERO) + amp * weight
+            state = {t: amp for t, amp in state.items() if amp}
+            assert decode(state) == reference_decode(state)
+        for word in rng.sample(pool, 5):
+            for k in range(1, d + 1):
+                state = encode(word, d)
+                assert branch_up_state(state, k) == reference_up(state, k)
+                terms = {(t, (k,)): amp for t, amp in state.items()}
+                assert branch_down_state(terms) == reference_down(terms)
+            # words of mixed lengths and letters ride along unchanged
+            terms = {(t, word[: i % 3]): amp for i, (t, amp) in enumerate(state.items())}
+            assert branch_down_state(terms) == reference_down(terms)
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 5), (4, 4)])
+def test_matrix_matches_column_assembly(d, n):
+    m = schur_matrix(d, n)
+    index = {t: row for row, t in enumerate(m.basis)}
+    columns = {}
+    for col, word in enumerate(words(d, n)):
+        for t, amp in encode(word, d).items():
+            columns[(index[t], col)] = amp
+    assert m.entries == columns
+
+
+def test_encode_survives_cache_clear():
+    # the engine's labels live for one call, so a cleared module cache
+    # cannot renumber anything a later call reads
+    modules = [
+        importlib.import_module(f"schurweyl.{info.name}")
+        for info in pkgutil.iter_modules(schurweyl.__path__)
+    ]
+    caches = {
+        id(obj): obj
+        for module in modules
+        for obj in vars(module).values()
+        if callable(getattr(obj, "cache_clear", None))
+    }
+    word = (3, 1, 2, 3, 1, 2)
+    before = encode(word, 3)
+    for cache in caches.values():
+        cache.cache_clear()
+    assert encode(word, 3) == before
+    assert decode(before) == {word: ONE}

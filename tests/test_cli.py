@@ -198,6 +198,20 @@ def _bool_path_part(obj):
     obj["terms"][0]["young_path"][1] = [True]
 
 
+def _bad_last_step(obj):
+    # the reader checked every other step of this path on the first term
+    obj["terms"][1]["young_path"] = obj["terms"][0]["young_path"][:-1] + [[3]]
+
+
+def _path_not_from_empty(obj):
+    obj["terms"][0]["young_path"] = [[1], [2], [3]]
+
+
+def _trailing_zero_shape(obj):
+    # the writer never emits a zero part, and the shape must equal the last step
+    obj["terms"][0]["shape"] = [2, 0]
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -210,6 +224,9 @@ def _bool_path_part(obj):
         (_string_letters, "weyl_rows"),
         (_bool_shape_part, "shape"),
         (_bool_path_part, "young_path"),
+        (_bad_last_step, "single-box growth step"),
+        (_path_not_from_empty, "growth path starts empty"),
+        (_trailing_zero_shape, "components share one shape"),
     ],
 )
 def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):
@@ -221,6 +238,23 @@ def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):
     assert code == 2
     assert out == ""
     assert err.startswith("invariant:") and field in err
+
+
+def test_long_word_round_trip_d1(tmp_path, capsys):
+    # growth paths as long as the word: no step, path export or path check
+    # may recurse over their length
+    word = ",".join(["1"] * 3000)
+    code, out, _ = run(capsys, "encode", "--d", "1", word, "--format", "json")
+    assert code == 0
+    document = tmp_path / "long.json"
+    document.write_text(out)
+    code, out, err = run(capsys, "decode", str(document), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "d": 1,
+        "n": 3000,
+        "terms": [{"word": word, "amplitude": ONE.to_json_obj()}],
+    }
 
 
 def test_decode_rejects_malformed_json(monkeypatch, capsys):
@@ -412,6 +446,12 @@ def test_check_skips_pattern_for_d3(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("SKIP  pattern-louck equivalence")
     assert all(line.startswith("PASS") for line in lines[1:])
+
+
+def test_check_normalizes_every_column(capsys):
+    code, out, _ = run(capsys, "check", "--d", "3", "--n", "5")
+    assert code == 0
+    assert "PASS  column normalization  (243 words)" in out.splitlines()
 
 
 def test_check_size_bound_precedence(monkeypatch, capsys):

@@ -111,3 +111,39 @@ def test_states_are_plain_dicts():
         if isinstance(node, ast.ClassDef)
     }
     assert not defined & {"SchurWeylState", "ComputationalState", "_AmplitudeMap"}
+
+
+
+def module_level_tables(source: str) -> list[str]:
+    """Names bound at the top level of ``source`` to a new dict, list or set."""
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    makers = {"dict", "list", "set", "defaultdict"}
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        made = isinstance(value, displays)
+        if isinstance(value, ast.Call):
+            func = value.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            made = name in makers
+        if made:
+            found += [ast.unparse(target) for target in targets]
+    return found
+
+
+def test_no_process_wide_label_table():
+    # the branching engine numbers patterns and growth paths per call; a
+    # module-level table would outlive the call, and no cache clear could
+    # renumber it consistently with what callers still hold
+    for name in ("branching.py", "transform.py"):
+        assert module_level_tables((PACKAGE / name).read_text()) == [], name
+    planted = (
+        "A = {}\nB: list = []\nC = {1}\nD = dict()\nE = collections.defaultdict(int)\n"
+        "F = [x for x in ()]\nG = (1, 2)\nH = frozenset()\n"
+    )
+    assert module_level_tables(planted) == ["A", "B", "C", "D", "E", "F"]
