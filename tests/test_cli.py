@@ -108,6 +108,18 @@ def test_more_stdout_bytes_golden(tmp_path, capsys):
     assert sha256_of_stdout(capsys, "check", "--d", "3", "--n", "4", "--format", "json") == (
         "eb229b8b56488bdb4d08bae695d3073130dd9b6803a027f41566d28a16da815d"
     )
+    # a (3,8) word with 543 terms, one of the largest states at that size:
+    # every term's rows, path and amplitude as the state writer spells them
+    wide_state = tmp_path / "wide.json"
+    code, out, _ = run(capsys, "encode", "--d", "3", "3,2,1,3,1,3,2,1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07bf2572f59661cf80b2259c32c18fd0f9831e33260b12f26cc5cd4616d50aaa"
+    )
+    wide_state.write_text(out)
+    assert sha256_of_stdout(capsys, "decode", str(wide_state), "--format", "json") == (
+        "c7bd8592955341657b2be5be4bc8e077b5c3cf5f3e1abc3f9d64f13efece2641"
+    )
 
 
 def test_decode_round_trip_via_file(tmp_path, capsys):
