@@ -37,7 +37,6 @@ from .transform import (
     schur_matrix,
     sorted_terms,
     state_from_json_obj,
-    state_to_json_obj,
     verify_unitary,
 )
 
@@ -148,6 +147,48 @@ def _write(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _dumps_state(state, d: int, n: int) -> str:
+    """The state document of ``{triplet: amplitude}`` at ``(d, n)``, as :func:`_dumps` writes it.
+
+    The document is ``{"d", "n", "terms"}`` with one term per triplet in
+    :func:`sorted_terms` order: its shape, Weyl rows over the external
+    alphabet, growth path and amplitude.  Every term sits at one depth, so
+    each distinct shape, pattern, growth step and amplitude is written once
+    per document, by :func:`_write`, and its text reused.
+    """
+    field = "\n      "  # the line break and indent of a term's fields
+    step = field + "  "
+    shapes: dict = {}
+    patterns: dict = {}
+    steps: dict = {}
+    # keyed by the terms in order: to_float sums in that order, so equal
+    # amplitudes built in different orders may differ in "approx"
+    amplitudes: dict = {}
+
+    def text(value, newline: str = field) -> str:
+        out: list[str] = []
+        _write(value, newline, out)
+        return "".join(out)
+
+    terms = []
+    for triplet, amp in sorted_terms(state):
+        pattern, young = triplet.pattern, triplet.young
+        shape, exact = young[-1], tuple(amp._terms.items())
+        shape_text = shapes.get(shape) or shapes.setdefault(shape, text(list(shape)))
+        rows = patterns.get(pattern) or patterns.setdefault(pattern, text(gt_to_external(pattern)))
+        # a growth path is a non-empty list, laid out as _write lays one out
+        path = ("," + step).join(
+            [steps.get(s) or steps.setdefault(s, text(list(s), step)) for s in young]
+        )
+        value = amplitudes.get(exact) or amplitudes.setdefault(exact, text(amp.to_json_obj()))
+        terms.append(
+            f'{{{field}"shape": {shape_text},{field}"weyl_rows": {rows},'
+            f'{field}"young_path": [{step}{path}{field}],{field}"amplitude": {value}\n    }}'
+        )
+    body = "[\n    " + ",\n    ".join(terms) + "\n  ]" if terms else "[]"
+    return f'{{\n  "d": {d},\n  "n": {n},\n  "terms": {body}\n}}'
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -156,7 +197,7 @@ def cmd_encode(args) -> int:
     word = parse_word(args.word, args.d)
     state = encode(word, args.d)
     if args.format == "json":
-        print(_dumps(state_to_json_obj(state, args.d, len(word))))
+        print(_dumps_state(state, args.d, len(word)))
         return EXIT_OK
     for triplet, amp in sorted_terms(state):
         print(

@@ -241,7 +241,7 @@ class GTPattern:
 
     def key(self) -> tuple[int, ...]:
         """Sort key: entries read top level to bottom, left to right."""
-        return tuple(x for level in reversed(self.levels) for x in level)
+        return tuple(itertools.chain.from_iterable(reversed(self.levels)))
 
 
 def interlaces(longer: tuple[int, ...], shorter: tuple[int, ...]) -> bool:
@@ -348,25 +348,29 @@ def _is_json(value, kind: type) -> bool:
     return type(value) is int if kind is int else isinstance(value, kind)
 
 
+def all_of_type(values, kind: type) -> bool:
+    """Whether every value is exactly a ``kind``, checked at C speed: no bool passes as an int."""
+    return set(map(type, values)) <= {kind}
+
+
 def json_field(obj, name: str, kind: type, document: str, items: type = object):
     """``obj[name]`` of a parsed JSON ``document``, checked to be a ``kind``.
 
-    Booleans do not pass as integers, and a list must hold only ``items``.
+    Booleans do not pass as integers, and a list must hold only ``items``,
+    of exactly that type.
     """
     value = obj.get(name) if isinstance(obj, dict) else None
-    if not _is_json(value, kind) or (
-        items is not object and not all(_is_json(x, items) for x in value)
-    ):
+    if not _is_json(value, kind) or (items is not object and not all_of_type(value, items)):
         raise InvariantViolation(f"{document} document", f"bad or missing field {name!r}")
     return value
 
 
 def json_rows(obj, name: str, document: str) -> tuple[tuple[int, ...], ...]:
     """``obj[name]``, a list of lists of integers (tableau rows or growth steps), as tuples."""
-    rows = tuple(map(tuple, json_field(obj, name, list, document, list)))
-    if not all(type(x) is int for row in rows for x in row):
+    rows = json_field(obj, name, list, document, list)
+    if not all_of_type(itertools.chain.from_iterable(rows), int):
         raise InvariantViolation(f"{document} document", f"bad or missing field {name!r}")
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def letter_offset(d: int) -> int:

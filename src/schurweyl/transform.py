@@ -25,7 +25,6 @@ from schurweyl.tableaux import (
     enumerate_paths,
     grown_row,
     gt_from_external,
-    gt_to_external,
     json_field,
     json_rows,
     partitions,
@@ -201,28 +200,11 @@ def dimension_check(d: int, n: int) -> bool:
 # serialization
 
 
-def triplet_to_json_obj(triplet: SchurWeylTriplet) -> dict:
-    return {
-        "shape": list(triplet.shape),
-        "weyl_rows": gt_to_external(triplet.pattern),
-        "young_path": [list(shape) for shape in triplet.young],
-    }
-
-
 def sorted_terms(
     state: dict[SchurWeylTriplet, Radical]
 ) -> list[tuple[SchurWeylTriplet, Radical]]:
     """The terms of a state in canonical order: descending triplet sort key."""
     return sorted(state.items(), key=lambda item: item[0].sort_key(), reverse=True)
-
-
-def state_to_json_obj(state: dict[SchurWeylTriplet, Radical], d: int, n: int) -> dict:
-    terms = []
-    for triplet, amp in sorted_terms(state):
-        term = triplet_to_json_obj(triplet)
-        term["amplitude"] = amp.to_json_obj()
-        terms.append(term)
-    return {"d": d, "n": n, "terms": terms}
 
 
 def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
@@ -241,6 +223,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     patterns: dict[Rows, GTPattern] = {}
     paths: dict[Rows, GrowthPath] = {}
     prefixes = _PrefixTable()
+    amplitudes: dict = {}
     terms: dict[SchurWeylTriplet, Radical] = {}
     for entry in entries:
         shape = tuple(json_field(entry, "shape", list, "state", int))
@@ -259,7 +242,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
         if len(young) - 1 != n:
             raise InvariantViolation("terms share level and alphabet", f"{shape} at n={n}")
         triplet = SchurWeylTriplet(pattern, young)
-        amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "state"))
+        amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "state"), amplitudes)
         if triplet in terms:
             amp = terms[triplet] + amp
         terms[triplet] = amp

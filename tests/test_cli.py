@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from schurweyl.branching import SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE
 from schurweyl.tableaux import parse_word, syt_to_path, weyl_to_gt
-from schurweyl.transform import encode, state_from_json_obj, state_to_json_obj
+from schurweyl.transform import encode, state_from_json_obj
 
 GOLDEN_0101 = """\
 1/6*sqrt(6)  ~0.4082482905  (4)  weyl [0 0 1 1]  young [1 2 3 4]
@@ -24,6 +25,10 @@ GOLDEN_0101 = """\
 -1/6*sqrt(3)  ~-0.2886751346  (2,2)  weyl [0 0; 1 1]  young [1 2; 3 4]
 1/2  ~0.5  (2,2)  weyl [0 0; 1 1]  young [1 3; 2 4]
 """
+
+
+def state_document(state, d, n) -> dict:
+    return json.loads(cli._dumps_state(state, d, n))
 
 
 def run(capsys, *argv):
@@ -124,7 +129,7 @@ def test_more_stdout_bytes_golden(tmp_path, capsys):
 
 def test_decode_round_trip_via_file(tmp_path, capsys):
     state_file = tmp_path / "state.json"
-    obj = state_to_json_obj(encode(parse_word("0110", 2), 2), 2, 4)
+    obj = state_document(encode(parse_word("0110", 2), 2), 2, 4)
     state_file.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "decode", str(state_file))
     assert code == 0
@@ -135,7 +140,7 @@ def test_decode_golden_from_stdin(monkeypatch, capsys):
     triplet_state = {
         SchurWeylTriplet(weyl_to_gt([[1, 1], [2, 2]], 2), syt_to_path([[1, 3], [2, 4]])): ONE
     }
-    obj = state_to_json_obj(triplet_state, 2, 4)
+    obj = state_document(triplet_state, 2, 4)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
     code, out, _ = run(capsys, "decode")
     assert code == 0
@@ -224,6 +229,27 @@ def _trailing_zero_shape(obj):
     obj["terms"][0]["shape"] = [2, 0]
 
 
+def _repeat_loosely(*path, value):
+    """A corruption: the second term repeats the first, with the entry at ``path`` made ``value``.
+
+    The reader keeps per-document tables of the rows, paths and amplitudes
+    it has read; ``True == 1 == 1.0`` and their hashes agree, so a loosely
+    keyed table would take the loose entry for the first term's.
+    """
+
+    def corrupt(obj):
+        second = copy.deepcopy(obj["terms"][0])
+        *parents, last = path
+        node = second
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        obj["terms"][1] = second
+
+    corrupt.__name__ = f"_repeat_{path[0]}_{type(value).__name__}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -239,10 +265,18 @@ def _trailing_zero_shape(obj):
         (_bad_last_step, "single-box growth step"),
         (_path_not_from_empty, "growth path starts empty"),
         (_trailing_zero_shape, "components share one shape"),
+        (_repeat_loosely("weyl_rows", 0, 1, value=True), "weyl_rows"),
+        (_repeat_loosely("weyl_rows", 0, 1, value="1"), "weyl_rows"),
+        (_repeat_loosely("young_path", 1, 0, value=1.0), "young_path"),
+        (_repeat_loosely("young_path", 1, 0, value=True), "young_path"),
+        (_repeat_loosely("shape", 0, value=2.0), "shape"),
+        (_repeat_loosely("amplitude", "terms", 0, "num", value=True), "num"),
+        (_repeat_loosely("amplitude", "terms", 0, "num", value=1.0), "num"),
+        (_repeat_loosely("amplitude", "terms", 0, "num", value="1"), "num"),
     ],
 )
 def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):
-    obj = state_to_json_obj(encode(parse_word("01", 2), 2), 2, 2)
+    obj = state_document(encode(parse_word("01", 2), 2), 2, 2)
     assert obj["terms"][0]["shape"] == [2]
     corrupt(obj)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))

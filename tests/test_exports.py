@@ -1,12 +1,14 @@
 import ast
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import schurweyl
+from schurweyl import cli
 from schurweyl.graph import build
-from schurweyl.transform import decode, encode, state_from_json_obj, state_to_json_obj
+from schurweyl.transform import decode, encode, state_from_json_obj
 
 PACKAGE = Path(schurweyl.__file__).parent
 
@@ -103,7 +105,7 @@ def test_states_are_plain_dicts():
     state = encode((1, 2, 3, 1), 3)
     assert type(state) is dict
     assert type(decode(state)) is dict
-    assert type(state_from_json_obj(state_to_json_obj(state, 3, 4))) is dict
+    assert type(state_from_json_obj(json.loads(cli._dumps_state(state, 3, 4)))) is dict
     defined = {
         node.name
         for path in PACKAGE.rglob("*.py")
@@ -137,10 +139,11 @@ def module_level_tables(source: str) -> list[str]:
 
 
 def test_no_process_wide_label_table():
-    # the branching engine numbers patterns and growth paths per call; a
+    # the branching engine numbers patterns and growth paths per call, and
+    # the state writer and reader keep their fragment tables per document; a
     # module-level table would outlive the call, and no cache clear could
     # renumber it consistently with what callers still hold
-    for name in ("branching.py", "transform.py"):
+    for name in ("branching.py", "transform.py", "cli.py"):
         assert module_level_tables((PACKAGE / name).read_text()) == [], name
     planted = (
         "A = {}\nB: list = []\nC = {1}\nD = dict()\nE = collections.defaultdict(int)\n"

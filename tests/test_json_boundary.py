@@ -1,7 +1,8 @@
-"""The text/JSON boundary of the CLI: the indented writer and the state reader.
+"""The text/JSON boundary of the CLI: the indented writers and the state reader.
 
 ``json.dumps(obj, indent=2)`` is the reference for every document the
-commands write; the decode fuzz feeds mutated ``encode`` documents back in.
+commands write, and :func:`state_to_json_obj` is the object the state
+writer must spell; the decode fuzz feeds mutated ``encode`` documents back in.
 """
 
 import copy
@@ -10,21 +11,38 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from schurweyl import cli
 from schurweyl.graph import build
-from schurweyl.tableaux import parse_word
+from schurweyl.radicals import Radical, _new, radical_from_sqrt
+from schurweyl.tableaux import gt_to_external, parse_word
 from schurweyl.transform import (
     computational_to_json_obj,
     decode,
     encode,
-    state_to_json_obj,
+    sorted_terms,
+    words,
 )
 
 
 def reference(obj) -> str:
     return json.dumps(obj, indent=2)
+
+
+def state_to_json_obj(state, d, n) -> dict:
+    """The state document as plain JSON values: the oracle of ``cli._dumps_state``."""
+    terms = []
+    for triplet, amp in sorted_terms(state):
+        terms.append(
+            {
+                "shape": list(triplet.shape),
+                "weyl_rows": gt_to_external(triplet.pattern),
+                "young_path": [list(shape) for shape in triplet.young],
+                "amplitude": amp.to_json_obj(),
+            }
+        )
+    return {"d": d, "n": n, "terms": terms}
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -43,6 +61,7 @@ def test_state_documents_match_reference(d, word):
     n = len(parse_word(word, d))
     obj = state_to_json_obj(state, d, n)
     assert cli._dumps(obj) == reference(obj)
+    assert cli._dumps_state(state, d, n) == reference(obj)
     computational = computational_to_json_obj(decode(state), d, n)
     assert cli._dumps(computational) == reference(computational)
 
@@ -120,6 +139,83 @@ json_documents = st.recursive(
 @given(json_documents)
 def test_writer_matches_reference(obj):
     assert cli._dumps(obj) == reference(obj)
+
+
+# ---------------------------------------------------------------------------
+# the state writer: each distinct fragment written once, the bytes of the oracle
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (4, 4)])
+def test_state_writer_every_word(d, n):
+    for word in words(d, n):
+        state = encode(word, d)
+        assert cli._dumps_state(state, d, n) == reference(state_to_json_obj(state, d, n)), word
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_state_writer_empty_word(d):
+    state = encode((), d)
+    assert cli._dumps_state(state, d, 0) == reference(state_to_json_obj(state, d, 0))
+    assert cli._dumps_state({}, d, 0) == reference({"d": d, "n": 0, "terms": []})
+
+
+def reordered(amp: Radical, turn: int) -> Radical:
+    """An equal amplitude whose terms are held in another order."""
+    items = list(amp._terms.items())
+    turn %= max(len(items), 1)
+    return _new(dict(items[turn:] + items[:turn]))
+
+
+def test_state_writer_keeps_term_order_of_equal_amplitudes():
+    # to_float sums in term order: two equal amplitudes may print different
+    # "approx" floats, so the writer may not share their text
+    amp = radical_from_sqrt(1, 2, 100) + radical_from_sqrt(1, 3, 25) - radical_from_sqrt(1, 45, 100)
+    other = reordered(amp, 1)
+    assert other == amp and other.to_float() != amp.to_float()
+    columns = encode((1, 2), 2)
+    state = {t: (amp if i % 2 else other) for i, t in enumerate(columns)}
+    expected = reference(state_to_json_obj(state, 2, 2))
+    assert cli._dumps_state(state, 2, 2) == expected
+    approx = {term["amplitude"]["approx"] for term in json.loads(expected)["terms"]}
+    assert approx == {amp.to_float(), other.to_float()}
+
+
+COEFFICIENTS = [
+    radical_from_sqrt(1, 2, 100),
+    radical_from_sqrt(1, 3, 25),
+    radical_from_sqrt(-1, 45, 100),
+    radical_from_sqrt(1, 1, 49),
+    radical_from_sqrt(-1, 6, 9),
+    radical_from_sqrt(1, 7, 4),
+]
+
+
+@st.composite
+def column_sums(draw):
+    """A sum of ``encode`` columns of one content, so terms gather several radicands."""
+    d = draw(st.integers(min_value=2, max_value=3))
+    content = draw(st.lists(st.integers(min_value=1, max_value=d), min_size=2, max_size=5))
+    state: dict = {}
+    for coefficient in draw(st.lists(st.sampled_from(COEFFICIENTS), min_size=3, max_size=4)):
+        word = tuple(draw(st.permutations(content)))
+        for triplet, amp in encode(word, d).items():
+            state[triplet] = state.get(triplet, Radical()) + coefficient * amp
+    return d, len(content), {t: amp for t, amp in state.items() if amp}
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_sums(), st.integers(min_value=1, max_value=3))
+def test_state_writer_matches_oracle_on_column_sums(drawn, turn):
+    d, n, state = drawn
+    assume(any(len(amp._terms) >= 3 for amp in state.values()))
+    assert cli._dumps_state(state, d, n) == reference(state_to_json_obj(state, d, n))
+    # every term map held in another order; then pairs of terms that share one
+    # value, held in two orders, whose "approx" floats may differ
+    items = list(state.items())
+    turned = {t: reordered(amp, turn) for t, amp in items}
+    paired = {t: reordered(items[i - i % 2][1], turn * (i % 2)) for i, (t, _) in enumerate(items)}
+    for other in (turned, paired):
+        assert cli._dumps_state(other, d, n) == reference(state_to_json_obj(other, d, n))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from schurweyl import cli
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
@@ -26,10 +27,14 @@ from schurweyl.transform import (
     schur_matrix,
     sorted_terms,
     state_from_json_obj,
-    state_to_json_obj,
     verify_unitary,
     words,
 )
+
+
+def state_document(state, d, n) -> dict:
+    """The state document ``encode --format json`` writes, as parsed JSON."""
+    return json.loads(cli._dumps_state(state, d, n))
 
 
 def triplet(shape, weyl_rows, syt_rows, d):
@@ -185,7 +190,7 @@ def test_size_bound():
 
 def test_state_json_round_trip():
     state = encode(parse_word("0101", 2), 2)
-    obj = state_to_json_obj(state, 2, 4)
+    obj = state_document(state, 2, 4)
     assert obj["d"] == 2 and obj["n"] == 4
     assert obj["terms"][0]["shape"] == [4]
     assert obj["terms"][0]["weyl_rows"] == [[0, 0, 1, 1]]
@@ -207,7 +212,7 @@ def test_decode_multi_term_amplitudes():
 
     def scaled(factor):
         scaled_terms = {t: amp * factor for t, amp in state.items()}
-        return state_to_json_obj(scaled_terms, 3, 5)
+        return state_document(scaled_terms, 3, 5)
 
     doc = scaled(root2)
     doc["terms"] += scaled(root3)["terms"]
@@ -221,7 +226,7 @@ def test_state_json_validation():
         state_from_json_obj({"d": 2, "n": 1})
     with pytest.raises(InvariantViolation):
         state_from_json_obj({"d": 2, "n": 1, "terms": []})
-    good = state_to_json_obj(encode((1,), 2), 2, 1)
+    good = state_document(encode((1,), 2), 2, 1)
     bad = json.loads(json.dumps(good))
     bad["terms"][0]["weyl_rows"] = [[1, 0]]
     with pytest.raises(InvariantViolation, match="weakly increasing rows"):
