@@ -153,17 +153,14 @@ def _dumps_state(state, d: int, n: int) -> str:
     The document is ``{"d", "n", "terms"}`` with one term per triplet in
     :func:`sorted_terms` order: its shape, Weyl rows over the external
     alphabet, growth path and amplitude.  Every term sits at one depth, so
-    each distinct shape, pattern, growth step and amplitude is written once
-    per document, by :func:`_write`, and its text reused.
+    each distinct shape, pattern and growth step is written once per
+    document, by :func:`_write`, and its text reused.
     """
     field = "\n      "  # the line break and indent of a term's fields
     step = field + "  "
     shapes: dict = {}
     patterns: dict = {}
     steps: dict = {}
-    # keyed by the terms in order: to_float sums in that order, so equal
-    # amplitudes built in different orders may differ in "approx"
-    amplitudes: dict = {}
 
     def text(value, newline: str = field) -> str:
         out: list[str] = []
@@ -173,14 +170,14 @@ def _dumps_state(state, d: int, n: int) -> str:
     terms = []
     for triplet, amp in sorted_terms(state):
         pattern, young = triplet.pattern, triplet.young
-        shape, exact = young[-1], tuple(amp._terms.items())
+        shape = young[-1]
         shape_text = shapes.get(shape) or shapes.setdefault(shape, text(list(shape)))
         rows = patterns.get(pattern) or patterns.setdefault(pattern, text(gt_to_external(pattern)))
         # a growth path is a non-empty list, laid out as _write lays one out
         path = ("," + step).join(
             [steps.get(s) or steps.setdefault(s, text(list(s), step)) for s in young]
         )
-        value = amplitudes.get(exact) or amplitudes.setdefault(exact, text(amp.to_json_obj()))
+        value = text(amp.to_json_obj())
         terms.append(
             f'{{{field}"shape": {shape_text},{field}"weyl_rows": {rows},'
             f'{field}"young_path": [{step}{path}{field}],{field}"amplitude": {value}\n    }}'

@@ -11,11 +11,10 @@ normalization checks rely on.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
-from schurweyl.tableaux import InvariantViolation, all_of_type, json_field
+from schurweyl.tableaux import InvariantViolation, json_field
 
 # Largest radicand a JSON document may carry.  Reading one means a
 # square-free split, whose trial division then stops near 65 536; the
@@ -226,54 +225,35 @@ class Radical:
         terms are folded into canonical form as in the constructor.
 
         A ``memo`` dict, kept by the caller for one document, maps the
-        ordered ``(radicand, num, den)`` triples of each value read to its
-        result.  Only exact ints key it, so a ``true`` or ``1.0`` never meets
-        the entry of a ``1``, and the checks depend on those values alone.
+        checked ``(radicand, num, den)`` triples of each value read to its
+        result, so a repeated value is folded once.  The triples are exact
+        ints, so a ``true`` or ``1.0`` never meets the entry of a ``1``.
         """
-        triples = _int_triples(obj)
-        if triples is None:
-            # a field is missing or not exactly an int: read entry by entry to name it
-            checked = []
-            for entry in json_field(obj, "terms", list, "radical"):
-                triple = tuple(
-                    json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
-                )
-                _check_triple(*triple)
-                checked.append(triple)
-            return _new(_fold_terms(checked))
-        if memo is None:
-            memo = {}
-        found = memo.get(triples)
-        if found is None:
-            for triple in triples:
-                _check_triple(*triple)
-            found = memo[triples] = _new(_fold_terms(triples))
-        return found
-
-
-def _int_triples(obj) -> tuple[tuple[int, int, int], ...] | None:
-    """The ``(radicand, num, den)`` of a radical document's terms if all are exact ints, else None."""
-    terms = obj.get("terms") if type(obj) is dict else None
-    if type(terms) is not list or not all_of_type(terms, dict):
-        return None
-    triples = tuple([(t.get("radicand"), t.get("num"), t.get("den")) for t in terms])
-    return triples if all_of_type(itertools.chain.from_iterable(triples), int) else None
-
-
-def _check_triple(m: int, num: int, den: int) -> None:
-    if not 1 <= m <= MAX_JSON_RADICAND:
-        raise InvariantViolation(
-            "radical document",
-            f"field 'radicand': {m} outside 1..{MAX_JSON_RADICAND}",
-        )
-    if den == 0:
-        raise InvariantViolation("radical document", "field 'den': zero")
-    for key, value in (("num", num), ("den", den)):
-        if value.bit_length() > MAX_JSON_COEFFICIENT_BITS:
-            raise InvariantViolation(
-                "radical document",
-                f"field {key!r}: more than {MAX_JSON_COEFFICIENT_BITS} bits",
+        triples = []
+        for entry in json_field(obj, "terms", list, "radical"):
+            m, num, den = (
+                json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
             )
+            if not 1 <= m <= MAX_JSON_RADICAND:
+                raise InvariantViolation(
+                    "radical document",
+                    f"field 'radicand': {m} outside 1..{MAX_JSON_RADICAND}",
+                )
+            if den == 0:
+                raise InvariantViolation("radical document", "field 'den': zero")
+            for key, value in (("num", num), ("den", den)):
+                if value.bit_length() > MAX_JSON_COEFFICIENT_BITS:
+                    raise InvariantViolation(
+                        "radical document",
+                        f"field {key!r}: more than {MAX_JSON_COEFFICIENT_BITS} bits",
+                    )
+            triples.append((m, num, den))
+        memo = {} if memo is None else memo
+        key = tuple(triples)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _new(_fold_terms(triples))
+        return found
 
 
 ZERO = Radical()

@@ -241,7 +241,7 @@ class GTPattern:
 
     def key(self) -> tuple[int, ...]:
         """Sort key: entries read top level to bottom, left to right."""
-        return tuple(itertools.chain.from_iterable(reversed(self.levels)))
+        return tuple(x for level in reversed(self.levels) for x in level)
 
 
 def interlaces(longer: tuple[int, ...], shorter: tuple[int, ...]) -> bool:
