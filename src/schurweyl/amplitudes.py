@@ -85,17 +85,26 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
 
     The trust contract is that of :func:`transition_context`: valid GT
     patterns in, :class:`NotAnEdge` for a pair that is not an edge.  The
-    fans call it once per edge; read amplitudes from them instead.
+    fans evaluate the same formula on positions their scans placed; read
+    amplitudes from them instead.
     """
     k, taus = transition_context(lower, upper)
-    d = lower.d
+    return _louck(_hooks(lower), k, taus)
+
+
+def _hooks(pattern: GTPattern) -> list[list[int]]:
     # hooks[j - 1][i - 1] is the partial hook p_{i,j} = m_{i,j} + j - i
-    hooks = [
+    return [
         [m + j - i for i, m in enumerate(level, start=1)]
-        for j, level in enumerate(lower.levels, start=1)
+        for j, level in enumerate(pattern.levels, start=1)
     ]
+
+
+def _louck(hooks: list[list[int]], k: int, taus) -> Radical:
+    # the product formula of louck_amplitude on the lower pattern's hooks,
+    # with k and taus as transition_context gives them
     sign = num = den = 1
-    for j in range(k + 1, d + 1):
+    for j in range(k + 1, len(hooks) + 1):
         t_up, t_lo = taus[j - k], taus[j - k - 1]
         row, below = hooks[j - 1], hooks[j - 2]
         h_up, h_lo = row[t_up - 1], below[t_lo - 1]
@@ -167,27 +176,30 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
     Levels ``k..d`` each gain one box.  Each candidate holds the levels
-    placed so far, bottom-up; the scan places one level for all of them at
-    a time and keeps a candidate only if its new level interlaces the one
-    below.  ``lower`` must be a valid GT pattern; a letter outside
-    ``1..d`` raises ``ValueError``.
+    placed so far, bottom-up, and the position of each one's extra box;
+    the scan places one level for all of them at a time and keeps a
+    candidate only if its new level interlaces the one below.  The
+    amplitudes read those positions and one hook table of ``lower``.
+    ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
+    ``ValueError``.
     """
     d = lower.d
     if not 1 <= k <= d:
         raise ValueError(f"letter out of range: {k} with d={d}")
     levels = lower.levels
-    candidates = [levels[: k - 1]]
+    candidates = [(levels[: k - 1], ())]
     for j in range(k, d + 1):
         row = levels[j - 1]
-        grown = [row[:pos] + (row[pos] + 1,) + row[pos + 1 :] for pos in range(j)]
+        grown = [(row[:pos] + (row[pos] + 1,) + row[pos + 1 :], pos + 1) for pos in range(j)]
         # interlacing the placed level below implies the partition check
         candidates = [
-            (*placed, new)
-            for placed in candidates
-            for new in grown
+            ((*placed, new), (*taus, tau))
+            for placed, taus in candidates
+            for new, tau in grown
             if j == 1 or interlaces(new, placed[-1])
         ]
-    return tuple((upper, louck_amplitude(lower, upper)) for upper in map(GTPattern, candidates))
+    hooks = _hooks(lower)
+    return tuple((GTPattern(placed), _louck(hooks, k, taus)) for placed, taus in candidates)
 
 
 @cache
@@ -199,28 +211,40 @@ def down_transitions(
     Each entry is an edge of the up fan of letter ``k`` at a ``lower`` of
     the given shape, with the same amplitude.  ``upper`` must be a valid
     GT pattern and ``shape`` its shape less one box, as the growth path of
-    a triplet forces.  The top level is fixed to ``shape``; the scan then
-    places levels ``d-1..1`` top-down, one level for all candidates at a
-    time.  Each level either stays as in ``upper``, which ends an edge
-    with ``k = j + 1``, or loses one box and must interlace the level above.
+    a triplet forces; any other shape raises :class:`NotAnEdge`.  The top
+    level is fixed to ``shape``; the scan then places levels ``d-1..1``
+    top-down, one level for all candidates at a time.  Each level either
+    stays as in ``upper``, which ends an edge with ``k = j + 1``, or loses
+    one box and must interlace the level above.  Each candidate carries
+    the position of every level's missing box, which the amplitude reads.
     """
     levels = upper.levels
-    # a candidate is the levels placed so far, bottom-up, each one box short
-    candidates = [(pad_partition(shape, upper.d),)]
+    top = pad_partition(shape, upper.d)
+    bumped = [pos for pos, (up, low) in enumerate(zip(levels[-1], top)) if up != low]
+    if len(bumped) != 1 or levels[-1][bumped[0]] != top[bumped[0]] + 1:
+        raise NotAnEdge(f"shape {shape} is not the shape of the upper pattern less one box")
+    # a candidate is the levels placed so far, bottom-up, each one box short,
+    # and the 1-based position of each one's missing box
+    candidates = [((top,), (bumped[0] + 1,))]
     edges = []
     for j in range(upper.d - 1, 0, -1):
         row = levels[j - 1]
-        shrunk = [row[:pos] + (row[pos] - 1,) + row[pos + 1 :] for pos in range(j)]
+        shrunk = [(row[:pos] + (row[pos] - 1,) + row[pos + 1 :], pos + 1) for pos in range(j)]
         edges += [
-            (levels[:j] + placed, j + 1) for placed in candidates if interlaces(placed[0], row)
+            (levels[:j] + placed, j + 1, taus)
+            for placed, taus in candidates
+            if interlaces(placed[0], row)
         ]
         # interlacing the placed level above implies the partition and sign checks
         candidates = [
-            (new, *placed)
-            for placed in candidates
-            for new in shrunk
+            ((new, *placed), (tau, *taus))
+            for placed, taus in candidates
+            for new, tau in shrunk
             if interlaces(placed[0], new)
         ]
-    edges += [(placed, 1) for placed in candidates]
-    lowers = [(GTPattern(placed), k) for placed, k in edges]
-    return tuple((lower, k, louck_amplitude(lower, upper)) for lower, k in lowers)
+    edges += [(placed, 1, taus) for placed, taus in candidates]
+    fan = []
+    for placed, k, taus in edges:
+        lower = GTPattern(placed)
+        fan.append((lower, k, _louck(_hooks(lower), k, taus)))
+    return tuple(fan)

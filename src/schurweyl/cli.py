@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
 from pathlib import Path
@@ -21,6 +22,7 @@ from .tableaux import (
     InvariantViolation,
     check_alphabet,
     gt_to_external,
+    letter_offset,
     parse_word,
     path_to_syt,
     render_tableau_rows,
@@ -186,6 +188,51 @@ def _dumps_state(state, d: int, n: int) -> str:
     return f'{{\n  "d": {d},\n  "n": {n},\n  "terms": {body}\n}}'
 
 
+def _dumps_graph(graph) -> str:
+    """The text of ``_dumps(graph.to_json_obj())``, written in one pass.
+
+    Every vertex and every edge sits at one depth, so their fields are laid
+    out here directly, with no object tree in between: each vertex's rows
+    come from the graph's row list, and each distinct amplitude is written
+    once per document by :func:`_write` and its text reused.  Amplitude
+    texts are keyed by their terms in stored order, because ``approx``
+    sums them in that order and two equal radicals can print different
+    floats.
+    """
+    field = "\n      "  # the line break and indent of a vertex's or edge's fields
+    shift = letter_offset(graph.d)
+    rows = graph._weyl_rows()
+    amplitudes: dict = {}
+
+    def text(value) -> str:
+        out: list[str] = []
+        _write(value, field, out)
+        return "".join(out)
+
+    vertices = [
+        f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {text(list(v.shape))},'
+        f'{field}"tableau_rows": {text(rows[v.id])}\n    }}'
+        for v in graph.vertices
+    ]
+    edges = []
+    for e in graph.edges:
+        amp = e.amplitude
+        key = tuple(amp._terms.items())
+        value = amplitudes.get(key) or amplitudes.setdefault(key, text(amp.to_json_obj()))
+        edges.append(
+            f'{{{field}"lower": {e.lower},{field}"upper": {e.upper},'
+            f'{field}"k": {e.added_entry - shift},{field}"amplitude": {value}\n    }}'
+        )
+    body = [
+        "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        for items in (vertices, edges)
+    ]
+    return (
+        f'{{\n  "d": {graph.d},\n  "n_max": {graph.n_max},'
+        f'\n  "vertices": {body[0]},\n  "edges": {body[1]}\n}}'
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -230,7 +277,7 @@ def cmd_graph(args) -> int:
     if args.dot is not None:
         Path(args.dot).write_text(graph.to_dot())
     if args.json_path is not None or args.format == "json":
-        text = _dumps(graph.to_json_obj())
+        text = _dumps_graph(graph)
     if args.json_path is not None:
         Path(args.json_path).write_text(text + "\n")
     if args.format == "json":
@@ -342,14 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode = sub.add_parser("encode", help="expand a word in the Schur-Weyl basis")
     p_encode.add_argument("word", help="'0101' when d = 2, comma-separated letters otherwise")
     _add_common(p_encode)
-    p_encode.set_defaults(func=cmd_encode)
 
     p_decode = sub.add_parser("decode", help="expand a state JSON in the word basis")
     p_decode.add_argument(
         "state", nargs="?", help="state JSON file; '-' or omitted reads stdin"
     )
     _add_common(p_decode, with_d=False)
-    p_decode.set_defaults(func=cmd_decode)
 
     p_graph = sub.add_parser("graph", help="build the branching multigraph up to level n")
     p_graph.add_argument("--n", type=int, required=True, help="top level")
@@ -358,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_path", metavar="PATH", help="write the graph as JSON"
     )
     _add_common(p_graph)
-    p_graph.set_defaults(func=cmd_graph)
 
     p_check = sub.add_parser("check", help="run the exactness suites at size (d, n)")
     p_check.add_argument("--n", type=int, required=True, help="word length")
@@ -370,19 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
         " env SCHUR_SIZE_BOUND overrides)",
     )
     _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # the command is looked up now, not bound into the cached parser,
+        # so a cmd_* replaced after the parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

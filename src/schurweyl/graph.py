@@ -181,9 +181,12 @@ class SWYGraph:
                     label = "\\n".join(render_tableau_rows(rows[v.id]))
                     lines.append(f'    v{v.id} [label="{label}"];')
                 lines.append("  }")
+        # each distinct amplitude's text, made once per call
+        texts: dict[Radical, str] = {}
         for e in self.edges:
-            label = f"{e.added_entry - shift}: {e.amplitude.to_string()}"
-            lines.append(f'  v{e.lower} -> v{e.upper} [label="{label}"];')
+            amp = e.amplitude
+            text = texts.get(amp) or texts.setdefault(amp, amp.to_string())
+            lines.append(f'  v{e.lower} -> v{e.upper} [label="{e.added_entry - shift}: {text}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -12,6 +12,7 @@ from schurweyl.amplitudes import (
     transition_context,
     up_transitions,
 )
+from schurweyl.graph import build
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     GTPattern,
@@ -150,6 +151,31 @@ def test_up_down_transitions_agree():
                     expected = {(p, k) for p, k in letters if k is not None}
                     found = {(lower, k) for lower, k, _ in down_transitions(upper, shape)}
                     assert found == expected
+
+
+def test_fans_match_pairwise_formula():
+    # both fans read k and taus off their own scans; the public pairwise
+    # formula re-derives them through transition_context, so it is the oracle
+    for d, n in ((3, 6), (4, 5), (5, 4)):
+        g = build(d, n)
+        fans = set()
+        for e in g.edges:
+            lower, upper = g.vertex(e.lower).pattern, g.vertex(e.upper).pattern
+            assert e.amplitude == louck_amplitude(lower, upper)
+            fans.add((upper, lower.shape))
+        for upper, shape in fans:
+            for lower, _, amp in down_transitions(upper, shape):
+                assert amp == louck_amplitude(lower, upper)
+
+
+def test_down_fan_rejects_other_shapes():
+    # the down fan reads the top level's missing box off ``shape``, so a shape
+    # that is not the upper one less one box is no edge
+    upper = gt2(1, 3, 1)
+    for shape in ((3, 1), (1, 1), (2, 2), (4,)):
+        with pytest.raises(NotAnEdge):
+            down_transitions(upper, shape)
+    assert {k for _, k, _ in down_transitions(upper, (3,))} == {1, 2}
 
 
 def edge_letter(lower, upper):

@@ -431,6 +431,29 @@ def test_cli_fuzz_exits_cleanly(capsys, argv):
         assert out == "" and err
 
 
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    # one cached parser serves successive calls, a usage error among them;
+    # each call gives the stdout and exit code of a fresh process
+    calls = [
+        ("encode", "--d", "2", "0101"),
+        ("graph", "--d", "2"),
+        ("graph", "--d", "3", "--n", "2", "--format", "json"),
+        ("check", "--d", "2", "--n", "3"),
+    ]
+    fresh = [fresh_process(*argv) for argv in calls]
+    assert [result.returncode for result in fresh] == [0, 1, 0, 0]
+    cli._parser.cache_clear()
+    for argv, result in zip(calls, fresh):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (result.returncode, result.stdout), argv
+        if code == 1:
+            assert err == result.stderr
+    assert cli._parser.cache_info().misses == 1
+    # a command replaced after the parser was built still runs
+    monkeypatch.setattr(cli, "cmd_encode", lambda args: 7)
+    assert run(capsys, "encode", "--d", "2", "0")[0] == 7
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
@@ -530,15 +553,20 @@ def test_check_failure_exit_code(monkeypatch, capsys):
     assert "FAIL  unitarity" in out
 
 
-def test_module_entry_point():
+def fresh_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m schurweyl.cli *argv`` in a child process."""
     # the child process finds the package where this one imported it from
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "schurweyl.cli", "encode", "--d", "2", "0101"],
+    return subprocess.run(
+        [sys.executable, "-m", "schurweyl.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    result = fresh_process("encode", "--d", "2", "0101")
     assert result.returncode == 0
     assert result.stdout == GOLDEN_0101

@@ -139,11 +139,12 @@ def module_level_tables(source: str) -> list[str]:
 
 
 def test_no_process_wide_label_table():
-    # the branching engine numbers patterns and growth paths per call, and
-    # the state writer and reader keep their fragment tables per document; a
-    # module-level table would outlive the call, and no cache clear could
-    # renumber it consistently with what callers still hold
-    for name in ("branching.py", "transform.py", "cli.py"):
+    # the branching engine numbers patterns and growth paths per call, the
+    # state and graph writers and the reader keep their fragment and
+    # amplitude tables per document, and the fans their hook tables per
+    # miss; a module-level table would outlive the call, and no cache clear
+    # could renumber or empty it consistently with what callers still hold
+    for name in ("branching.py", "transform.py", "cli.py", "graph.py", "amplitudes.py"):
         assert module_level_tables((PACKAGE / name).read_text()) == [], name
     planted = (
         "A = {}\nB: list = []\nC = {1}\nD = dict()\nE = collections.defaultdict(int)\n"

@@ -4,9 +4,10 @@ import re
 
 import pytest
 
+from schurweyl import cli
 from schurweyl.branching import SchurWeylTriplet, branch_up_state
 from schurweyl.graph import SWYGraph, build
-from schurweyl.radicals import ONE, ZERO, radical_from_sqrt
+from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     InvariantViolation,
     enumerate_paths,
@@ -287,3 +288,51 @@ def test_serializers_convert_each_vertex_once(monkeypatch):
     assert g.to_dot() == dot
     assert g.to_json_obj()["vertices"][-1]["tableau_rows"] != rows
     assert len(calls) == len(g.vertices)
+
+
+@pytest.mark.parametrize(
+    "d, n", [(1, 6), (2, 7), (3, 4), (4, 3), (5, 3), (1, 0), (2, 0), (3, 0)]
+)
+def test_graph_writer_matches_json_dumps(d, n):
+    g = build(d, n)
+    text = cli._dumps_graph(g)
+    assert text == json.dumps(g.to_json_obj(), indent=2)
+    if n == 0:
+        assert text.endswith('"edges": []\n}')
+    elif d == 2:
+        # the external alphabet {0, 1}, as in to_json_obj
+        assert {e["k"] for e in json.loads(text)["edges"]} == {0, 1}
+
+
+def test_graph_writer_keeps_term_order_of_equal_amplitudes():
+    # approx sums the terms in stored order: two equal amplitudes read in two
+    # orders may print different floats, so the writer may not share their text
+    terms = [
+        {"radicand": 2, "num": 1, "den": 10},
+        {"radicand": 3, "num": 1, "den": 5},
+        {"radicand": 5, "num": -3, "den": 10},
+    ]
+    obj = build(2, 2).to_json_obj()
+    for i, edge in enumerate(obj["edges"]):
+        edge["amplitude"] = {"terms": terms[i % 2 :] + terms[: i % 2], "approx": 0.0}
+    g = SWYGraph.from_json_obj(obj)
+    first, second = (e.amplitude for e in g.edges[:2])
+    assert first == second and first.to_float() != second.to_float()
+    assert cli._dumps_graph(g) == json.dumps(g.to_json_obj(), indent=2)
+
+
+def test_serializers_format_each_amplitude_once(monkeypatch):
+    g = build(3, 5)
+    distinct = {e.amplitude for e in g.edges}
+    for method, write in (("to_json_obj", cli._dumps_graph), ("to_string", SWYGraph.to_dot)):
+        calls = []
+        original = getattr(Radical, method)
+
+        def counting(self, original=original, calls=calls):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Radical, method, counting)
+        write(g)
+        assert len(calls) == len(distinct) < len(g.edges), method
+        assert set(calls) == distinct, method
