@@ -243,8 +243,5 @@ def down_transitions(
             if interlaces(placed[0], new)
         ]
     edges += [(placed, 1, taus) for placed, taus in candidates]
-    fan = []
-    for placed, k, taus in edges:
-        lower = GTPattern(placed)
-        fan.append((lower, k, _louck(_hooks(lower), k, taus)))
-    return tuple(fan)
+    lowers = [(GTPattern(placed), k, taus) for placed, k, taus in edges]
+    return tuple((lower, k, _louck(_hooks(lower), k, taus)) for lower, k, taus in lowers)

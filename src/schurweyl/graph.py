@@ -186,7 +186,8 @@ class SWYGraph:
         for e in self.edges:
             amp = e.amplitude
             text = texts.get(amp) or texts.setdefault(amp, amp.to_string())
-            lines.append(f'  v{e.lower} -> v{e.upper} [label="{e.added_entry - shift}: {text}"];')
+            label = f"{e.added_entry - shift}: {text}"
+            lines.append(f'  v{e.lower} -> v{e.upper} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
