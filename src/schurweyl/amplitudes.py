@@ -14,7 +14,12 @@ direction, and nowhere else: :func:`up_transitions` lists every edge
 that leaves a pattern by one letter, :func:`down_transitions` every
 edge that enters a pattern from one lower shape.  Each fan computes the
 amplitudes of its edges once, on a cache miss; the formulas themselves
-are not cached.
+are not cached.  A fan evaluates the same product formula as
+:func:`louck_amplitude`, but reads ``k`` and the ``tau_j`` off the
+positions its own scan placed, so it never runs
+:func:`transition_context`; the up fan builds the partial-hook table of
+its lower pattern once per pattern and letter, the down fan once per
+lower pattern.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
