@@ -91,8 +91,13 @@ def _dumps(obj) -> str:
     string keys, lists, strings, ints, floats, booleans and None, of exactly
     those types; anything else raises ``TypeError``.
     """
+    return _text(obj, "\n")
+
+
+def _text(value, newline: str) -> str:
+    # value as _write lays it out in a container whose line break and indent is newline
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(value, newline, out)
     return "".join(out)
 
 
@@ -163,23 +168,19 @@ def _dumps_state(state, d: int, n: int) -> str:
     shapes: dict = {}
     patterns: dict = {}
     steps: dict = {}
-
-    def text(value, newline: str = field) -> str:
-        out: list[str] = []
-        _write(value, newline, out)
-        return "".join(out)
-
     terms = []
     for triplet, amp in sorted_terms(state):
         pattern, young = triplet.pattern, triplet.young
         shape = young[-1]
-        shape_text = shapes.get(shape) or shapes.setdefault(shape, text(list(shape)))
-        rows = patterns.get(pattern) or patterns.setdefault(pattern, text(gt_to_external(pattern)))
+        shape_text = shapes.get(shape) or shapes.setdefault(shape, _text(list(shape), field))
+        rows = patterns.get(pattern) or patterns.setdefault(
+            pattern, _text(gt_to_external(pattern), field)
+        )
         # a growth path is a non-empty list, laid out as _write lays one out
         path = ("," + step).join(
-            [steps.get(s) or steps.setdefault(s, text(list(s), step)) for s in young]
+            [steps.get(s) or steps.setdefault(s, _text(list(s), step)) for s in young]
         )
-        value = text(amp.to_json_obj())
+        value = _text(amp.to_json_obj(), field)
         terms.append(
             f'{{{field}"shape": {shape_text},{field}"weyl_rows": {rows},'
             f'{field}"young_path": [{step}{path}{field}],{field}"amplitude": {value}\n    }}'
@@ -203,22 +204,17 @@ def _dumps_graph(graph) -> str:
     shift = letter_offset(graph.d)
     rows = graph._weyl_rows()
     amplitudes: dict = {}
-
-    def text(value) -> str:
-        out: list[str] = []
-        _write(value, field, out)
-        return "".join(out)
-
     vertices = [
-        f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {text(list(v.shape))},'
-        f'{field}"tableau_rows": {text(rows[v.id])}\n    }}'
+        f'{{{field}"id": {v.id},{field}"level": {v.level},'
+        f'{field}"shape": {_text(list(v.shape), field)},'
+        f'{field}"tableau_rows": {_text(rows[v.id], field)}\n    }}'
         for v in graph.vertices
     ]
     edges = []
     for e in graph.edges:
         amp = e.amplitude
         key = tuple(amp._terms.items())
-        value = amplitudes.get(key) or amplitudes.setdefault(key, text(amp.to_json_obj()))
+        value = amplitudes.get(key) or amplitudes.setdefault(key, _text(amp.to_json_obj(), field))
         edges.append(
             f'{{{field}"lower": {e.lower},{field}"upper": {e.upper},'
             f'{field}"k": {e.added_entry - shift},{field}"amplitude": {value}\n    }}'
