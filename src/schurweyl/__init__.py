@@ -28,13 +28,10 @@ from schurweyl.tableaux import (
     InvariantViolation,
     enumerate_gt,
     enumerate_paths,
-    enumerate_syt,
-    enumerate_weyl,
     gt_to_weyl,
     parse_word,
     partitions,
     path_to_syt,
-    syt_to_path,
     weyl_to_gt,
     word_to_text,
 )
@@ -74,8 +71,6 @@ __all__ = [
     "encode",
     "enumerate_gt",
     "enumerate_paths",
-    "enumerate_syt",
-    "enumerate_weyl",
     "gt_to_weyl",
     "louck_amplitude",
     "parse_word",
@@ -85,7 +80,6 @@ __all__ = [
     "radical_from_sqrt",
     "schur_basis",
     "schur_matrix",
-    "syt_to_path",
     "up_transitions",
     "validate_triplet",
     "verify_unitary",

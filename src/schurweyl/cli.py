@@ -31,6 +31,7 @@ from .tableaux import (
 )
 from .transform import (
     DEFAULT_SIZE_BOUND,
+    SizeBoundExceeded,
     column_norms,
     computational_to_json_obj,
     decode,
@@ -332,14 +333,13 @@ def cmd_check(args) -> int:
     dims_ok = all(dimension_check(args.d, m) for m in range(args.n + 1))
     suites.append(_suite("dimension identity", dims_ok, f"n <= {args.n}"))
 
-    size = args.d**args.n
-    if size <= size_bound:
+    try:
         matrix = schur_matrix(args.d, args.n, size_bound)
-        suites.append(_suite("unitarity", verify_unitary(matrix), f"{size} x {size}"))
+    except SizeBoundExceeded as exc:
+        suites.append(_skipped("unitarity", str(exc)))
     else:
-        suites.append(
-            _skipped("unitarity", f"d**n = {size} exceeds size bound {size_bound}")
-        )
+        size = matrix.size
+        suites.append(_suite("unitarity", verify_unitary(matrix), f"{size} x {size}"))
 
     if args.format == "json":
         report = {

@@ -6,7 +6,9 @@ Conventions used throughout the package:
   empty partition is ``()``.  Rows and columns are 1-based.
 * A standard Young tableau is stored canonically as its growth path,
   the sequence of partitions obtained by restricting to entries
-  ``<= i`` for ``i = 0..n``; the row-grid is a derived view.
+  ``<= i`` for ``i = 0..n``.  :func:`validate_path` is the one reader
+  of a growth path; its row grid is a derived view, written by
+  :func:`path_to_syt` at the text/JSON boundary only.
 * A standard Weyl tableau (semistandard, entries bounded by the
   alphabet size ``d``) is stored canonically as its GT pattern; its
   row grid over ``{1..d}`` is read by :func:`weyl_to_gt` and written by
@@ -31,7 +33,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Partition = tuple[int, ...]
 GrowthPath = tuple[Partition, ...]
@@ -55,11 +57,6 @@ def check_alphabet(d: int) -> None:
     """Bound the alphabet size ``d`` where it enters the package: ``1..MAX_ALPHABET``."""
     if not 1 <= d <= MAX_ALPHABET:
         raise InvariantViolation("alphabet size", f"d={d} outside 1..{MAX_ALPHABET}")
-
-
-class BoxCoord(NamedTuple):
-    row: int
-    col: int
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +102,6 @@ def partitions(n: int, max_parts: int) -> tuple[Partition, ...]:
     return tuple(rec(n, max_parts, n))
 
 
-def removable_boxes(shape: Partition) -> list[BoxCoord]:
-    """Boxes whose removal leaves a partition, top row first."""
-    out = []
-    for i, part in enumerate(shape, start=1):
-        below = shape[i] if i < len(shape) else 0
-        if part > below:
-            out.append(BoxCoord(i, part))
-    return out
-
-
-def remove_box(shape: Partition, row: int) -> Partition:
-    """Remove a box from ``row`` (1-based), which must be removable."""
-    if not 1 <= row <= len(shape):
-        raise InvariantViolation("removable box", f"row {row} of {shape}")
-    shrunk = shape[: row - 1] + (shape[row - 1] - 1,) + shape[row:]
-    if row < len(shape) and shrunk[row - 1] < shrunk[row]:
-        raise InvariantViolation("removable box", f"row {row} of {shape}")
-    while shrunk and shrunk[-1] == 0:
-        shrunk = shrunk[:-1]
-    return shrunk
-
-
 def grown_row(smaller: Partition, larger: Partition) -> int:
     """The row where ``larger`` exceeds ``smaller`` by exactly one box."""
     if sum(larger) != sum(smaller) + 1:
@@ -147,37 +122,43 @@ def grown_row(smaller: Partition, larger: Partition) -> int:
 # standard Young tableaux as growth paths
 
 
-def validate_path(path) -> GrowthPath:
-    path = tuple(check_partition(shape) for shape in path)
+def validate_path(steps, seen: dict | None = None) -> GrowthPath:
+    """The growth path written as ``steps``, validated; the one growth-path reader.
+
+    Each step is canonicalized by :func:`check_partition`; the first must
+    be empty and each later one a single box larger than the one before.
+    ``seen`` holds what one document has read: each path, keyed by its raw
+    step tuple, and the trie of their raw steps, where ``(node, step)``
+    maps to the next node and that step's shape and node 0 is the empty
+    prefix.  A new path checks only the steps after its longest prefix read
+    before, and the memo grows with the document, not with the square of
+    its paths' lengths.  Steps read with ``seen`` must be tuples, to be keys.
+    """
+    node, path = 0, []
+    if seen:
+        known = seen.get(steps)
+        if known is not None:
+            return known
+        for step in steps:
+            child = seen.get((node, step))
+            if child is None:
+                break
+            node, shape = child
+            path.append(shape)
+    checked = len(path)
+    for step in steps[checked:] if checked else steps:
+        path.append(check_partition(step))
     if not path or path[0] != ():
-        raise InvariantViolation("growth path starts empty", f"{path!r}")
-    for smaller, larger in zip(path, path[1:]):
-        grown_row(smaller, larger)
+        raise InvariantViolation("growth path starts empty", f"{tuple(path)!r}")
+    for i in range(checked or 1, len(path)):
+        grown_row(path[i - 1], path[i])
+    path = tuple(path)
+    if seen is not None:
+        for i in range(checked, len(path)):
+            seen[node, steps[i]] = len(seen) + 1, path[i]
+            node = len(seen)
+        seen[steps] = path
     return path
-
-
-def syt_to_path(rows) -> GrowthPath:
-    """Growth path of a standard Young tableau given as a row grid."""
-    rows = tuple(tuple(row) for row in rows)
-    n = sum(len(row) for row in rows)
-    entries = sorted(x for row in rows for x in row)
-    if entries != list(range(1, n + 1)):
-        raise InvariantViolation("entries 1..n", f"{entries}")
-    for row in rows:
-        for a, b in zip(row, row[1:]):
-            if a >= b:
-                raise InvariantViolation("strictly increasing rows", f"{row}")
-    for upper, lower in zip(rows, rows[1:]):
-        if len(lower) > len(upper):
-            raise InvariantViolation("weakly decreasing shape", f"{rows}")
-        for a, b in zip(upper, lower):
-            if a >= b:
-                raise InvariantViolation("strictly increasing columns", f"{rows}")
-    path = [()]
-    for i in range(1, n + 1):
-        shape = tuple(sum(1 for x in row if x <= i) for row in rows)
-        path.append(check_partition(shape))
-    return tuple(path)
 
 
 def path_to_syt(path) -> Rows:
@@ -202,14 +183,11 @@ def enumerate_paths(shape: Partition) -> tuple[GrowthPath, ...]:
     if not shape:
         return (((),),)
     out = []
-    for box in removable_boxes(shape):
-        for prefix in enumerate_paths(remove_box(shape, box.row)):
-            out.append(prefix + (shape,))
+    for row, part in enumerate(shape):
+        if row + 1 == len(shape) or shape[row + 1] < part:  # the row's last box is removable
+            smaller = check_partition(shape[:row] + (part - 1,) + shape[row + 1 :])
+            out += [prefix + (shape,) for prefix in enumerate_paths(smaller)]
     return tuple(sorted(out, reverse=True))
-
-
-def enumerate_syt(shape: Partition) -> list[Rows]:
-    return [path_to_syt(path) for path in enumerate_paths(shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +310,6 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
     out = [GTPattern(tuple(stack)) for stack in patterns]
     out.sort(key=GTPattern.key, reverse=True)
     return tuple(out)
-
-
-def enumerate_weyl(shape: Partition, d: int) -> list[Rows]:
-    """All standard Weyl tableaux of ``shape`` over ``{1..d}`` as rows, canonical order."""
-    return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]
 
 
 # ---------------------------------------------------------------------------

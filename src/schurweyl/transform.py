@@ -14,20 +14,17 @@ from dataclasses import dataclass
 from schurweyl.branching import Engine, SchurWeylTriplet, Word
 from schurweyl.radicals import ONE, ZERO, Radical
 from schurweyl.tableaux import (
-    GrowthPath,
     GTPattern,
     InvariantViolation,
-    Partition,
     Rows,
     check_alphabet,
-    check_partition,
     enumerate_gt,
     enumerate_paths,
-    grown_row,
     gt_from_external,
     json_field,
     json_rows,
     partitions,
+    validate_path,
     word_to_text,
 )
 
@@ -146,9 +143,7 @@ class ExactSparseMatrix:
 def check_size_bound(d: int, n: int, size_bound: int = DEFAULT_SIZE_BOUND) -> int:
     size = d**n
     if size > size_bound:
-        raise SizeBoundExceeded(
-            f"d**n = {size} exceeds the size bound {size_bound}"
-        )
+        raise SizeBoundExceeded(f"d**n = {size} exceeds size bound {size_bound}")
     return size
 
 
@@ -211,9 +206,10 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     """Parse and validate a state document: the entry check of outside states.
 
     Terms share their Weyl tableaux and growth paths, so each distinct
-    one is checked once per document, and a new growth path checks only
-    the steps past the longest prefix already seen.  A zero amplitude,
-    written as such or summed from terms that cancel, is dropped.
+    one is checked once per document: :func:`validate_path` checks a new
+    growth path only past the longest prefix the document has shown.  A
+    zero amplitude, written as such or summed from terms that cancel, is
+    dropped.
     """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
     check_alphabet(d)  # a term whose level is not n fails below, so n needs no check here
@@ -221,8 +217,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     if not entries:
         raise InvariantViolation("state document", "no terms")
     patterns: dict[Rows, GTPattern] = {}
-    paths: dict[Rows, GrowthPath] = {}
-    prefixes = _PrefixTable()
+    paths: dict = {}  # validate_path's memo: the paths read and the trie of their steps
     amplitudes: dict = {}
     terms: dict[SchurWeylTriplet, Radical] = {}
     for entry in entries:
@@ -231,10 +226,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
         pattern = patterns.get(rows)
         if pattern is None:
             pattern = patterns[rows] = gt_from_external(rows, d)
-        steps = json_rows(entry, "young_path", "state")
-        young = paths.get(steps)
-        if young is None:
-            young = paths[steps] = prefixes.read(steps)
+        young = validate_path(json_rows(entry, "young_path", "state"), paths)
         if not shape == pattern.shape == young[-1]:
             raise InvariantViolation(
                 "components share one shape", f"{shape} / {pattern.shape} / {young[-1]}"
@@ -247,38 +239,6 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
             amp = terms[triplet] + amp
         terms[triplet] = amp
     return {triplet: amp for triplet, amp in terms.items() if amp}
-
-
-class _PrefixTable:
-    """The growth-path prefixes one document has validated, as a trie of written steps.
-
-    Node 0 is the empty prefix; ``children`` maps ``(node, step)`` to the
-    node one step longer and ``shapes`` holds each node's canonical shape.
-    """
-
-    def __init__(self):
-        self.children: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.shapes: list[Partition] = [()]
-
-    def read(self, steps: Rows) -> GrowthPath:
-        """Validate a growth path as :func:`validate_path` does, checking only its new steps."""
-        node, young = 0, []
-        for step in steps:
-            child = self.children.get((node, step))
-            if child is None:
-                shape = check_partition(step)
-                if not node:
-                    if shape:
-                        raise InvariantViolation("growth path starts empty", f"{steps!r}")
-                else:
-                    grown_row(self.shapes[node], shape)
-                child = self.children[(node, step)] = len(self.shapes)
-                self.shapes.append(shape)
-            young.append(self.shapes[child])
-            node = child
-        if not young:
-            raise InvariantViolation("growth path starts empty", f"{steps!r}")
-        return tuple(young)
 
 
 def computational_to_json_obj(state: dict[Word, Radical], d: int, n: int) -> dict:

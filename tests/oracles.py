@@ -1,0 +1,52 @@
+"""Tableau oracles the tests share: row-grid readers and enumerations.
+
+The package holds a standard Young tableau as its growth path and a Weyl
+tableau as its Gelfand-Tsetlin pattern; these helpers read and list the
+row grids directly, so the tests can hold the package's forms to them.
+"""
+
+from schurweyl.tableaux import (
+    GrowthPath,
+    InvariantViolation,
+    Partition,
+    Rows,
+    check_partition,
+    enumerate_gt,
+    enumerate_paths,
+    gt_to_weyl,
+    path_to_syt,
+)
+
+
+def syt_to_path(rows) -> GrowthPath:
+    """Growth path of a standard Young tableau given as a row grid."""
+    rows = tuple(tuple(row) for row in rows)
+    n = sum(len(row) for row in rows)
+    entries = sorted(x for row in rows for x in row)
+    if entries != list(range(1, n + 1)):
+        raise InvariantViolation("entries 1..n", f"{entries}")
+    for row in rows:
+        for a, b in zip(row, row[1:]):
+            if a >= b:
+                raise InvariantViolation("strictly increasing rows", f"{row}")
+    for upper, lower in zip(rows, rows[1:]):
+        if len(lower) > len(upper):
+            raise InvariantViolation("weakly decreasing shape", f"{rows}")
+        for a, b in zip(upper, lower):
+            if a >= b:
+                raise InvariantViolation("strictly increasing columns", f"{rows}")
+    path = [()]
+    for i in range(1, n + 1):
+        shape = tuple(sum(1 for x in row if x <= i) for row in rows)
+        path.append(check_partition(shape))
+    return tuple(path)
+
+
+def enumerate_syt(shape: Partition) -> list[Rows]:
+    """All standard Young tableaux of ``shape`` as row grids, canonical order."""
+    return [path_to_syt(path) for path in enumerate_paths(shape)]
+
+
+def enumerate_weyl(shape: Partition, d: int) -> list[Rows]:
+    """All standard Weyl tableaux of ``shape`` over ``{1..d}`` as rows, canonical order."""
+    return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]

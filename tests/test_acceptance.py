@@ -17,12 +17,9 @@ from schurweyl.tableaux import (
     GTPattern,
     enumerate_gt,
     enumerate_paths,
-    enumerate_syt,
-    enumerate_weyl,
     gt_to_weyl,
     partitions,
     path_to_syt,
-    syt_to_path,
     weyl_to_gt,
 )
 from schurweyl.transform import (
@@ -34,6 +31,8 @@ from schurweyl.transform import (
     verify_unitary,
     words,
 )
+
+from oracles import enumerate_syt, enumerate_weyl, syt_to_path
 
 
 @contextmanager

@@ -21,7 +21,6 @@ from schurweyl.tableaux import (
     enumerate_paths,
     gt_to_weyl,
     partitions,
-    syt_to_path,
     weyl_to_gt,
 )
 from schurweyl.transform import (
@@ -31,6 +30,8 @@ from schurweyl.transform import (
     schur_matrix,
     words,
 )
+
+from oracles import syt_to_path
 
 
 def all_triplets(n, d):

@@ -14,8 +14,10 @@ from schurweyl import cli
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE
-from schurweyl.tableaux import parse_word, syt_to_path, weyl_to_gt
+from schurweyl.tableaux import parse_word, weyl_to_gt
 from schurweyl.transform import encode, state_from_json_obj
+
+from oracles import syt_to_path
 
 GOLDEN_0101 = """\
 1/6*sqrt(6)  ~0.4082482905  (4)  weyl [0 0 1 1]  young [1 2 3 4]
@@ -284,6 +286,20 @@ def test_decode_rejects_malformed_state(monkeypatch, capsys, corrupt, field):
     assert code == 2
     assert out == ""
     assert err.startswith("invariant:") and field in err
+
+
+def test_decode_names_a_bad_step_after_a_checked_prefix(monkeypatch, capsys):
+    # the second term repeats the first term's checked prefix, then breaks
+    # the path in its middle: the reader checks the new steps and names the
+    # first broken one
+    obj = state_document(encode(parse_word("0101", 2), 2), 2, 4)
+    first = obj["terms"][0]["young_path"]
+    assert first == [[], [1], [2], [3], [4]]
+    obj["terms"][1]["young_path"] = first[:2] + [[3]] + first[3:]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    code, out, err = run(capsys, "decode")
+    assert (code, out) == (2, "")
+    assert err == "invariant: single-box growth step ((1,) -> (3,))\n"
 
 
 def test_long_word_round_trip_d1(tmp_path, capsys):

@@ -151,3 +151,66 @@ def test_no_process_wide_label_table():
         "F = [x for x in ()]\nG = (1, 2)\nH = frozenset()\n"
     )
     assert module_level_tables(planted) == ["A", "B", "C", "D", "E", "F"]
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_export_has_a_caller_or_a_documented_role():
+    # a public name earns its place by serving the package or by a role
+    # README names; the tests' oracles live in tests/oracles.py
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    idle = []
+    for name in schurweyl.__all__:
+        [home] = [module for module, tree in trees.items() if name in defined_names(tree)]
+        called = any(
+            # another module imports the name, or its own module reads it
+            isinstance(node, ast.ImportFrom) and name in {alias.name for alias in node.names}
+            if module != home
+            else isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+        )
+        if not (called or re.search(f"`{name}[`(]", readme)):
+            idle.append(name)
+    assert idle == []
+
+
+def test_one_growth_path_reader():
+    # tableaux.validate_path is the one growth-path reader and grown_row its
+    # single-box rule; the prefix trie, the box helpers and the row-grid
+    # oracles are gone from the package
+    names = {path.name: referenced_names(path) for path in PACKAGE.rglob("*.py")}
+    assert sorted(name for name, used in names.items() if "grown_row" in used) == ["tableaux.py"]
+    gone = {
+        "_PrefixTable",
+        "BoxCoord",
+        "removable_boxes",
+        "remove_box",
+        "syt_to_path",
+        "enumerate_syt",
+        "enumerate_weyl",
+    }
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        assert not (defined | defined_names(tree)) & gone, path.name
+    assert not gone & set(schurweyl.__all__)

@@ -1,11 +1,11 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from schurweyl.tableaux import (
-    BoxCoord,
     GTPattern,
     InvariantViolation,
     MAX_ALPHABET,
@@ -13,9 +13,6 @@ from schurweyl.tableaux import (
     check_partition,
     enumerate_gt,
     enumerate_paths,
-    enumerate_syt,
-    enumerate_weyl,
-    grown_row,
     gt_from_external,
     gt_to_external,
     gt_to_weyl,
@@ -27,16 +24,15 @@ from schurweyl.tableaux import (
     parse_word,
     partitions,
     path_to_syt,
-    remove_box,
-    removable_boxes,
     render_tableau_rows,
     shape_to_text,
-    syt_to_path,
     validate_gt,
     validate_path,
     weyl_to_gt,
     word_to_text,
 )
+
+from oracles import enumerate_syt, enumerate_weyl, syt_to_path
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -163,28 +159,6 @@ def test_check_partition():
         check_partition((2, -1))
 
 
-def test_boxes_examples():
-    assert removable_boxes((4, 2, 2)) == [BoxCoord(1, 4), BoxCoord(3, 2)]
-    assert removable_boxes((3, 3, 1)) == [BoxCoord(2, 3), BoxCoord(3, 1)]
-    assert removable_boxes(()) == []
-
-
-def test_box_round_trip_and_counts():
-    # one removable box per distinct part, and removing it is undone by a
-    # single growth step in the same row (grown_row is the oracle)
-    for n in range(0, 8):
-        for shape in partitions(n, n):
-            boxes = removable_boxes(shape)
-            assert len(boxes) == len(set(shape))
-            for box in boxes:
-                smaller = remove_box(shape, box.row)
-                assert check_partition(smaller) == smaller
-                assert grown_row(smaller, shape) == box.row
-    assert remove_box((2, 2, 1), 3) == (2, 2)
-    with pytest.raises(InvariantViolation):
-        remove_box((2, 2), 1)
-
-
 # ---------------------------------------------------------------------------
 # standard Young tableaux
 
@@ -222,6 +196,59 @@ def test_path_validation():
         syt_to_path(((1, 3), (2, 2)))
     with pytest.raises(InvariantViolation):
         syt_to_path(((2, 1),))
+
+
+def test_validate_path_takes_any_steps_without_memo():
+    assert validate_path([[], [1], [1, 1]]) == ((), (1,), (1, 1))
+    assert validate_path([[], [1, 0], [2, 0, 0]]) == ((), (1,), (2,))
+    assert validate_path(iter([(), (1,)])) == ((), (1,))
+
+
+def test_path_memo_matches_reading_alone():
+    # every growth path with n <= 6, spelled with and without trailing zero
+    # parts, read in shuffled order through one memo: shared raw prefixes
+    # are skipped, and each result is the path read alone
+    spelled = []
+    for n in range(0, 7):
+        for shape in partitions(n, n):
+            for path in enumerate_paths(shape):
+                padded = tuple(pad_partition(step, n + 1) for step in path)
+                mixed = tuple(padded[i] if i % 2 else step for i, step in enumerate(path))
+                spelled += [path, padded, mixed]
+    random.Random(14).shuffle(spelled)
+    seen = {}
+    for steps in spelled:
+        alone = validate_path(steps)
+        assert alone == tuple(map(check_partition, steps))
+        assert validate_path(steps, seen) == alone
+    # a second pass finds every path in the memo
+    assert [validate_path(steps, seen) for steps in spelled] == list(
+        map(validate_path, spelled)
+    )
+
+
+def test_path_memo_names_the_same_fault():
+    # the memo skips only steps it has checked, so a path names the fault
+    # it names alone: a bad part before a growth fault further on
+    good = ((), (1,), (2,), (2, 1))
+    bad = [
+        ((), (1,), (3,), (3, -1)),
+        ((), (1,), (2,), (4,)),
+        ((), (1,), (1, 2)),
+        ((), (1,), (2,), (2, 1), (2, 1)),
+        ((1,), (2,)),
+        (),
+    ]
+    for steps in bad:
+        with pytest.raises(InvariantViolation) as alone:
+            validate_path(steps)
+        seen = {}
+        validate_path(good, seen)
+        with pytest.raises(InvariantViolation) as memo:
+            validate_path(steps, seen)
+        assert str(memo.value) == str(alone.value)
+    with pytest.raises(InvariantViolation, match="bad part -1"):
+        validate_path(bad[0], seen)
 
 
 # ---------------------------------------------------------------------------

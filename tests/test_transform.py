@@ -1,17 +1,17 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from schurweyl import cli
+from schurweyl import cli, tableaux
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     InvariantViolation,
     gt_to_weyl,
     parse_word,
-    syt_to_path,
     weyl_to_gt,
 )
 from schurweyl.transform import (
@@ -30,6 +30,8 @@ from schurweyl.transform import (
     verify_unitary,
     words,
 )
+
+from oracles import syt_to_path
 
 
 def state_document(state, d, n) -> dict:
@@ -181,7 +183,8 @@ def test_dimension_check():
 
 def test_size_bound():
     assert check_size_bound(2, 12) == 4096
-    with pytest.raises(SizeBoundExceeded):
+    # the message is the text check prints when it skips unitarity
+    with pytest.raises(SizeBoundExceeded, match=r"^d\*\*n = 8192 exceeds size bound 4096$"):
         check_size_bound(2, 13)
     with pytest.raises(SizeBoundExceeded):
         schur_matrix(2, 3, size_bound=4)
@@ -239,6 +242,30 @@ def test_state_json_validation():
     for d in (0, 65):
         with pytest.raises(InvariantViolation, match="alphabet size"):
             state_from_json_obj(dict(good, d=d))
+
+
+def test_reader_checks_each_raw_prefix_once(monkeypatch):
+    # a (3,8) document: the reader's memo checks each distinct raw prefix
+    # of its growth paths once, by its last step, and each distinct Weyl
+    # tableau once, by its row lengths
+    state = encode((1, 2, 3, 1, 2, 3, 1, 2), 3)
+    obj = state_document(state, 3, 8)
+    calls = []
+    check_partition = tableaux.check_partition
+
+    def counting(shape):
+        calls.append(shape)
+        return check_partition(shape)
+
+    monkeypatch.setattr(tableaux, "check_partition", counting)
+    assert state_from_json_obj(obj) == state
+    paths = {tuple(map(tuple, term["young_path"])) for term in obj["terms"]}
+    prefixes = {path[:end] for path in paths for end in range(1, len(path) + 1)}
+    weyl = {tuple(map(tuple, term["weyl_rows"])) for term in obj["terms"]}
+    expected = Counter(prefix[-1] for prefix in prefixes)
+    expected.update(tuple(map(len, rows)) for rows in weyl)
+    assert Counter(calls) == expected
+    assert len(prefixes) < 9 * len(paths) < 9 * len(obj["terms"])
 
 
 def test_computational_json():
