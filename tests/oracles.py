@@ -1,12 +1,15 @@
-"""Tableau oracles the tests share: row-grid readers and enumerations.
+"""Oracles the tests share: row-grid readers, enumerations and a brute-force up fan.
 
 The package holds a standard Young tableau as its growth path and a Weyl
 tableau as its Gelfand-Tsetlin pattern; these helpers read and list the
 row grids directly, so the tests can hold the package's forms to them.
 """
 
+from schurweyl.amplitudes import NotAnEdge, louck_amplitude, transition_context
+from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GrowthPath,
+    GTPattern,
     InvariantViolation,
     Partition,
     Rows,
@@ -14,6 +17,7 @@ from schurweyl.tableaux import (
     enumerate_gt,
     enumerate_paths,
     gt_to_weyl,
+    pad_partition,
     path_to_syt,
 )
 
@@ -50,3 +54,29 @@ def enumerate_syt(shape: Partition) -> list[Rows]:
 def enumerate_weyl(shape: Partition, d: int) -> list[Rows]:
     """All standard Weyl tableaux of ``shape`` over ``{1..d}`` as rows, canonical order."""
     return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]
+
+
+def up_fan(lower: GTPattern, k: int) -> list[tuple[GTPattern, Radical]]:
+    """The up fan of letter ``k`` at ``lower``, by brute force over the patterns one box up.
+
+    Every pattern of every shape one box larger is tried; those that
+    :func:`transition_context` reads as an edge of letter ``k`` are kept,
+    with the amplitude :func:`louck_amplitude` gives, in ascending order of
+    their bumped positions.
+    """
+    d = lower.d
+    top = pad_partition(lower.shape, d)
+    edges = []
+    for row in range(d):
+        if row and top[row] == top[row - 1]:
+            continue  # one more box in this row is not a partition
+        shape = check_partition(top[:row] + (top[row] + 1,) + top[row + 1 :])
+        for upper in enumerate_gt(shape, d):
+            try:
+                letter, taus = transition_context(lower, upper)
+            except NotAnEdge:
+                continue
+            if letter == k:
+                edges.append((taus, upper))
+    edges.sort(key=lambda edge: edge[0])
+    return [(upper, louck_amplitude(lower, upper)) for _, upper in edges]

@@ -23,6 +23,8 @@ from schurweyl.tableaux import (
     weyl_to_gt,
 )
 
+from oracles import up_fan
+
 
 def gt2(m11, a, b):
     return GTPattern(((m11,), (a, b)))
@@ -168,6 +170,16 @@ def test_fans_match_pairwise_formula():
         for upper, shape in fans:
             for lower, _, amp in down_transitions(upper, shape):
                 assert amp == louck_amplitude(lower, upper)
+
+
+def test_up_fans_match_brute_force_in_order():
+    # merges run in fan order and a sum's stored term order sets its approx
+    # float, so the up fan's order is pinned as well as its edges
+    for d, n_max in ((3, 5), (4, 4), (5, 3), (6, 3)):
+        for n in range(n_max):
+            for lower in all_patterns(n, d):
+                for k in range(1, d + 1):
+                    assert list(up_transitions(lower, k)) == up_fan(lower, k), (lower, k)
 
 
 def test_down_fan_rejects_other_shapes():

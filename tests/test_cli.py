@@ -505,6 +505,21 @@ def test_graph_json_file_matches_stdout(tmp_path, capsys):
     assert out == json.dumps(build(3, 3).to_json_obj(), indent=2) + "\n"
 
 
+def test_graph_bytes_golden_at_bench_size(tmp_path, capsys):
+    # stdout and DOT file of the CLI writers at one of the benchmark's sizes
+    dot_path = tmp_path / "swy.dot"
+    code, out, _ = run(
+        capsys, "graph", "--d", "4", "--n", "6", "--format", "json", "--dot", str(dot_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "30890f49a3e78cdecd2635c41e35acd131ade79c314164364f9cca286c4cd0c8"
+    )
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == (
+        "8b42589991fc41394e15b313ede7ceba1bc8a4c3ec16b4a60b11611b34687fa2"
+    )
+
+
 def test_graph_level_zero(capsys):
     code, out, _ = run(capsys, "graph", "--d", "2", "--n", "0")
     assert code == 0

@@ -321,6 +321,29 @@ def test_graph_writer_keeps_term_order_of_equal_amplitudes():
     assert cli._dumps_graph(g) == json.dumps(g.to_json_obj(), indent=2)
 
 
+def test_dot_keeps_text_of_equal_amplitudes_in_either_term_order():
+    # to_dot keys its texts by stored terms; to_string sorts the terms, so
+    # both stored orders of one sum must still print the same text
+    terms = [
+        {"radicand": 2, "num": 1, "den": 10},
+        {"radicand": 3, "num": 1, "den": 5},
+        {"radicand": 5, "num": -3, "den": 10},
+    ]
+    obj = build(2, 2).to_json_obj()
+    for i, edge in enumerate(obj["edges"]):
+        edge["amplitude"] = {"terms": terms[i % 2 :] + terms[: i % 2], "approx": 0.0}
+    g = SWYGraph.from_json_obj(obj)
+    first, second = g.edges[:2]
+    assert list(first.amplitude._terms) != list(second.amplitude._terms)
+    dot = g.to_dot()
+    labels = re.findall(r'-> v\d+ \[label="\d: ([^"]*)"\];', dot)
+    assert len(labels) == len(g.edges)
+    assert set(labels) == {"1/10*sqrt(2)+1/5*sqrt(3)-3/10*sqrt(5)"}
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "b0c897f3c35605d72f521198993f80d81a9ce938d6925ba133705c7f4725b3c2"
+    )
+
+
 def test_serializers_format_each_amplitude_once(monkeypatch):
     g = build(3, 5)
     distinct = {e.amplitude for e in g.edges}
