@@ -14,12 +14,15 @@ direction, and nowhere else: :func:`up_transitions` lists every edge
 that leaves a pattern by one letter, :func:`down_transitions` every
 edge that enters a pattern from one lower shape.  Each fan computes the
 amplitudes of its edges once, on a cache miss; the formulas themselves
-are not cached.  A fan evaluates the same product formula as
-:func:`louck_amplitude`, but reads ``k`` and the ``tau_j`` off the
-positions its own scan placed, so it never runs
-:func:`transition_context`; the up fan builds the partial-hook table of
-its lower pattern once per pattern and letter, the down fan once per
-lower pattern.
+are not cached.  The formula's level factors are written once, and
+:func:`louck_amplitude` and both fans read them; a fan reads ``k`` and
+the ``tau_j`` off the positions its own scan placed, so it never runs
+:func:`transition_context`.  The down fan multiplies each edge's factors
+over the hook table of its lower pattern.  The up fan carries each
+candidate's running product through its bottom-up scan: its hooks are
+those of one pattern, so a level's factor depends only on the positions
+of the boxes added there and one level below, and is computed once per
+pair of positions and fan.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
@@ -98,11 +101,14 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
 
 
 def _hooks(pattern: GTPattern) -> list[list[int]]:
-    # hooks[j - 1][i - 1] is the partial hook p_{i,j} = m_{i,j} + j - i
-    return [
-        [m + j - i for i, m in enumerate(level, start=1)]
-        for j, level in enumerate(pattern.levels, start=1)
-    ]
+    # hooks[j - 1] holds level j's partial hooks
+    return [_level_hooks(level) for level in pattern.levels]
+
+
+def _level_hooks(level: tuple[int, ...]) -> list[int]:
+    # the partial hooks p_{i,j} = m_{i,j} + j - i of level j, for i = 1..j
+    j = len(level)
+    return [m + j - i for i, m in enumerate(level, start=1)]
 
 
 def _louck(hooks: list[list[int]], k: int, taus) -> Radical:
@@ -110,38 +116,49 @@ def _louck(hooks: list[list[int]], k: int, taus) -> Radical:
     # with k and taus as transition_context gives them
     sign = num = den = 1
     for j in range(k + 1, len(hooks) + 1):
-        t_up, t_lo = taus[j - k], taus[j - k - 1]
-        row, below = hooks[j - 1], hooks[j - 2]
-        h_up, h_lo = row[t_up - 1], below[t_lo - 1]
-        level_num = level_den = 1
+        level_sign, level_num, level_den = _level_factor(
+            hooks[j - 2], hooks[j - 1], taus[j - k - 1], taus[j - k]
+        )
+        sign *= level_sign
+        num *= level_num
+        den *= level_den
+    if k > 1:
+        _, level_num, level_den = _level_factor(hooks[k - 2], hooks[k - 1], 0, taus[0])
+        num *= level_num
+        den *= level_den
+    return _sqrt(sign, num, den)
+
+
+def _level_factor(below: list[int], row: list[int], t_lo: int, t_up: int):
+    # the factor of level j as (sign, |num|, |den|), from the hooks of levels
+    # j - 1 and j and their bumped positions: the signed (j-1, j) pair factor,
+    # or, when t_lo is 0 (level j - 1 unchanged), the level-k factor; that of
+    # level 1 is 1
+    h_up = row[t_up - 1]
+    num = den = 1
+    if t_lo:
+        h_lo = below[t_lo - 1]
         for i, h in enumerate(below, start=1):
             if i != t_lo:
-                level_num *= h_up - h
-                level_den *= h_lo - h + 1
+                num *= h_up - h
+                den *= h_lo - h + 1
         for i, h in enumerate(row, start=1):
             if i != t_up:
-                level_num *= h_lo - h + 1
-                level_den *= h_up - h
-        if level_den == 0:
-            raise NotAnEdge(f"vanishing hook product at level {j}")
-        if t_lo < t_up:
-            sign = -sign
-        num *= abs(level_num)
-        den *= abs(level_den)
-    if k > 1:
-        t = taus[0]
-        row = hooks[k - 1]
-        h = row[t - 1]
-        level_num = level_den = 1
-        for other in hooks[k - 2]:
-            level_num *= h - other
-        for i, other in enumerate(row, start=1):
-            if i != t:
-                level_den *= h - other
-        if level_den == 0:
-            raise NotAnEdge(f"vanishing hook product at level {k}")
-        num *= abs(level_num)
-        den *= abs(level_den)
+                num *= h_lo - h + 1
+                den *= h_up - h
+    else:
+        for h in below:
+            num *= h_up - h
+        for i, h in enumerate(row, start=1):
+            if i != t_up:
+                den *= h_up - h
+    if den == 0:
+        raise NotAnEdge(f"vanishing hook product at level {len(row)}")
+    return (-1 if 0 < t_lo < t_up else 1), abs(num), abs(den)
+
+
+def _sqrt(sign: int, num: int, den: int) -> Radical:
+    # sign * sqrt(num/den), reduced first so the square-free split runs on less
     g = gcd(num, den)
     return radical_from_sqrt(sign, num // g, den // g)
 
@@ -181,10 +198,13 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
     Levels ``k..d`` each gain one box.  Each candidate holds the levels
-    placed so far, bottom-up, and the position of each one's extra box;
-    the scan places one level for all of them at a time and keeps a
-    candidate only if its new level interlaces the one below.  The
-    amplitudes read those positions and one hook table of ``lower``.
+    placed so far, bottom-up, the position of the last one's extra box and
+    the running product of the formula's level factors; the scan places
+    one level for all of them at a time.  The last placed level is the
+    lower pattern's with one box added at that position, so which new
+    positions keep it interlaced, and their level factors, depend on that
+    position alone: each is worked out once per fan and shared by every
+    candidate.  Edges come in ascending order of their positions.
     ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
     ``ValueError``.
     """
@@ -192,19 +212,44 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     if not 1 <= k <= d:
         raise ValueError(f"letter out of range: {k} with d={d}")
     levels = lower.levels
-    candidates = [(levels[: k - 1], ())]
+    below = _level_hooks(levels[k - 2]) if k > 1 else []
+    # (placed levels, last added box's position, sign, num, den); position 0
+    # stands for level k - 1, placed unchanged
+    candidates = [(levels[: k - 1], 0, 1, 1, 1)]
     for j in range(k, d + 1):
-        row = levels[j - 1]
-        grown = [(row[:pos] + (row[pos] + 1,) + row[pos + 1 :], pos + 1) for pos in range(j)]
-        # interlacing the placed level below implies the partition check
-        candidates = [
-            ((*placed, new), (*taus, tau))
-            for placed, taus in candidates
-            for new, tau in grown
-            if j == 1 or interlaces(new, placed[-1])
-        ]
-    hooks = _hooks(lower)
-    return tuple((GTPattern(placed), _louck(hooks, k, taus)) for placed, taus in candidates)
+        row, under = levels[j - 1], levels[j - 2] if j > 1 else ()
+        hooks = _level_hooks(row)
+        steps: dict[int, list] = {}
+        extended = []
+        for placed, t_lo, sign, num, den in candidates:
+            step = steps.get(t_lo)
+            if step is None:
+                # The placed level is under plus a box at t_lo, and under
+                # interlaces row, so only an added box can break that: the
+                # box at t_lo needs row[t_lo - 1] > under[t_lo - 1], and one
+                # added to row at pos + 1 needs under[pos - 1] > row[pos],
+                # unless the other box raises the entry it is compared with.
+                # Interlacing the level below also makes the top a partition.
+                fits = not t_lo or row[t_lo - 1] > under[t_lo - 1]
+                step = steps[t_lo] = [
+                    (
+                        row[:pos] + (row[pos] + 1,) + row[pos + 1 :],
+                        pos + 1,
+                        *_level_factor(below, hooks, t_lo, pos + 1),
+                    )
+                    for pos in range(j)
+                    if (fits or pos + 1 == t_lo)
+                    and (not pos or pos == t_lo or under[pos - 1] > row[pos])
+                ]
+            extended += [
+                ((*placed, new), t_up, sign * s, num * n, den * m)
+                for new, t_up, s, n, m in step
+            ]
+        candidates = extended
+        below = hooks
+    return tuple(
+        (GTPattern(placed), _sqrt(sign, num, den)) for placed, _, sign, num, den in candidates
+    )
 
 
 @cache

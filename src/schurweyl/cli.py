@@ -194,23 +194,36 @@ def _dumps_graph(graph) -> str:
     """The text of ``_dumps(graph.to_json_obj())``, written in one pass.
 
     Every vertex and every edge sits at one depth, so their fields are laid
-    out here directly, with no object tree in between: each vertex's rows
-    come from the graph's row list, and each distinct amplitude is written
-    once per document by :func:`_write` and its text reused.  Amplitude
-    texts are keyed by their terms in stored order, because ``approx``
-    sums them in that order and two equal radicals can print different
-    floats.
+    out here directly, with no object tree in between: each distinct shape
+    and each distinct amplitude is written once per document by
+    :func:`_write` and its text reused, and each vertex's rows, taken from
+    the graph's row list, are joined as ``_write`` lays them out.
+    Amplitude texts are keyed by their terms in stored order, because
+    ``approx`` sums them in that order and two equal radicals can print
+    different floats.
     """
     field = "\n      "  # the line break and indent of a vertex's or edge's fields
+    inner = field + "  "  # ... of a tableau row
+    innermost = inner + "  "  # ... of a row's entry
+    row_sep, entry_sep = "," + inner, "," + innermost
     shift = letter_offset(graph.d)
     rows = graph._weyl_rows()
+    shapes: dict = {}
     amplitudes: dict = {}
-    vertices = [
-        f'{{{field}"id": {v.id},{field}"level": {v.level},'
-        f'{field}"shape": {_text(list(v.shape), field)},'
-        f'{field}"tableau_rows": {_text(rows[v.id], field)}\n    }}'
-        for v in graph.vertices
-    ]
+    vertices = []
+    for v in graph.vertices:
+        shape = v.shape
+        shape_text = shapes.get(shape) or shapes.setdefault(shape, _text(list(shape), field))
+        tableau = rows[v.id]
+        if tableau:
+            lines = [f"[{innermost}{entry_sep.join(map(str, row))}{inner}]" for row in tableau]
+            tableau_text = f"[{inner}{row_sep.join(lines)}{field}]"
+        else:
+            tableau_text = _text(tableau, field)
+        vertices.append(
+            f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {shape_text},'
+            f'{field}"tableau_rows": {tableau_text}\n    }}'
+        )
     edges = []
     for e in graph.edges:
         amp = e.amplitude

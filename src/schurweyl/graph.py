@@ -28,12 +28,11 @@ from schurweyl.tableaux import (
     letter_from_json,
     letter_offset,
     partitions,
-    render_tableau_rows,
     shape_to_text,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SWYVertex:
     id: int
     level: int
@@ -41,7 +40,7 @@ class SWYVertex:
     pattern: GTPattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SWYEdge:
     lower: int
     upper: int
@@ -169,25 +168,27 @@ class SWYGraph:
         ]
         shift = letter_offset(self.d)
         rows = self._weyl_rows()
-        clusters: dict[tuple[int, Partition], list[SWYVertex]] = {}
+        clusters: dict[tuple[int, Partition], list[int]] = {}
         for v in self.vertices:
-            clusters.setdefault((v.level, v.shape), []).append(v)
+            clusters.setdefault((v.level, v.shape), []).append(v.id)
+        line_break = "\\n"  # a line break inside a DOT label
         for level in range(self.n_max + 1):
             for f, shape in enumerate(partitions(level, self.d)):
-                members = clusters.get((level, shape), [])
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
-                for v in members:
-                    label = "\\n".join(render_tableau_rows(rows[v.id]))
-                    lines.append(f'    v{v.id} [label="{label}"];')
+                for vid in clusters.get((level, shape), ()):
+                    # only the empty tableau has no rows
+                    label = line_break.join([" ".join(map(str, row)) for row in rows[vid]])
+                    lines.append(f'    v{vid} [label="{label or "()"}"];')
                 lines.append("  }")
-        # each distinct amplitude's text, made once per call
-        texts: dict[Radical, str] = {}
+        # each distinct amplitude's text, made once per call and keyed by its
+        # stored terms, which is cheaper than hashing the amplitude
+        texts: dict = {}
         for e in self.edges:
             amp = e.amplitude
-            text = texts.get(amp) or texts.setdefault(amp, amp.to_string())
-            label = f"{e.added_entry - shift}: {text}"
-            lines.append(f'  v{e.lower} -> v{e.upper} [label="{label}"];')
+            key = tuple(amp._terms.items())
+            text = texts.get(key) or texts.setdefault(key, amp.to_string())
+            lines.append(f'  v{e.lower} -> v{e.upper} [label="{e.added_entry - shift}: {text}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -198,18 +199,23 @@ def build(d: int, n_max: int) -> SWYGraph:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     vertices: list[SWYVertex] = []
-    ids: dict[tuple[int, GTPattern], int] = {}
+    # ids[level] maps the levels of each pattern there to its vertex id: a
+    # tuple hashes and compares at C speed, a GTPattern in Python
+    ids: list[dict[tuple, int]] = []
     for level in range(n_max + 1):
+        level_ids: dict[tuple, int] = {}
         for shape in partitions(level, d):
             for pattern in enumerate_gt(shape, d):
-                vid = len(vertices)
+                vid = level_ids[pattern.levels] = len(vertices)
                 vertices.append(SWYVertex(vid, level, shape, pattern))
-                ids[(level, pattern)] = vid
+        ids.append(level_ids)
     edges: list[SWYEdge] = []
     for v in vertices:
         if v.level == n_max:
-            continue
+            break
+        uppers = ids[v.level + 1]
         for k in range(1, d + 1):
-            fan = {ids[(v.level + 1, upper)]: amp for upper, amp in up_transitions(v.pattern, k)}
-            edges.extend(SWYEdge(v.id, vid, k, fan[vid]) for vid in sorted(fan))
+            fan = [(uppers[upper.levels], amp) for upper, amp in up_transitions(v.pattern, k)]
+            fan.sort()  # ids are distinct within a fan, so no two amplitudes are compared
+            edges += [SWYEdge(v.id, vid, k, amp) for vid, amp in fan]
     return SWYGraph(d, n_max, vertices, edges)

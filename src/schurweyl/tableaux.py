@@ -277,17 +277,20 @@ def weyl_to_gt(rows, d: int) -> GTPattern:
 def gt_to_weyl(p: GTPattern) -> Rows:
     """Rows over ``{1..d}`` of a pattern validated where it entered; the one Weyl writer."""
     levels = p.levels
+    d = len(levels)
     rows = []
-    for i in range(p.d):
+    for i, length in enumerate(levels[-1]):
+        if not length:
+            break  # the rows below an empty one are empty too
         # row i holds m_{i+1,j} - m_{i+1,j-1} copies of letter j, for j > i
         row: list[int] = []
         before = 0
-        for j in range(i, p.d):
+        for j in range(i, d):
             here = levels[j][i]
-            row += [j + 1] * (here - before)
-            before = here
-        if row:
-            rows.append(tuple(row))
+            if here > before:
+                row += [j + 1] * (here - before)
+                before = here
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -378,8 +381,10 @@ def gt_from_external(rows, d: int) -> GTPattern:
 
 def gt_to_external(p: GTPattern) -> list[list[int]]:
     """Rows of the pattern's Weyl tableau over the external alphabet, as JSON lists."""
-    shift = letter_offset(p.d)
-    return [[x - shift for x in row] for row in gt_to_weyl(p)]
+    rows = gt_to_weyl(p)
+    if letter_offset(p.d):
+        return [[x - 1 for x in row] for row in rows]
+    return list(map(list, rows))
 
 
 def word_to_text(word: tuple[int, ...], d: int) -> str:
