@@ -194,10 +194,11 @@ def _dumps_graph(graph) -> str:
     """The text of ``_dumps(graph.to_json_obj())``, written in one pass.
 
     Every vertex and every edge sits at one depth, so their fields are laid
-    out here directly, with no object tree in between: each distinct shape
-    and each distinct amplitude is written once per document by
-    :func:`_write` and its text reused, and each vertex's rows, taken from
-    the graph's row list, are joined as ``_write`` lays them out.
+    out here directly, with no object tree in between: each distinct shape,
+    tableau row and amplitude is written once per document and its text
+    reused.  Rows come from the graph's row list and are joined as
+    :func:`_write` lays them out; the empty tableau and the other values
+    go through :func:`_write` itself.
     Amplitude texts are keyed by their terms in stored order, because
     ``approx`` sums them in that order and two equal radicals can print
     different floats.
@@ -209,6 +210,7 @@ def _dumps_graph(graph) -> str:
     shift = letter_offset(graph.d)
     rows = graph._weyl_rows()
     shapes: dict = {}
+    row_texts: dict = {}
     amplitudes: dict = {}
     vertices = []
     for v in graph.vertices:
@@ -216,7 +218,11 @@ def _dumps_graph(graph) -> str:
         shape_text = shapes.get(shape) or shapes.setdefault(shape, _text(list(shape), field))
         tableau = rows[v.id]
         if tableau:
-            lines = [f"[{innermost}{entry_sep.join(map(str, row))}{inner}]" for row in tableau]
+            lines = [
+                row_texts.get(row)
+                or row_texts.setdefault(row, f"[{innermost}{entry_sep.join(map(str, row))}{inner}]")
+                for row in map(tuple, tableau)
+            ]
             tableau_text = f"[{inner}{row_sep.join(lines)}{field}]"
         else:
             tableau_text = _text(tableau, field)

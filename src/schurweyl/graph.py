@@ -172,13 +172,17 @@ class SWYGraph:
         for v in self.vertices:
             clusters.setdefault((v.level, v.shape), []).append(v.id)
         line_break = "\\n"  # a line break inside a DOT label
+        row_texts: dict = {}  # each distinct row's text, made once per call
         for level in range(self.n_max + 1):
             for f, shape in enumerate(partitions(level, self.d)):
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
                 for vid in clusters.get((level, shape), ()):
-                    # only the empty tableau has no rows
-                    label = line_break.join([" ".join(map(str, row)) for row in rows[vid]])
+                    label = line_break.join([
+                        row_texts.get(row) or row_texts.setdefault(row, " ".join(map(str, row)))
+                        for row in map(tuple, rows[vid])
+                    ])
+                    # only the empty tableau has no rows; its label is ()
                     lines.append(f'    v{vid} [label="{label or "()"}"];')
                 lines.append("  }")
         # each distinct amplitude's text, made once per call and keyed by its
