@@ -97,12 +97,7 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     amplitudes from them instead.
     """
     k, taus = transition_context(lower, upper)
-    return _louck(_hooks(lower), k, taus)
-
-
-def _hooks(pattern: GTPattern) -> list[list[int]]:
-    # hooks[j - 1] holds level j's partial hooks
-    return [_level_hooks(level) for level in pattern.levels]
+    return _louck(list(map(_level_hooks, lower.levels)), k, taus)
 
 
 def _level_hooks(level: tuple[int, ...]) -> list[int]:
@@ -112,20 +107,14 @@ def _level_hooks(level: tuple[int, ...]) -> list[int]:
 
 
 def _louck(hooks: list[list[int]], k: int, taus) -> Radical:
-    # the product formula of louck_amplitude on the lower pattern's hooks,
-    # with k and taus as transition_context gives them
+    # the product formula of louck_amplitude over the lower pattern's hooks,
+    # hooks[j - 1] for level j, with k and taus as transition_context gives
+    # them; level k - 1 is unchanged, which position 0 stands for
     sign = num = den = 1
-    for j in range(k + 1, len(hooks) + 1):
-        level_sign, level_num, level_den = _level_factor(
-            hooks[j - 2], hooks[j - 1], taus[j - k - 1], taus[j - k]
-        )
-        sign *= level_sign
-        num *= level_num
-        den *= level_den
-    if k > 1:
-        _, level_num, level_den = _level_factor(hooks[k - 2], hooks[k - 1], 0, taus[0])
-        num *= level_num
-        den *= level_den
+    t_lo = 0
+    for j, t_up in enumerate(taus, start=k):
+        s, n, m = _level_factor(hooks[j - 2] if j > 1 else [], hooks[j - 1], t_lo, t_up)
+        sign, num, den, t_lo = sign * s, num * n, den * m, t_up
     return _sqrt(sign, num, den)
 
 
@@ -212,12 +201,15 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     if not 1 <= k <= d:
         raise ValueError(f"letter out of range: {k} with d={d}")
     levels = lower.levels
-    below = _level_hooks(levels[k - 2]) if k > 1 else []
+    # under is the lower pattern's level below the one being placed, and
+    # below its hooks
+    under = levels[k - 2] if k > 1 else ()
+    below = _level_hooks(under)
     # (placed levels, last added box's position, sign, num, den); position 0
     # stands for level k - 1, placed unchanged
     candidates = [(levels[: k - 1], 0, 1, 1, 1)]
     for j in range(k, d + 1):
-        row, under = levels[j - 1], levels[j - 2] if j > 1 else ()
+        row = levels[j - 1]
         hooks = _level_hooks(row)
         steps: dict[int, list] = {}
         extended = []
@@ -246,7 +238,7 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
                 for new, t_up, s, n, m in step
             ]
         candidates = extended
-        below = hooks
+        under, below = row, hooks
     return tuple(
         (GTPattern(placed), _sqrt(sign, num, den)) for placed, _, sign, num, den in candidates
     )
@@ -294,4 +286,7 @@ def down_transitions(
         ]
     edges += [(placed, 1, taus) for placed, taus in candidates]
     lowers = [(GTPattern(placed), k, taus) for placed, k, taus in edges]
-    return tuple((lower, k, _louck(_hooks(lower), k, taus)) for lower, k, taus in lowers)
+    return tuple(
+        (lower, k, _louck(list(map(_level_hooks, lower.levels)), k, taus))
+        for lower, k, taus in lowers
+    )

@@ -194,14 +194,13 @@ def _dumps_graph(graph) -> str:
     """The text of ``_dumps(graph.to_json_obj())``, written in one pass.
 
     Every vertex and every edge sits at one depth, so their fields are laid
-    out here directly, with no object tree in between: each distinct shape,
+    out here directly, with no object tree in between.  Each distinct shape,
     tableau row and amplitude is written once per document and its text
-    reused.  Rows come from the graph's row list and are joined as
-    :func:`_write` lays them out; the empty tableau and the other values
-    go through :func:`_write` itself.
-    Amplitude texts are keyed by their terms in stored order, because
-    ``approx`` sums them in that order and two equal radicals can print
-    different floats.
+    reused: rows, from the graph's row list, are joined as :func:`_write`
+    lays them out, and shapes, amplitudes and the empty tableau go through
+    :func:`_write` itself.  Amplitude texts are keyed by their terms in
+    stored order, because ``approx`` sums them in that order and two equal
+    radicals can print different floats.
     """
     field = "\n      "  # the line break and indent of a vertex's or edge's fields
     inner = field + "  "  # ... of a tableau row
