@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from schurweyl import cli
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
-from schurweyl.radicals import ONE
+from schurweyl.radicals import ONE, Radical, radical_from_sqrt
 from schurweyl.tableaux import parse_word, weyl_to_gt
 from schurweyl.transform import encode, state_from_json_obj
 
@@ -126,6 +126,37 @@ def test_more_stdout_bytes_golden(tmp_path, capsys):
     wide_state.write_text(out)
     assert sha256_of_stdout(capsys, "decode", str(wide_state), "--format", "json") == (
         "c7bd8592955341657b2be5be4bc8e077b5c3cf5f3e1abc3f9d64f13efece2641"
+    )
+
+
+def test_multi_word_decode_bytes_golden(tmp_path, capsys):
+    # three (3,4) columns of one content, each weighted by a sum of radicals:
+    # the state's terms gather up to seven radicands, and the decoded
+    # document holds three words whose amplitudes have two or three terms
+    weights = {
+        (1, 2, 3, 1): radical_from_sqrt(1, 1, 2) + radical_from_sqrt(-1, 1, 3),
+        (2, 1, 3, 1): radical_from_sqrt(-1, 1, 5)
+        + radical_from_sqrt(1, 2, 7)
+        + radical_from_sqrt(1, 1, 9),
+        (3, 1, 1, 2): radical_from_sqrt(1, 3, 11) - radical_from_sqrt(1, 6, 13),
+    }
+    state: dict = {}
+    for word, weight in weights.items():
+        for triplet, amp in encode(word, 3).items():
+            state[triplet] = state.get(triplet, Radical()) + weight * amp
+    document = cli._dumps_state({t: amp for t, amp in state.items() if amp}, 3, 4)
+    assert hashlib.sha256(document.encode()).hexdigest() == (
+        "c1033653030a93e3436f7435078b2aa2009e691b013f0447f26acf3a154b640d"
+    )
+    state_file = tmp_path / "multi.json"
+    state_file.write_text(document)
+    code, out, _ = run(capsys, "decode", str(state_file), "--format", "json")
+    assert code == 0
+    assert [term["word"] for term in json.loads(out)["terms"]] == [
+        "1,2,3,1", "2,1,3,1", "3,1,1,2",
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b0343e2e821adf0039fef4ad7160746f3e93db742d771cc64a6d07cdd52eb4b2"
     )
 
 
