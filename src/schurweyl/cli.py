@@ -3,6 +3,12 @@
 Results go to stdout and are byte-deterministic for fixed inputs; timing
 and error diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
 2 validation failure, 3 check-suite failure.
+
+Every JSON document is the text of ``json.dumps(obj, indent=2)``.  The
+``decode`` and ``check`` documents are written by ``json`` itself; the state
+and graph documents, which repeat the same shapes, rows and amplitudes many
+times, are laid out in one pass by :func:`_dumps_state` and
+:func:`_dumps_graph`, with no object tree in between.
 """
 
 import argparse
@@ -11,8 +17,6 @@ import os
 import sys
 import time
 from functools import cache
-from json.encoder import encode_basestring_ascii as _quote
-from math import inf
 from pathlib import Path
 
 from .amplitudes import pattern_amplitude_d2
@@ -83,86 +87,45 @@ def _rows_text(rows) -> str:
     return "; ".join(render_tableau_rows(rows))
 
 
-def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+def _list(items, newline: str) -> str:
+    """A list as ``json.dumps(indent=2)`` lays it out, joined from its items' texts.
 
-    The standard library's C encoder does not indent, so ``indent=2`` runs
-    its pure-Python encoder.  This writer visits each value once and writes
-    a list of ints in one join.  It takes what the commands emit: dicts with
-    string keys, lists, strings, ints, floats, booleans and None, of exactly
-    those types; anything else raises ``TypeError``.
+    ``newline`` is the line break plus the indent of the line the list
+    starts on; each item's text is already laid out one level deeper.
     """
-    return _text(obj, "\n")
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
 
 
-def _text(value, newline: str) -> str:
-    # value as _write lays it out in a container whose line break and indent is newline
-    out: list[str] = []
-    _write(value, newline, out)
-    return "".join(out)
+def _amplitude(amp: Radical, newline: str) -> str:
+    """``json.dumps(amp.to_json_obj(), indent=2)`` with each line break replaced by ``newline``.
 
-
-def _write(value, newline: str, out: list[str]) -> None:
-    # newline: a line break plus the indent of the enclosing container
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if type(item) is int:
-                out.append(f"{sep}{_quote(key)}: {item}")
-            else:
-                out.append(f"{sep}{_quote(key)}: ")
-                _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        if all(type(x) is int for x in value):
-            out.append(f"[{inner}{sep.join(map(str, value))}{newline}]")
-            return
-        out.append("[" + inner)
-        _write(value[0], inner, out)
-        for item in value[1:]:
-            out.append(sep)
-            _write(item, inner, out)
-        out.append(newline + "]")
-    elif kind is int:
-        out.append(str(value))
-    elif kind is str:
-        out.append(_quote(value))
-    elif kind is float:
-        if value != value:
-            out.append("NaN")
-        elif value in (inf, -inf):
-            out.append("Infinity" if value > 0 else "-Infinity")
-        else:
-            out.append(repr(value))
-    elif value is None:
-        out.append("null")
-    elif kind is bool:
-        out.append("true" if value else "false")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    ``approx`` is written with ``repr``, the text ``json`` gives every
+    finite float; the reader's bounds keep it finite.
+    """
+    obj = amp.to_json_obj()
+    inner = newline + "  "
+    entry = inner + "  "
+    field = entry + "  "
+    terms = [
+        f'{{{field}"radicand": {t["radicand"]},{field}"num": {t["num"]},'
+        f'{field}"den": {t["den"]}{entry}}}'
+        for t in obj["terms"]
+    ]
+    terms_text = _list(terms, inner)
+    return f'{{{inner}"terms": {terms_text},{inner}"approx": {obj["approx"]!r}{newline}}}'
 
 
 def _dumps_state(state, d: int, n: int) -> str:
-    """The state document of ``{triplet: amplitude}`` at ``(d, n)``, as :func:`_dumps` writes it.
+    """The text of ``json.dumps(indent=2)`` for the state document of ``{triplet: amplitude}``.
 
     The document is ``{"d", "n", "terms"}`` with one term per triplet in
     :func:`sorted_terms` order: its shape, Weyl rows over the external
     alphabet, growth path and amplitude.  Every term sits at one depth, so
     each distinct shape, pattern and growth step is written once per
-    document, by :func:`_write`, and its text reused.
+    document and its text reused.
     """
     field = "\n      "  # the line break and indent of a term's fields
     step = field + "  "
@@ -173,39 +136,34 @@ def _dumps_state(state, d: int, n: int) -> str:
     for triplet, amp in sorted_terms(state):
         pattern, young = triplet.pattern, triplet.young
         shape = young[-1]
-        shape_text = shapes.get(shape) or shapes.setdefault(shape, _text(list(shape), field))
+        shape_text = shapes.get(shape) or shapes.setdefault(
+            shape, _list([*map(str, shape)], field)
+        )
         rows = patterns.get(pattern) or patterns.setdefault(
-            pattern, _text(gt_to_external(pattern), field)
+            pattern, _list([_list([*map(str, r)], step) for r in gt_to_external(pattern)], field)
         )
-        # a growth path is a non-empty list, laid out as _write lays one out
-        path = ("," + step).join(
-            [steps.get(s) or steps.setdefault(s, _text(list(s), step)) for s in young]
-        )
-        value = _text(amp.to_json_obj(), field)
+        path = [steps.get(s) or steps.setdefault(s, _list([*map(str, s)], step)) for s in young]
         terms.append(
             f'{{{field}"shape": {shape_text},{field}"weyl_rows": {rows},'
-            f'{field}"young_path": [{step}{path}{field}],{field}"amplitude": {value}\n    }}'
+            f'{field}"young_path": {_list(path, field)},'
+            f'{field}"amplitude": {_amplitude(amp, field)}\n    }}'
         )
-    body = "[\n    " + ",\n    ".join(terms) + "\n  ]" if terms else "[]"
+    body = _list(terms, "\n  ")
     return f'{{\n  "d": {d},\n  "n": {n},\n  "terms": {body}\n}}'
 
 
 def _dumps_graph(graph) -> str:
-    """The text of ``_dumps(graph.to_json_obj())``, written in one pass.
+    """The text of ``json.dumps(graph.to_json_obj(), indent=2)``, written in one pass.
 
     Every vertex and every edge sits at one depth, so their fields are laid
     out here directly, with no object tree in between.  Each distinct shape,
     tableau row and amplitude is written once per document and its text
-    reused: rows, from the graph's row list, are joined as :func:`_write`
-    lays them out, and shapes, amplitudes and the empty tableau go through
-    :func:`_write` itself.  Amplitude texts are keyed by their terms in
-    stored order, because ``approx`` sums them in that order and two equal
-    radicals can print different floats.
+    reused; rows come from the graph's row list.  Amplitude texts are keyed
+    by their terms in stored order, because ``approx`` sums them in that
+    order and two equal radicals can print different floats.
     """
     field = "\n      "  # the line break and indent of a vertex's or edge's fields
     inner = field + "  "  # ... of a tableau row
-    innermost = inner + "  "  # ... of a row's entry
-    row_sep, entry_sep = "," + inner, "," + innermost
     shift = letter_offset(graph.d)
     rows = graph._weyl_rows()
     shapes: dict = {}
@@ -214,34 +172,27 @@ def _dumps_graph(graph) -> str:
     vertices = []
     for v in graph.vertices:
         shape = v.shape
-        shape_text = shapes.get(shape) or shapes.setdefault(shape, _text(list(shape), field))
-        tableau = rows[v.id]
-        if tableau:
-            lines = [
-                row_texts.get(row)
-                or row_texts.setdefault(row, f"[{innermost}{entry_sep.join(map(str, row))}{inner}]")
-                for row in map(tuple, tableau)
-            ]
-            tableau_text = f"[{inner}{row_sep.join(lines)}{field}]"
-        else:
-            tableau_text = _text(tableau, field)
+        shape_text = shapes.get(shape) or shapes.setdefault(
+            shape, _list([*map(str, shape)], field)
+        )
+        lines = [
+            row_texts.get(row) or row_texts.setdefault(row, _list([*map(str, row)], inner))
+            for row in map(tuple, rows[v.id])
+        ]
         vertices.append(
             f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {shape_text},'
-            f'{field}"tableau_rows": {tableau_text}\n    }}'
+            f'{field}"tableau_rows": {_list(lines, field)}\n    }}'
         )
     edges = []
     for e in graph.edges:
         amp = e.amplitude
         key = tuple(amp._terms.items())
-        value = amplitudes.get(key) or amplitudes.setdefault(key, _text(amp.to_json_obj(), field))
+        value = amplitudes.get(key) or amplitudes.setdefault(key, _amplitude(amp, field))
         edges.append(
             f'{{{field}"lower": {e.lower},{field}"upper": {e.upper},'
             f'{field}"k": {e.added_entry - shift},{field}"amplitude": {value}\n    }}'
         )
-    body = [
-        "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-        for items in (vertices, edges)
-    ]
+    body = [_list(items, "\n  ") for items in (vertices, edges)]
     return (
         f'{{\n  "d": {graph.d},\n  "n_max": {graph.n_max},'
         f'\n  "vertices": {body[0]},\n  "edges": {body[1]}\n}}'
@@ -280,7 +231,7 @@ def cmd_decode(args) -> int:
     d, n = obj["d"], obj["n"]
     out = decode(state)
     if args.format == "json":
-        print(_dumps(computational_to_json_obj(out, d, n)))
+        print(json.dumps(computational_to_json_obj(out, d, n), indent=2))
         return EXIT_OK
     for word, amp in sorted(out.items()):
         print(f"{word_to_text(word, d)}  {amp.to_string()}  ~{_approx(amp)}")
@@ -366,7 +317,7 @@ def cmd_check(args) -> int:
             "size_bound": size_bound,
             "suites": suites,
         }
-        print(_dumps(report))
+        print(json.dumps(report, indent=2))
     else:
         for suite in suites:
             print(f"{suite['status'].upper():4}  {suite['name']}  ({suite['detail']})")

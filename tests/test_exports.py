@@ -73,6 +73,29 @@ def test_fraction_only_in_radicals():
     assert importing == ["radicals.py"]
 
 
+def test_cli_uses_json_only_through_loads_and_dumps():
+    # perfbench/tracer.py replaces cli.json with a namespace that holds only
+    # these two functions, so any other use would break every traced run
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {
+        id(node.value): node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    uses = [
+        read.get(id(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "json"
+    ]
+    assert set(uses) == {"loads", "dumps"}
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+        or isinstance(node, ast.Import) and any(a.asname == "json" for a in node.names)
+    ]
+
+
 def referenced_names(path: Path) -> set[str]:
     """Names a module imports, defines, reads or looks up as attributes."""
     names = set()

@@ -1,29 +1,25 @@
-"""The text/JSON boundary of the CLI: the indented writers and the state reader.
+"""The text/JSON boundary of the CLI: the one-pass state writer, its layout helpers and the reader.
 
 ``json.dumps(obj, indent=2)`` is the reference for every document the
-commands write, and :func:`state_to_json_obj` is the object the state
-writer must spell; the decode fuzz feeds mutated ``encode`` documents back in.
+commands write.  ``decode`` and ``check`` print it directly; the state and
+graph writers lay their documents out from the helpers ``cli._list`` and
+``cli._amplitude``, which are held to it here at several indents.
+:func:`state_to_json_obj` is the object the state writer must spell, and the
+decode fuzz feeds mutated ``encode`` documents back in.
 """
 
 import copy
 import io
 import json
-import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from schurweyl import cli
-from schurweyl.graph import build
 from schurweyl.radicals import Radical, _new, radical_from_sqrt
 from schurweyl.tableaux import gt_to_external, parse_word
-from schurweyl.transform import (
-    computational_to_json_obj,
-    decode,
-    encode,
-    sorted_terms,
-    words,
-)
+from schurweyl.transform import encode, sorted_terms, words
 
 
 def reference(obj) -> str:
@@ -60,16 +56,7 @@ def test_state_documents_match_reference(d, word):
     state = encode(parse_word(word, d), d)
     n = len(parse_word(word, d))
     obj = state_to_json_obj(state, d, n)
-    assert cli._dumps(obj) == reference(obj)
     assert cli._dumps_state(state, d, n) == reference(obj)
-    computational = computational_to_json_obj(decode(state), d, n)
-    assert cli._dumps(computational) == reference(computational)
-
-
-@pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (5, 3)])
-def test_graph_documents_match_reference(d, n):
-    obj = build(d, n).to_json_obj()
-    assert cli._dumps(obj) == reference(obj)
 
 
 @pytest.mark.parametrize(
@@ -92,53 +79,34 @@ def test_cli_stdout_matches_reference(capsys, monkeypatch, argv):
         assert decoded == reference(json.loads(decoded)) + "\n"
 
 
-def test_writer_edge_values():
-    obj = {
-        "empty": [{}, [], ""],
-        "ints": [0, -1, 2**70, -(2**70)],
-        "floats": [-0.0, 1e-07, 1e16, 0.1, -2.5, math.inf, -math.inf, math.nan],
-        "text": 'quote " backslash \\ tab \t nul \x00 é é 中 \U0001f600',
-        "flags": [True, False, None],
-        "nested": [[[1, 2], []], {"a": {"b": [True, 1]}}],
-    }
-    assert cli._dumps(obj) == reference(obj)
-    assert cli._dumps([]) == "[]" and cli._dumps({}) == "{}"
+big = st.integers(min_value=2**498, max_value=2**500)
+layout_ints = st.integers() | st.integers(min_value=-(2**70), max_value=2**70) | big
+numerators = st.integers(min_value=-9, max_value=9) | big | big.map(lambda v: -v)
+denominators = st.integers(min_value=1, max_value=9) | big
+# zero, one term, or up to six terms of mixed signs; coefficients up to 500 bits
+layout_radicals = st.dictionaries(
+    st.integers(min_value=1, max_value=300), st.builds(Fraction, numerators, denominators),
+    max_size=6,
+).map(Radical)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [(1, 2), {1: "int key"}, {1.5}, b"bytes", 1 + 2j, [object()]],
-    ids=["tuple", "int-key", "set", "bytes", "complex", "object"],
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(layout_ints, max_size=5), max_size=4),
+    layout_radicals,
+    st.integers(min_value=0, max_value=10).map(lambda k: "\n" + " " * k),
 )
-def test_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        cli._dumps(value)
+def test_layout_helpers_match_reference(rows, amp, newline):
+    # each helper spells what json.dumps(indent=2) does for a value that starts
+    # on a line indented as newline is
+    def expected(value):
+        return reference(value).replace("\n", newline)
 
-
-json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**80), max_value=2**80)
-    | st.floats()
-    | st.sampled_from([-0.0, 1e-07, 1e16, 1e22, 5e-324])
-    | st.text()
-    | st.text(alphabet='"\\\n\t\x00\x1f\x7fé \U0001f600ab')
-)
-json_documents = st.recursive(
-    json_leaves,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(json_documents)
-def test_writer_matches_reference(obj):
-    assert cli._dumps(obj) == reference(obj)
+    for row in rows:
+        assert cli._list([*map(str, row)], newline) == expected(row)
+    texts = [cli._list([*map(str, row)], newline + "  ") for row in rows]
+    assert cli._list(texts, newline) == expected(rows)
+    assert cli._amplitude(amp, newline) == expected(amp.to_json_obj())
 
 
 # ---------------------------------------------------------------------------
