@@ -1,4 +1,4 @@
-"""Oracles the tests share: row-grid readers, enumerations and a brute-force up fan.
+"""Oracles the tests share: row-grid readers, enumerations and brute-force fans.
 
 The package holds a standard Young tableau as its growth path and a Weyl
 tableau as its Gelfand-Tsetlin pattern; these helpers read and list the
@@ -80,3 +80,22 @@ def up_fan(lower: GTPattern, k: int) -> list[tuple[GTPattern, Radical]]:
                 edges.append((taus, upper))
     edges.sort(key=lambda edge: edge[0])
     return [(upper, louck_amplitude(lower, upper)) for _, upper in edges]
+
+
+def down_fan(upper: GTPattern, shape: Partition) -> list[tuple[GTPattern, int, Radical]]:
+    """The down fan of ``upper`` onto ``shape``, by brute force over the patterns of ``shape``.
+
+    Every pattern of ``shape`` is tried; those that :func:`transition_context`
+    reads as an edge into ``upper`` are kept, with their letter and the
+    amplitude :func:`louck_amplitude` gives, by descending letter and then in
+    ascending order of their bumped positions read from the top level down.
+    """
+    edges = []
+    for lower in enumerate_gt(shape, upper.d):
+        try:
+            k, taus = transition_context(lower, upper)
+        except NotAnEdge:
+            continue
+        edges.append(((-k, taus[::-1]), lower, k))
+    edges.sort(key=lambda edge: edge[0])
+    return [(lower, k, louck_amplitude(lower, upper)) for _, lower, k in edges]

@@ -23,7 +23,7 @@ from schurweyl.tableaux import (
     weyl_to_gt,
 )
 
-from oracles import up_fan
+from oracles import down_fan, up_fan
 
 
 def gt2(m11, a, b):
@@ -180,6 +180,17 @@ def test_up_fans_match_brute_force_in_order():
             for lower in all_patterns(n, d):
                 for k in range(1, d + 1):
                     assert list(up_transitions(lower, k)) == up_fan(lower, k), (lower, k)
+
+
+def test_down_fans_match_brute_force_in_order():
+    # decode merges in down-fan order and a sum's stored term order sets its
+    # approx float, so the down fan's order is pinned as well as its edges
+    for d, n_max in ((3, 5), (4, 4), (5, 3), (6, 3)):
+        for n in range(1, n_max + 1):
+            for upper in all_patterns(n, d):
+                for shape in lower_shapes(upper.shape):
+                    expected = down_fan(upper, shape)
+                    assert list(down_transitions(upper, shape)) == expected, (upper, shape)
 
 
 def test_down_fan_rejects_other_shapes():
