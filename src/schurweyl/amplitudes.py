@@ -12,17 +12,18 @@ it is always a single-term :class:`~schurweyl.radicals.Radical`.
 The branching rule reads amplitudes from two cached fans, one per
 direction, and nowhere else: :func:`up_transitions` lists every edge
 that leaves a pattern by one letter, :func:`down_transitions` every
-edge that enters a pattern from one lower shape.  Each fan computes the
-amplitudes of its edges once, on a cache miss; the formulas themselves
-are not cached.  The formula's level factors are written once, and
-:func:`louck_amplitude` and both fans read them; a fan reads ``k`` and
-the ``tau_j`` off the positions its own scan placed, so it never runs
-:func:`transition_context`.  The down fan multiplies each edge's factors
-over the hook table of its lower pattern.  The up fan carries each
-candidate's running product through its bottom-up scan: its hooks are
-those of one pattern, so a level's factor depends only on the positions
-of the boxes added there and one level below, and is computed once per
-pair of positions and fan.
+edge that enters a pattern from one lower shape.  Only the up fan
+evaluates the formula, once per fan on a cache miss.  It carries each
+candidate's running product through its bottom-up scan and reads ``k``
+and the ``tau_j`` off the positions it placed, so it never runs
+:func:`transition_context`.  Its hooks are those of one pattern, so a
+level's factor depends only on the positions of the boxes added there
+and one level below, and is computed once per pair of positions and
+fan.  The down fan's scan only lists the ``(lower, k)`` pairs that
+reach a pattern, and takes each amplitude from the up fan of letter
+``k`` at that lower: every amplitude the engine reads is an entry of
+one cached up fan.  :func:`louck_amplitude` evaluates the same level
+factors for one pair and is the reference the tests hold the fans to.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
@@ -93,29 +94,24 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
 
     The trust contract is that of :func:`transition_context`: valid GT
     patterns in, :class:`NotAnEdge` for a pair that is not an edge.  The
-    fans evaluate the same formula on positions their scans placed; read
-    amplitudes from them instead.
+    up fan evaluates the same formula on positions its scan placed; read
+    amplitudes from the fans instead.
     """
     k, taus = transition_context(lower, upper)
-    return _louck(list(map(_level_hooks, lower.levels)), k, taus)
-
-
-def _level_hooks(level: tuple[int, ...]) -> list[int]:
-    # the partial hooks p_{i,j} = m_{i,j} + j - i of level j, for i = 1..j
-    j = len(level)
-    return [m + j - i for i, m in enumerate(level, start=1)]
-
-
-def _louck(hooks: list[list[int]], k: int, taus) -> Radical:
-    # the product formula of louck_amplitude over the lower pattern's hooks,
-    # hooks[j - 1] for level j, with k and taus as transition_context gives
-    # them; level k - 1 is unchanged, which position 0 stands for
+    hooks = list(map(_level_hooks, lower.levels))
+    # level k - 1 is unchanged, which position 0 stands for
     sign = num = den = 1
     t_lo = 0
     for j, t_up in enumerate(taus, start=k):
         s, n, m = _level_factor(hooks[j - 2] if j > 1 else [], hooks[j - 1], t_lo, t_up)
         sign, num, den, t_lo = sign * s, num * n, den * m, t_up
     return _sqrt(sign, num, den)
+
+
+def _level_hooks(level: tuple[int, ...]) -> list[int]:
+    # the partial hooks p_{i,j} = m_{i,j} + j - i of level j, for i = 1..j
+    j = len(level)
+    return [m + j - i for i, m in enumerate(level, start=1)]
 
 
 def _level_factor(below: list[int], row: list[int], t_lo: int, t_up: int):
@@ -251,42 +247,34 @@ def down_transitions(
     """The down fan of ``upper`` onto ``shape``: every ``(lower, k, amplitude)``.
 
     Each entry is an edge of the up fan of letter ``k`` at a ``lower`` of
-    the given shape, with the same amplitude.  ``upper`` must be a valid
-    GT pattern and ``shape`` its shape less one box, as the growth path of
-    a triplet forces; any other shape raises :class:`NotAnEdge`.  The top
-    level is fixed to ``shape``; the scan then places levels ``d-1..1``
-    top-down, one level for all candidates at a time.  Each level either
-    stays as in ``upper``, which ends an edge with ``k = j + 1``, or loses
-    one box and must interlace the level above.  Each candidate carries
-    the position of every level's missing box, which the amplitude reads.
+    the given shape, and its amplitude is the object that fan holds for
+    ``upper``.  ``upper`` must be a valid GT pattern and ``shape`` its
+    shape less one box, as the growth path of a triplet forces; any other
+    shape raises :class:`NotAnEdge`.  The top level is fixed to ``shape``;
+    the scan then places levels ``d-1..1`` top-down, one level for all
+    candidates at a time.  Each level either stays as in ``upper``, which
+    ends an edge with ``k = j + 1``, or loses one box and must interlace
+    the level above.  Edges come by descending ``k``, then in ascending
+    order of the missing boxes' positions read from the top level down.
     """
     levels = upper.levels
     top = pad_partition(shape, upper.d)
-    bumped = [pos for pos, (up, low) in enumerate(zip(levels[-1], top)) if up != low]
-    if len(bumped) != 1 or levels[-1][bumped[0]] != top[bumped[0]] + 1:
+    if sorted(up - low for up, low in zip(levels[-1], top)) != [0] * (upper.d - 1) + [1]:
         raise NotAnEdge(f"shape {shape} is not the shape of the upper pattern less one box")
-    # a candidate is the levels placed so far, bottom-up, each one box short,
-    # and the 1-based position of each one's missing box
-    candidates = [((top,), (bumped[0] + 1,))]
-    edges = []
+    # a candidate is the levels placed so far, bottom-up, each one box short
+    candidates = [(top,)]
+    pairs = []
     for j in range(upper.d - 1, 0, -1):
         row = levels[j - 1]
-        shrunk = [(row[:pos] + (row[pos] - 1,) + row[pos + 1 :], pos + 1) for pos in range(j)]
-        edges += [
-            (levels[:j] + placed, j + 1, taus)
-            for placed, taus in candidates
-            if interlaces(placed[0], row)
+        shrunk = [row[:pos] + (row[pos] - 1,) + row[pos + 1 :] for pos in range(j)]
+        pairs += [
+            (levels[:j] + placed, j + 1) for placed in candidates if interlaces(placed[0], row)
         ]
         # interlacing the placed level above implies the partition and sign checks
         candidates = [
-            ((new, *placed), (tau, *taus))
-            for placed, taus in candidates
-            for new, tau in shrunk
-            if interlaces(placed[0], new)
+            (new, *placed) for placed in candidates for new in shrunk if interlaces(placed[0], new)
         ]
-    edges += [(placed, 1, taus) for placed, taus in candidates]
-    lowers = [(GTPattern(placed), k, taus) for placed, k, taus in edges]
-    return tuple(
-        (lower, k, _louck(list(map(_level_hooks, lower.levels)), k, taus))
-        for lower, k, taus in lowers
-    )
+    pairs += [(placed, 1) for placed in candidates]
+    lowers = [(GTPattern(placed), k) for placed, k in pairs]
+    # a KeyError here would mean that the two scans disagree on an edge
+    return tuple((lower, k, dict(up_transitions(lower, k))[upper]) for lower, k in lowers)

@@ -158,8 +158,9 @@ def test_up_down_transitions_agree():
 
 
 def test_fans_match_pairwise_formula():
-    # both fans read k and taus off their own scans; the public pairwise
-    # formula re-derives them through transition_context, so it is the oracle
+    # the up fan reads k and taus off its own scan and the down fan takes its
+    # amplitudes from the up fans; the public pairwise formula re-derives k
+    # and taus through transition_context, so it is the oracle
     for d, n in ((3, 6), (4, 5), (5, 4)):
         g = build(d, n)
         fans = set()
@@ -191,6 +192,17 @@ def test_down_fans_match_brute_force_in_order():
                 for shape in lower_shapes(upper.shape):
                     expected = down_fan(upper, shape)
                     assert list(down_transitions(upper, shape)) == expected, (upper, shape)
+
+
+def test_down_fans_hold_up_fan_amplitudes():
+    # the up fan is the one amplitude store: every down-fan entry holds the
+    # very object that the up fan of its letter at its lower pattern holds
+    for d, n in ((2, 5), (3, 4), (4, 3), (5, 3)):
+        for upper in all_patterns(n, d):
+            for shape in lower_shapes(upper.shape):
+                for lower, k, amp in down_transitions(upper, shape):
+                    [up_amp] = [a for u, a in up_transitions(lower, k) if u == upper]
+                    assert amp is up_amp, (lower, upper)
 
 
 def test_down_fan_rejects_other_shapes():
@@ -316,5 +328,6 @@ def test_amplitude_cache_hygiene():
     assert amp == louck_amplitude(lower, upper) == radical_from_sqrt(1, 1, 2)
     [(_, k, down_amp)] = [e for e in down_transitions(upper, (2, 1)) if e[0] == lower]
     assert (k, down_amp) == (2, amp)
+    assert down_amp is amp  # the down fan holds the up fan's own amplitude
     assert not hasattr(louck_amplitude, "cache_info")
     assert not hasattr(pattern_amplitude_d2, "cache_info")
