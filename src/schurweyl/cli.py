@@ -73,9 +73,7 @@ def _resolve_size_bound(flag_value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(
-                f"SCHUR_SIZE_BOUND must be an integer, got {env!r}"
-            ) from None
+            raise UsageError(f"SCHUR_SIZE_BOUND must be an integer, got {env!r}") from None
     return DEFAULT_SIZE_BOUND
 
 
@@ -204,6 +202,7 @@ def _dumps_graph(graph) -> str:
 
 
 def cmd_encode(args) -> int:
+    check_alphabet(args.d)  # before the word, whose letters are read against d
     word = parse_word(args.word, args.d)
     state = encode(word, args.d)
     if args.format == "json":
@@ -239,6 +238,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    check_alphabet(args.d)
+    if args.n < 0:
+        raise InvariantViolation("top level", f"--n {args.n} is negative")
     graph = build(args.d, args.n)
     if args.dot is not None:
         Path(args.dot).write_text(graph.to_dot())

@@ -430,6 +430,9 @@ def test_alphabet_bound_exits_cleanly(tmp_path, capsys):
         ["decode", str(document)],
         ["encode", "--d", "65", "1"],
         ["check", "--d", "-1", "--n", "2"],
+        ["encode", "--d", "0", "1"],
+        ["encode", "--d", "70", "71"],
+        ["graph", "--d", "0", "--n", "-1"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -439,6 +442,10 @@ def test_alphabet_bound_exits_cleanly(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--d", "3", "--n", "-1")
     assert (code, out) == (2, "")
     assert err == "invariant: word length (--n -1 is negative)\n"
+    # and so does graph its top level
+    code, out, err = run(capsys, "graph", "--d", "2", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "invariant: top level (--n -1 is negative)\n"
     code, out, _ = run(capsys, "encode", "--d", "64", "1")
     assert code == 0
     assert out == "1  ~1  (1)  weyl [1]  young [1]\n"
