@@ -13,17 +13,16 @@ The branching rule reads amplitudes from two cached fans, one per
 direction, and nowhere else: :func:`up_transitions` lists every edge
 that leaves a pattern by one letter, :func:`down_transitions` every
 edge that enters a pattern from one lower shape.  Only the up fan
-evaluates the formula, once per fan on a cache miss.  It carries each
-candidate's running product through its bottom-up scan and reads ``k``
-and the ``tau_j`` off the positions it placed, so it never runs
-:func:`transition_context`.  Its hooks are those of one pattern, so a
-level's factor depends only on the positions of the boxes added there
-and one level below, and is computed once per pair of positions and
-fan.  The down fan's scan only lists the ``(lower, k)`` pairs that
-reach a pattern, and takes each amplitude from the up fan of letter
-``k`` at that lower: every amplitude the engine reads is an entry of
-one cached up fan.  :func:`louck_amplitude` evaluates the same level
-factors for one pair and is the reference the tests hold the fans to.
+evaluates the formula, once, on a cache miss: it carries each
+candidate's running product through its bottom-up scan, reading ``k``
+and the ``tau_j`` off the positions it placed.  Its hooks are those of
+one pattern, so a level's factor depends only on the positions of the
+boxes added there and one level below, and is computed once per pair
+of positions and fan.  The down fan's scan only lists the ``(lower,
+k)`` pairs that reach a pattern and takes each amplitude from the up
+fan of letter ``k`` at that lower, so every amplitude the engine reads
+is an entry of one cached up fan.  :func:`louck_amplitude` is the same
+formula for one pair, the reference the tests hold both fans to.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and

@@ -73,7 +73,9 @@ def _resolve_size_bound(flag_value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"SCHUR_SIZE_BOUND must be an integer, got {env!r}") from None
+            raise UsageError(
+                f"SCHUR_SIZE_BOUND must be an integer, got {env!r}"
+            ) from None
     return DEFAULT_SIZE_BOUND
 
 
@@ -238,7 +240,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    check_alphabet(args.d)
     if args.n < 0:
         raise InvariantViolation("top level", f"--n {args.n} is negative")
     graph = build(args.d, args.n)

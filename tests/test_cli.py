@@ -432,7 +432,6 @@ def test_alphabet_bound_exits_cleanly(tmp_path, capsys):
         ["check", "--d", "-1", "--n", "2"],
         ["encode", "--d", "0", "1"],
         ["encode", "--d", "70", "71"],
-        ["graph", "--d", "0", "--n", "-1"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
