@@ -18,10 +18,10 @@ candidate's running product through its bottom-up scan, reading ``k``
 and the ``tau_j`` off the positions it placed.  Its hooks are those of
 one pattern, so a level's factor depends only on the positions of the
 boxes added there and one level below, and is computed once per pair
-of positions and fan.  The down fan's scan only lists the ``(lower,
-k)`` pairs that reach a pattern and takes each amplitude from the up
-fan of letter ``k`` at that lower, so every amplitude the engine reads
-is an entry of one cached up fan.  :func:`louck_amplitude` is the same
+of positions and fan.  The down fan's scan only lists the
+``(lower, k)`` pairs that reach a pattern and takes each amplitude from
+the up fan of letter ``k`` at that lower, so every amplitude the engine
+reads is an entry of one cached up fan.  :func:`louck_amplitude` is the same
 formula for one pair, the reference the tests hold both fans to.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
