@@ -14,14 +14,14 @@ A state is a plain ``{label: amplitude}`` dict that holds no zero
 amplitude.  Triplets are validated where they enter the package
 (:func:`validate_triplet`, the JSON readers), not on every step here.
 
-Every step runs on :class:`Engine`, which labels patterns and growth
-paths with small integers for the length of one call; triplets are made
-from the labels only where a call returns.
+Every step runs on :class:`Engine`, which numbers growth paths for the
+length of one call and keys each term by its pattern itself; triplets
+are made from the labels only where a call returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from schurweyl.amplitudes import down_transitions, up_transitions
 from schurweyl.radicals import ONE, Radical
@@ -37,8 +37,7 @@ from schurweyl.tableaux import (
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SchurWeylTriplet:
+class SchurWeylTriplet(NamedTuple):
     """Basis label |shape, weyl, young> at level ``sum(shape)``.
 
     The Weyl tableau is held as its GT pattern and the Young tableau as
@@ -80,50 +79,35 @@ def empty_triplet(d: int) -> SchurWeylTriplet:
 
 
 def _merge(acc: dict, key, amp: Radical) -> None:
-    # a new key stores the product as it is; a state holds no zero amplitude
-    if key in acc:
-        amp = acc[key] + amp
-    if amp:
-        acc[key] = amp
-    else:
-        acc.pop(key, None)
+    # setdefault hashes a new key once; a state holds no zero amplitude
+    size = len(acc)
+    held = acc.setdefault(key, amp)
+    if len(acc) == size:
+        amp = acc[key] = held + amp
+    if not amp:
+        del acc[key]
 
 
 class Engine:
-    """Integer labels and memoised fans for the branching steps of one call.
+    """The growth-path trie that the branching steps of one call share.
 
-    A pattern id indexes ``patterns``.  A node stands for a growth path:
-    node 0 is the path ``((),)`` and every other node extends its parent
-    by one shape.  An up state is ``{(pattern id, node): amplitude}``; a
-    down state is ``{(pattern id, node, word): amplitude}``, where the
-    int ``word`` gains ``(k - 1) * scale`` when letter ``k`` is read off.
-
-    Each fan is read from :func:`up_transitions` or
-    :func:`down_transitions` once per ``(pattern id, k)`` or
-    ``(pattern id, parent shape)`` and holds neighbour ids, so a step
-    never hashes a pattern.  The down fan depends on the parent node
-    only through its shape, and the terms of a down step seldom share a
-    parent node, so the shape is the key that repeats.  The ids mean
-    nothing outside the engine, and an engine lives for one call.
+    A node stands for a growth path: node 0 is the path ``((),)`` and
+    every other node extends its parent by one shape.  An up state is
+    ``{(pattern, node): amplitude}``; a down state is
+    ``{(pattern, node, word): amplitude}``, where the int ``word`` gains
+    ``(k - 1) * scale`` when letter ``k`` is read off.  A pattern is a
+    tuple, so it is its own key, and each step reads the cached fans of
+    :func:`up_transitions` and :func:`down_transitions` directly.  The
+    down fan depends on the parent node only through its shape.  Nodes
+    mean nothing outside the engine, and an engine lives for one call.
     """
 
     def __init__(self):
-        self.patterns: list[GTPattern] = []
-        self.pattern_ids: dict[GTPattern, int] = {}
         self.parents = [-1]
         self.shapes: list[Partition] = [()]
         self.children: dict[tuple[int, Partition], int] = {}
         self.nodes: dict[GrowthPath, int] = {}
         self.paths: dict[int, GrowthPath] = {}
-        self.up_fans: dict[tuple[int, int], tuple] = {}
-        self.down_fans: dict[tuple[int, Partition], tuple] = {}
-
-    def pattern_id(self, pattern: GTPattern) -> int:
-        pid = self.pattern_ids.get(pattern)
-        if pid is None:
-            pid = self.pattern_ids[pattern] = len(self.patterns)
-            self.patterns.append(pattern)
-        return pid
 
     def child(self, node: int, shape: Partition) -> int:
         key = (node, shape)
@@ -156,43 +140,23 @@ class Engine:
             young = self.paths[node] = tuple(reversed(shapes))
         return young
 
-    def start(self, d: int) -> dict[tuple[int, int], Radical]:
+    def start(self, d: int) -> dict[tuple[GTPattern, int], Radical]:
         """The up state of the empty word over ``{1..d}``."""
-        return {(self.pattern_id(empty_triplet(d).pattern), 0): ONE}
+        return {(empty_triplet(d).pattern, 0): ONE}
 
-    def label(self, triplet: SchurWeylTriplet) -> tuple[int, int]:
-        return self.pattern_id(triplet.pattern), self.node(triplet.young)
+    def labels(self, state: dict[SchurWeylTriplet, Radical]) -> dict:
+        return {(t.pattern, self.node(t.young)): amp for t, amp in state.items()}
 
-    def triplet(self, pid: int, node: int) -> SchurWeylTriplet:
-        return SchurWeylTriplet(self.patterns[pid], self.path(node))
-
-    def labels(self, state: dict[SchurWeylTriplet, Radical]) -> dict[tuple[int, int], Radical]:
-        return {self.label(triplet): amp for triplet, amp in state.items()}
-
-    def triplets(self, state: dict[tuple[int, int], Radical]) -> dict[SchurWeylTriplet, Radical]:
-        return {self.triplet(pid, node): amp for (pid, node), amp in state.items()}
-
-    def _up_fan(self, pid: int, k: int) -> tuple:
-        fan = self.up_fans[(pid, k)] = tuple(
-            (self.pattern_id(upper), upper.shape, edge)
-            for upper, edge in up_transitions(self.patterns[pid], k)
-        )
-        return fan
-
-    def _down_fan(self, pid: int, shape: Partition) -> tuple:
-        fan = self.down_fans[(pid, shape)] = tuple(
-            (self.pattern_id(lower), k - 1, edge)
-            for lower, k, edge in down_transitions(self.patterns[pid], shape)
-        )
-        return fan
+    def triplets(self, state: dict) -> dict[SchurWeylTriplet, Radical]:
+        return {SchurWeylTriplet(p, self.path(node)): amp for (p, node), amp in state.items()}
 
     def up(self, state: dict, k: int) -> dict:
         """Append letter ``k`` to every term of an up state."""
-        fans, children = self.up_fans, self.children
+        children = self.children
         out: dict = {}
-        for (pid, node), amp in state.items():
-            fan = fans.get((pid, k)) or self._up_fan(pid, k)
-            for upper, shape, edge in fan:
+        for (pattern, node), amp in state.items():
+            for upper, edge in up_transitions(pattern, k):
+                shape = upper.shape
                 child = children.get((node, shape))
                 if child is None:
                     child = self.child(node, shape)
@@ -201,14 +165,12 @@ class Engine:
 
     def down(self, state: dict, scale: int) -> dict:
         """Read the last letter off every term of a down state at level one or more."""
-        fans, parents, shapes = self.down_fans, self.parents, self.shapes
+        parents, shapes = self.parents, self.shapes
         out: dict = {}
-        for (pid, node, word), amp in state.items():
+        for (pattern, node, word), amp in state.items():
             parent = parents[node]
-            shape = shapes[parent]
-            fan = fans.get((pid, shape)) or self._down_fan(pid, shape)
-            for lower, digit, edge in fan:
-                _merge(out, (lower, parent, word + digit * scale), amp * edge)
+            for lower, k, edge in down_transitions(pattern, shapes[parent]):
+                _merge(out, (lower, parent, word + (k - 1) * scale), amp * edge)
         return out
 
 
@@ -239,11 +201,12 @@ def branch_down_state(
     for (triplet, word), amp in state.items():
         if not triplet.level:
             raise InvariantViolation("nonempty register", f"{word}")
-        labels[(*engine.label(triplet), words.setdefault(word, len(words)))] = amp
+        index = words.setdefault(word, len(words))
+        labels[(triplet.pattern, engine.node(triplet.young), index)] = amp
     # a word is its index among the input words plus (k - 1) times their count
     listed = list(words)
     scale = len(listed)
     return {
-        (engine.triplet(pid, node), (index // scale + 1, *listed[index % scale])): amp
-        for (pid, node, index), amp in engine.down(labels, scale).items()
+        (SchurWeylTriplet(p, engine.path(node)), (index // scale + 1, *listed[index % scale])): amp
+        for (p, node, index), amp in engine.down(labels, scale).items()
     }

@@ -66,17 +66,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_size_bound(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SCHUR_SIZE_BOUND")
-    if env is not None:
+    source, bound = "--size-bound", flag_value
+    if bound is None:
+        env = os.environ.get("SCHUR_SIZE_BOUND")
+        if env is None:
+            return DEFAULT_SIZE_BOUND
         try:
-            return int(env)
+            source, bound = "SCHUR_SIZE_BOUND", int(env)
         except ValueError:
             raise UsageError(
                 f"SCHUR_SIZE_BOUND must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_SIZE_BOUND
+    if bound < 0:
+        raise UsageError(f"{source} must be nonnegative, got {bound}")
+    return bound
 
 
 def _approx(amp: Radical) -> str:

@@ -10,7 +10,7 @@ DOT and JSON dumps are byte-stable for fixed ``(d, n_max)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from schurweyl.amplitudes import up_transitions
 from schurweyl.radicals import Radical
@@ -32,16 +32,14 @@ from schurweyl.tableaux import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SWYVertex:
+class SWYVertex(NamedTuple):
     id: int
     level: int
     shape: Partition
     pattern: GTPattern
 
 
-@dataclass(frozen=True, slots=True)
-class SWYEdge:
+class SWYEdge(NamedTuple):
     lower: int
     upper: int
     added_entry: int
@@ -203,14 +201,13 @@ def build(d: int, n_max: int) -> SWYGraph:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     vertices: list[SWYVertex] = []
-    # ids[level] maps the levels of each pattern there to its vertex id: a
-    # tuple hashes and compares at C speed, a GTPattern in Python
-    ids: list[dict[tuple, int]] = []
+    # ids[level] maps each pattern there to its vertex id
+    ids: list[dict[GTPattern, int]] = []
     for level in range(n_max + 1):
-        level_ids: dict[tuple, int] = {}
+        level_ids: dict[GTPattern, int] = {}
         for shape in partitions(level, d):
             for pattern in enumerate_gt(shape, d):
-                vid = level_ids[pattern.levels] = len(vertices)
+                vid = level_ids[pattern] = len(vertices)
                 vertices.append(SWYVertex(vid, level, shape, pattern))
         ids.append(level_ids)
     edges: list[SWYEdge] = []
@@ -219,7 +216,7 @@ def build(d: int, n_max: int) -> SWYGraph:
             break
         uppers = ids[v.level + 1]
         for k in range(1, d + 1):
-            fan = [(uppers[upper.levels], amp) for upper, amp in up_transitions(v.pattern, k)]
+            fan = [(uppers[upper], amp) for upper, amp in up_transitions(v.pattern, k)]
             fan.sort()  # ids are distinct within a fan, so no two amplitudes are compared
             edges += [SWYEdge(v.id, vid, k, amp) for vid, amp in fan]
     return SWYGraph(d, n_max, vertices, edges)

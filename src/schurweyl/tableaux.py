@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 GrowthPath = tuple[Partition, ...]
@@ -194,9 +193,12 @@ def enumerate_paths(shape: Partition) -> tuple[GrowthPath, ...]:
 # GT patterns
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    """Levels bottom-up: ``levels[j-1]`` has ``j`` entries, top level is the shape."""
+class GTPattern(NamedTuple):
+    """Levels bottom-up: ``levels[j-1]`` has ``j`` entries, top level is the shape.
+
+    A pattern is a tuple, so it hashes and compares at C speed wherever it
+    is a key.
+    """
 
     levels: tuple[tuple[int, ...], ...]
 
@@ -210,12 +212,13 @@ class GTPattern:
 
     @property
     def shape(self) -> Partition:
-        """The top level without its trailing zeros; validated where the pattern entered."""
+        """The top level without its trailing zeros; validated where the pattern entered.
+
+        The top level of a valid pattern is weakly decreasing, so its zeros
+        start at the first one.
+        """
         top = self.levels[-1]
-        end = len(top)
-        while end and not top[end - 1]:
-            end -= 1
-        return top[:end]
+        return top[: top.index(0)] if not top[-1] else top
 
     def key(self) -> tuple[int, ...]:
         """Sort key: entries read top level to bottom, left to right."""

@@ -9,7 +9,7 @@ whose unitarity is verified with exact arithmetic rather than assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from schurweyl.branching import Engine, SchurWeylTriplet, Word
 from schurweyl.radicals import ONE, ZERO, Radical
@@ -120,8 +120,7 @@ def schur_basis(d: int, n: int) -> list[SchurWeylTriplet]:
     return out
 
 
-@dataclass(frozen=True)
-class ExactSparseMatrix:
+class ExactSparseMatrix(NamedTuple):
     """Schur transform matrix: rows are triplets, columns are words."""
 
     d: int
@@ -154,7 +153,7 @@ def schur_matrix(
     check_size_bound(d, n, size_bound)
     basis = schur_basis(d, n)
     engine = Engine()
-    rows = {engine.label(triplet): row for row, triplet in enumerate(basis)}
+    rows = {(t.pattern, engine.node(t.young)): row for row, t in enumerate(basis)}
     entries: dict[tuple[int, int], Radical] = {}
     for col, state in enumerate(_column_states(engine, d, n)):
         for label, amp in state.items():

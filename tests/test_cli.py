@@ -605,6 +605,20 @@ def test_check_size_bound_precedence(monkeypatch, capsys):
     assert "SCHUR_SIZE_BOUND" in err
 
 
+def test_check_rejects_a_negative_size_bound(monkeypatch, capsys):
+    # a negative bound would skip unitarity at every size; zero stays valid
+    code, out, err = run(capsys, "check", "--d", "2", "--n", "2", "--size-bound", "-5")
+    assert (code, out) == (1, "")
+    assert "--size-bound" in err and "-5" in err
+    monkeypatch.setenv("SCHUR_SIZE_BOUND", "-5")
+    code, out, err = run(capsys, "check", "--d", "2", "--n", "2")
+    assert (code, out) == (1, "")
+    assert "SCHUR_SIZE_BOUND" in err and "-5" in err
+    code, out, _ = run(capsys, "check", "--d", "2", "--n", "2", "--size-bound", "0")
+    assert code == 0
+    assert "SKIP  unitarity  (d**n = 4 exceeds size bound 0)" in out
+
+
 def test_check_json_report(capsys):
     code, out, _ = run(capsys, "check", "--d", "2", "--n", "3", "--format", "json")
     assert code == 0

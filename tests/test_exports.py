@@ -7,8 +7,10 @@ from pathlib import Path
 
 import schurweyl
 from schurweyl import cli
-from schurweyl.graph import build
-from schurweyl.transform import decode, encode, state_from_json_obj
+from schurweyl.branching import SchurWeylTriplet
+from schurweyl.graph import SWYEdge, SWYVertex, build
+from schurweyl.tableaux import GTPattern
+from schurweyl.transform import ExactSparseMatrix, decode, encode, state_from_json_obj
 
 PACKAGE = Path(schurweyl.__file__).parent
 
@@ -162,7 +164,7 @@ def module_level_tables(source: str) -> list[str]:
 
 
 def test_no_process_wide_label_table():
-    # the branching engine numbers patterns and growth paths per call, the
+    # the branching engine numbers growth paths per call, the
     # state and graph writers and the reader keep their fragment and
     # amplitude tables per document, and the fans their hook tables per
     # miss; a module-level table would outlive the call, and no cache clear
@@ -237,3 +239,18 @@ def test_one_growth_path_reader():
         }
         assert not (defined | defined_names(tree)) & gone, path.name
     assert not gone & set(schurweyl.__all__)
+
+
+def test_records_are_tuples():
+    # the immutable records are named tuples, which hash and compare at C
+    # speed, so the branching engine keys its states by pattern and keeps no
+    # pattern ids or per-call copies of the fans
+    importing = sorted(
+        path.name for path in PACKAGE.rglob("*.py") if "dataclasses" in imported_modules(path)
+    )
+    assert importing == []
+    for record in (GTPattern, SchurWeylTriplet, SWYVertex, SWYEdge, ExactSparseMatrix):
+        assert issubclass(record, tuple), record.__name__
+    gone = {"pattern_id", "_up_fan", "_down_fan", "up_fans", "down_fans"}
+    for path in PACKAGE.rglob("*.py"):
+        assert not referenced_names(path) & gone, path.name

@@ -115,6 +115,18 @@ def test_round_trip_random_d3():
     assert len(seen) > 30
 
 
+def test_round_trip_large_alphabets():
+    # the engine keys its states by pattern, and a pattern at d = 64 holds
+    # 2 080 entries; these are the largest keys it hashes
+    for word, d in [
+        ((64, 1, 64), 64),
+        ((1, 33, 2), 64),
+        ((16, 16, 1, 9), 16),
+        ((8, 1, 8, 2, 5), 8),
+    ]:
+        assert decode(encode(word, d)) == {word: ONE}, (word, d)
+
+
 def test_schur_basis_counts():
     for d, n in [(2, 0), (2, 1), (2, 4), (3, 3), (4, 3)]:
         basis = schur_basis(d, n)
