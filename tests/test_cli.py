@@ -557,6 +557,38 @@ def test_graph_bytes_golden_at_bench_size(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "d, n, stdout_sha, dot_sha",
+    [
+        (
+            2, 30,
+            "92f5882fee3f5c6e58b4f12fa50e467d71b25b3dfb1fadc39d373fe8d689ba6d",
+            "d7a75782b81585d42776bbef346a23be00bb6a31fdf4a6808f603e3ec17d56e3",
+        ),
+        (
+            3, 9,
+            "a256a5233718ff11b7b9dfbb7723f70767038ea8b2af0fb97d42116c924652ac",
+            "69f21f36727558a075e32021ac9d9d5baab641aa25a9971b8a480ed737372efd",
+        ),
+        (
+            5, 5,
+            "31c368c2ebac21b9fdb2682f375520320f4aac575306cdbf01165ece52e76039",
+            "21238301a0a918448f0d9db73c250fc563ff5129a8ef61b6544c49494b405da8",
+        ),
+    ],
+    ids=["2-30", "3-9", "5-5"],
+)
+def test_graph_bytes_golden_at_other_bench_sizes(tmp_path, capsys, d, n, stdout_sha, dot_sha):
+    # the same bytes at the benchmark's three other sizes
+    dot_path = tmp_path / "swy.dot"
+    code, out, _ = run(
+        capsys, "graph", "--d", str(d), "--n", str(n), "--format", "json", "--dot", str(dot_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha
+
+
 def test_graph_level_zero(capsys):
     code, out, _ = run(capsys, "graph", "--d", "2", "--n", "0")
     assert code == 0
