@@ -7,7 +7,9 @@ at position ``tau_j``.  :func:`louck_amplitude` gives its amplitude by
 the closed-form product formula over partial hooks
 ``p_{i,j} = m_{i,j} + j - i`` of the lower pattern, valid for any
 alphabet size.  The amplitude is a signed square root of a rational, so
-it is always a single-term :class:`~schurweyl.radicals.Radical`.
+it is always a single-term :class:`~schurweyl.radicals.Radical`, and
+equal amplitudes are one shared object, made by
+:func:`~schurweyl.radicals.radical_from_sqrt`.
 
 The branching rule reads amplitudes from two cached fans, one per
 direction, and nowhere else: :func:`up_transitions` lists every edge
@@ -32,7 +34,6 @@ is kept as the reference that the tests and ``check`` compare against.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
 
 from schurweyl.radicals import Radical, radical_from_sqrt
 from schurweyl.tableaux import GTPattern, Partition, interlaces, pad_partition
@@ -104,7 +105,7 @@ def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
     for j, t_up in enumerate(taus, start=k):
         s, n, m = _level_factor(hooks[j - 2] if j > 1 else [], hooks[j - 1], t_lo, t_up)
         sign, num, den, t_lo = sign * s, num * n, den * m, t_up
-    return _sqrt(sign, num, den)
+    return radical_from_sqrt(sign, num, den)
 
 
 def _level_hooks(level: tuple[int, ...]) -> list[int]:
@@ -139,12 +140,6 @@ def _level_factor(below: list[int], row: list[int], t_lo: int, t_up: int):
     if den == 0:
         raise NotAnEdge(f"vanishing hook product at level {len(row)}")
     return (-1 if 0 < t_lo < t_up else 1), abs(num), abs(den)
-
-
-def _sqrt(sign: int, num: int, den: int) -> Radical:
-    # sign * sqrt(num/den), reduced first so the square-free split runs on less
-    g = gcd(num, den)
-    return radical_from_sqrt(sign, num // g, den // g)
 
 
 def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
@@ -235,7 +230,8 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
         candidates = extended
         under, below = row, hooks
     return tuple(
-        (GTPattern(placed), _sqrt(sign, num, den)) for placed, _, sign, num, den in candidates
+        (GTPattern(placed), radical_from_sqrt(sign, num, den))
+        for placed, _, sign, num, den in candidates
     )
 
 

@@ -2,7 +2,8 @@
 
 Results go to stdout and are byte-deterministic for fixed inputs; timing
 and error diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
-2 validation failure, 3 check-suite failure.
+2 validation failure, 3 check-suite failure, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early, with nothing on stderr.
 
 Every JSON document is the text of ``json.dumps(obj, indent=2)``.  The
 ``decode`` and ``check`` documents are written by ``json`` itself; the state
@@ -12,6 +13,8 @@ times, are laid out in one pass by :func:`_dumps_state` and
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -51,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CHECK = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -162,8 +166,9 @@ def _dumps_graph(graph) -> str:
     out here directly, with no object tree in between.  Each distinct shape,
     tableau row and amplitude is written once per document and its text
     reused; rows come from the graph's row list.  Amplitude texts are keyed
-    by their terms in stored order, because ``approx`` sums them in that
-    order and two equal radicals can print different floats.
+    by object: ``approx`` sums the terms in stored order, so two equal
+    radicals can print different floats, but one object always prints the
+    same text.  Equal amplitudes from the fans are one object.
     """
     field = "\n      "  # the line break and indent of a vertex's or edge's fields
     inner = field + "  "  # ... of a tableau row
@@ -189,8 +194,7 @@ def _dumps_graph(graph) -> str:
     edges = []
     for e in graph.edges:
         amp = e.amplitude
-        key = tuple(amp._terms.items())
-        value = amplitudes.get(key) or amplitudes.setdefault(key, _amplitude(amp, field))
+        value = amplitudes.get(id(amp)) or amplitudes.setdefault(id(amp), _amplitude(amp, field))
         edges.append(
             f'{{{field}"lower": {e.lower},{field}"upper": {e.upper},'
             f'{field}"k": {e.added_entry - shift},{field}"amplitude": {value}\n    }}'
@@ -404,7 +408,15 @@ def main(argv=None) -> int:
     try:
         # the command is looked up now, not bound into the cached parser,
         # so a cmd_* replaced after the parser was built still runs
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: what is left goes to devnull, so the
+        # interpreter's final flush cannot raise again
+        with contextlib.suppress(io.UnsupportedOperation):  # no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

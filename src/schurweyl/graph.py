@@ -183,13 +183,12 @@ class SWYGraph:
                     # only the empty tableau has no rows; its label is ()
                     lines.append(f'    v{vid} [label="{label or "()"}"];')
                 lines.append("  }")
-        # each distinct amplitude's text, made once per call and keyed by its
-        # stored terms, which is cheaper than hashing the amplitude
+        # each amplitude object's text, made once per call; equal amplitudes
+        # from the fans are one object
         texts: dict = {}
         for e in self.edges:
             amp = e.amplitude
-            key = tuple(amp._terms.items())
-            text = texts.get(key) or texts.setdefault(key, amp.to_string())
+            text = texts.get(id(amp)) or texts.setdefault(id(amp), amp.to_string())
             lines.append(f'  v{e.lower} -> v{e.upper} [label="{e.added_entry - shift}: {text}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ normalization checks rely on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, sqrt
 
 from schurweyl.tableaux import InvariantViolation, json_field
@@ -263,8 +264,8 @@ ONE = Radical({1: 1})
 def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:
     """Exact value of ``sign * sqrt(num/den)`` for integers ``num, den >= 0``.
 
-    ``sqrt(num/den) == sqrt(num*den)/den``, and the square part of
-    ``num*den`` folds into the rational coefficient.
+    Every nonzero value is one shared object, made on its first request:
+    equal values are the same :class:`Radical`, whatever their arguments.
     """
     if sign not in (-1, 0, 1):
         raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
@@ -272,7 +273,17 @@ def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:
         raise ValueError(f"expected num >= 0 and den > 0, got {num}/{den}")
     if sign == 0 or num == 0:
         return ZERO
+    # gcd takes ints only, so the cache below is keyed by exact ints
+    g = gcd(num, den)
+    return _signed_root(sign < 0, num // g, den // g)
+
+
+@cache
+def _signed_root(negative: bool, num: int, den: int) -> Radical:
+    # sqrt(num/den) == sqrt(num*den)/den for coprime num, den > 0; the square
+    # part of num*den folds into the coefficient, and the result is canonical
+    # once reduced
     s, m = squarefree_decompose(num * den)
-    # m is square-free and the coefficient nonzero: canonical once reduced
     g = gcd(s, den)
-    return _new({m: (sign * s // g, den // g)})
+    coefficient = s // g
+    return _new({m: (-coefficient if negative else coefficient, den // g)})

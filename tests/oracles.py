@@ -3,8 +3,14 @@
 The package holds a standard Young tableau as its growth path and a Weyl
 tableau as its Gelfand-Tsetlin pattern; these helpers read and list the
 row grids directly, so the tests can hold the package's forms to them.
+:func:`module_caches` lists the package's caches, for tests that clear them.
 """
 
+import importlib
+import pkgutil
+from pathlib import Path
+
+import schurweyl
 from schurweyl.amplitudes import NotAnEdge, louck_amplitude, transition_context
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
@@ -99,3 +105,20 @@ def down_fan(upper: GTPattern, shape: Partition) -> list[tuple[GTPattern, int, R
         edges.append(((-k, taus[::-1]), lower, k))
     edges.sort(key=lambda edge: edge[0])
     return [(lower, k, louck_amplitude(lower, upper)) for _, lower, k in edges]
+
+
+def module_caches() -> list:
+    """Every functools cache bound to a name of a package module."""
+    package = Path(schurweyl.__file__).parent
+    modules = [schurweyl] + [
+        importlib.import_module(f"schurweyl.{info.name}")
+        for info in pkgutil.iter_modules([str(package)])
+    ]
+    found = {}
+    for module in modules:
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)) and callable(
+                getattr(obj, "cache_info", None)
+            ):
+                found[id(obj)] = obj
+    return list(found.values())

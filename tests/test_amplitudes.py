@@ -318,14 +318,15 @@ def test_multiple_uppers_share_letter_and_shape():
 
 
 def test_amplitude_cache_hygiene():
-    # the fans are the only caches: each holds its amplitudes, and the
-    # formulas run on a fan miss only
+    # each fan holds its amplitudes, the formulas run on a fan miss only,
+    # and an amplitude is the one shared object of its value
     lower, upper = gt2(2, 2, 1), gt2(2, 3, 1)
     fan = up_transitions(lower, 2)
     assert up_transitions(lower, 2) is fan
     assert down_transitions(upper, (2, 1)) is down_transitions(upper, (2, 1))
     [amp] = [amp for u, amp in fan if u == upper]
     assert amp == louck_amplitude(lower, upper) == radical_from_sqrt(1, 1, 2)
+    assert radical_from_sqrt(1, 1, 2) is amp
     [(_, k, down_amp)] = [e for e in down_transitions(upper, (2, 1)) if e[0] == lower]
     assert (k, down_amp) == (2, amp)
     assert down_amp is amp  # the down fan holds the up fan's own amplitude

@@ -667,16 +667,20 @@ def test_check_failure_exit_code(monkeypatch, capsys):
     assert "FAIL  unitarity" in out
 
 
-def fresh_process(*argv) -> subprocess.CompletedProcess:
-    """``python -m schurweyl.cli *argv`` in a child process."""
+def child_env() -> dict:
     # the child process finds the package where this one imported it from
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def fresh_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m schurweyl.cli *argv`` in a child process."""
     return subprocess.run(
         [sys.executable, "-m", "schurweyl.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 
@@ -684,3 +688,55 @@ def test_module_entry_point():
     result = fresh_process("encode", "--d", "2", "0101")
     assert result.returncode == 0
     assert result.stdout == GOLDEN_0101
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # a reader that stops after one line, like `| head -1`: the graph
+    # document is far larger than a pipe buffer, so the writes after it fail
+    child = subprocess.Popen(
+        [sys.executable, "-m", "schurweyl.cli", "graph", "--d", "2", "--n", "30",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    assert child.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_pipe_closed_before_the_first_write(buffered):
+    # like `encode ... | (exec 0<&-; true)`: a buffered stdout holds the short
+    # output until the flush, which must fail inside main, and so must not
+    # fail again when the interpreter flushes at exit
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "schurweyl.cli", "encode", "--d", "2", "0101"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    assert (result.returncode, result.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def test_broken_pipe_in_process_keeps_stdout(monkeypatch, capsys):
+    # a caller whose stdout has no descriptor gets the code and its stream back
+    def cmd_encode(args):
+        print("partial")
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_encode", cmd_encode)
+    code, out, err = run(capsys, "encode", "--d", "2", "0101")
+    assert (code, out, err) == (cli.EXIT_BROKEN_PIPE, "partial\n", "")
+    assert run(capsys, "encode", "--d", "2", "0101")[0] == cli.EXIT_BROKEN_PIPE
+    monkeypatch.undo()
+    assert run(capsys, "encode", "--d", "2", "0101")[1] == GOLDEN_0101

@@ -1,7 +1,5 @@
 import ast
-import importlib
 import json
-import pkgutil
 import re
 from pathlib import Path
 
@@ -12,6 +10,8 @@ from schurweyl.graph import SWYEdge, SWYVertex, build
 from schurweyl.tableaux import GTPattern
 from schurweyl.transform import ExactSparseMatrix, decode, encode, state_from_json_obj
 
+from oracles import module_caches
+
 PACKAGE = Path(schurweyl.__file__).parent
 
 
@@ -19,22 +19,6 @@ def test_all_names_resolve():
     missing = [name for name in schurweyl.__all__ if not hasattr(schurweyl, name)]
     assert missing == []
     assert len(set(schurweyl.__all__)) == len(schurweyl.__all__)
-
-
-def module_caches() -> list:
-    """Every functools cache bound to a name of a package module."""
-    modules = [schurweyl] + [
-        importlib.import_module(f"schurweyl.{info.name}")
-        for info in pkgutil.iter_modules([str(PACKAGE)])
-    ]
-    found = {}
-    for module in modules:
-        for obj in vars(module).values():
-            if callable(getattr(obj, "cache_clear", None)) and callable(
-                getattr(obj, "cache_info", None)
-            ):
-                found[id(obj)] = obj
-    return list(found.values())
 
 
 def test_cache_inventory():
@@ -167,9 +151,11 @@ def test_no_process_wide_label_table():
     # the branching engine numbers growth paths per call, the
     # state and graph writers and the reader keep their fragment and
     # amplitude tables per document, and the fans their hook tables per
-    # miss; a module-level table would outlive the call, and no cache clear
-    # could renumber or empty it consistently with what callers still hold
-    for name in ("branching.py", "transform.py", "cli.py", "graph.py", "amplitudes.py"):
+    # miss, and the shared radicals live in a cache; a module-level table
+    # would outlive the call, and no cache clear could renumber or empty it
+    # consistently with what callers still hold
+    names = ("branching.py", "transform.py", "cli.py", "graph.py", "amplitudes.py", "radicals.py")
+    for name in names:
         assert module_level_tables((PACKAGE / name).read_text()) == [], name
     planted = (
         "A = {}\nB: list = []\nC = {1}\nD = dict()\nE = collections.defaultdict(int)\n"
@@ -254,3 +240,12 @@ def test_records_are_tuples():
     gone = {"pattern_id", "_up_fan", "_down_fan", "up_fans", "down_fans"}
     for path in PACKAGE.rglob("*.py"):
         assert not referenced_names(path) & gone, path.name
+
+
+def test_terms_only_in_radicals():
+    # a Radical is shared by every edge that has its value, so an in-place
+    # edit of its term map would change them all: only the ring names it
+    naming = sorted(
+        path.name for path in PACKAGE.rglob("*.py") if "_terms" in referenced_names(path)
+    )
+    assert naming == ["radicals.py"]

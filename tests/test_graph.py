@@ -322,8 +322,8 @@ def test_graph_writer_keeps_term_order_of_equal_amplitudes():
 
 
 def test_dot_keeps_text_of_equal_amplitudes_in_either_term_order():
-    # to_dot keys its texts by stored terms; to_string sorts the terms, so
-    # both stored orders of one sum must still print the same text
+    # to_dot keys its texts by object; to_string sorts the terms, so both
+    # stored orders of one sum must still print the same text
     terms = [
         {"radicand": 2, "num": 1, "den": 10},
         {"radicand": 3, "num": 1, "den": 5},
@@ -342,6 +342,14 @@ def test_dot_keeps_text_of_equal_amplitudes_in_either_term_order():
     assert hashlib.sha256(dot.encode()).hexdigest() == (
         "b0c897f3c35605d72f521198993f80d81a9ce938d6925ba133705c7f4725b3c2"
     )
+
+
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 6), (4, 4), (5, 4)])
+def test_equal_edge_amplitudes_are_one_object(d, n):
+    # the writers key amplitude texts by object, so each distinct value of a
+    # built graph is formatted once only if it is one object
+    g = build(d, n)
+    assert len({id(e.amplitude) for e in g.edges}) == len({e.amplitude for e in g.edges})
 
 
 def test_serializers_format_each_amplitude_once(monkeypatch):

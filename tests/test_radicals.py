@@ -15,6 +15,8 @@ from schurweyl.radicals import (
 )
 from schurweyl.tableaux import InvariantViolation
 
+from oracles import module_caches
+
 
 def brute_squarefree(n):
     # Oracle: largest square divisor by direct search.
@@ -90,6 +92,44 @@ def test_from_sqrt_matches_constructor():
                 assert r == Radical({num * den: Fraction(sign, den)})
                 (m,) = r.terms
                 assert brute_squarefree(m) == (1, m)
+
+
+def test_from_sqrt_shares_one_object_per_value():
+    for cache in module_caches():
+        cache.cache_clear()
+    half = radical_from_sqrt(-1, 2, 4)
+    # every argument triple of one value, before and after its first call
+    assert radical_from_sqrt(-1, 1, 2) is half
+    assert radical_from_sqrt(-1, 6, 12) is half
+    assert radical_from_sqrt(1, 1, 2) is not half
+    assert radical_from_sqrt(1, 1, 2) == -half
+    # a float or bool sign that passes the sign check gives the int result
+    assert radical_from_sqrt(1.0, 2, 1) is radical_from_sqrt(True, 2, 1)
+    assert radical_from_sqrt(1.0, 2, 1)._terms == {2: (1, 1)}
+
+
+@pytest.mark.parametrize(
+    "args, valid, error",
+    [
+        ((1, 2.0, 1), (1, 2, 1), TypeError),
+        ((1, 4, 1.0), (1, 4, 1), TypeError),
+        ((2, 1, 1), (1, 1, 1), ValueError),
+        ((-1, -3, 1), (-1, 3, 1), ValueError),
+    ],
+    ids=["float-num", "float-den", "bad-sign", "negative-num"],
+)
+def test_from_sqrt_rejects_alike_whatever_is_cached(args, valid, error):
+    # the shared objects are keyed by checked ints, so a cached valid value
+    # never answers for arguments the checks reject
+    for cache in module_caches():
+        cache.cache_clear()
+    for _ in range(2):
+        with pytest.raises(error):
+            radical_from_sqrt(*args)
+    radical_from_sqrt(*valid)
+    for _ in range(2):
+        with pytest.raises(error):
+            radical_from_sqrt(*args)
 
 
 def test_mul_cross_radicands():
