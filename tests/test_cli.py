@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from schurweyl import cli
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.graph import SWYGraph, build
-from schurweyl.radicals import ONE, Radical, radical_from_sqrt
+from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import parse_word, weyl_to_gt
-from schurweyl.transform import encode, state_from_json_obj
+from schurweyl.transform import encode, schur_matrix, state_from_json_obj
 
 from oracles import syt_to_path
 
@@ -660,11 +660,64 @@ def test_check_json_report(capsys):
     assert [s["status"] for s in report["suites"]] == ["pass"] * 4
 
 
-def test_check_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_unitary", lambda matrix: False)
-    code, out, _ = run(capsys, "check", "--d", "2", "--n", "2")
+def test_check_text_golden_d2(capsys):
+    code, out, err = run(capsys, "check", "--d", "2", "--n", "6")
+    assert code == 0
+    assert out == (
+        "PASS  pattern-louck equivalence  (112 edges)\n"
+        "PASS  column normalization  (64 words)\n"
+        "PASS  dimension identity  (n <= 6)\n"
+        "PASS  unitarity  (64 x 64)\n"
+    )
+    assert err.startswith("info: encode cost ") and err.endswith(" ms/word over 64 words\n")
+
+
+def _first_norm_zero(d, n, column_norms=cli.column_norms):
+    for i, norm in enumerate(column_norms(d, n)):
+        yield ZERO if i == 0 else norm
+
+
+# the cli name each suite reads, in report order, and a fake that fails it
+SUITE_FAKES = {
+    "pattern_amplitude_d2": lambda lower, upper: ZERO,
+    "column_norms": _first_norm_zero,
+    "dimension_check": lambda d, n: False,
+    "verify_unitary": lambda matrix: False,
+}
+
+
+@pytest.mark.parametrize("name", SUITE_FAKES)
+def test_check_failure_exit_code(monkeypatch, capsys, name):
+    argv = ["check", "--d", "2", "--n", "2"]
+    _, text, _ = run(capsys, *argv)
+    _, report, _ = run(capsys, *argv, "--format", "json")
+    lines, report = text.splitlines(), json.loads(report)
+    monkeypatch.setattr(cli, name, SUITE_FAKES[name])
+    index = list(SUITE_FAKES).index(name)
+    code, out, _ = run(capsys, *argv)
     assert code == 3
-    assert "FAIL  unitarity" in out
+    lines[index] = lines[index].replace("PASS", "FAIL", 1)
+    assert out.splitlines() == lines
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    report["suites"][index]["status"] = "fail"
+    assert json.loads(out) == report
+
+
+@pytest.mark.parametrize("d, n, bound", [(2, 4, "4096"), (2, 4, "15")])
+def test_check_calls_schur_matrix_once_through_cli(monkeypatch, capsys, d, n, bound):
+    # the check benchmark workload counts nonzeros by replacing cli.schur_matrix
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return schur_matrix(*args)
+
+    monkeypatch.setattr(cli, "schur_matrix", recording)
+    code, out, _ = run(capsys, "check", "--d", str(d), "--n", str(n), "--size-bound", bound)
+    assert code == 0
+    assert calls == [(d, n, int(bound))]
+    assert ("SKIP  unitarity" in out) == (d**n > int(bound))
 
 
 def child_env() -> dict:

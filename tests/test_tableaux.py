@@ -374,6 +374,11 @@ def test_canonical_weyl_order():
         for shape in [(2,), (2, 1), (3, 1)]:
             keys = [weyl_to_gt(t, d).key() for t in enumerate_weyl(shape, d)]
             assert keys == sorted(keys, reverse=True)
+    # enumerate_gt yields that order itself
+    shapes = [(d, s) for d in range(1, 6) for n in range(7) for s in partitions(n, d)]
+    for d, shape in [*shapes, (8, (3, 2, 1))]:
+        keys = [p.key() for p in enumerate_gt(shape, d)]
+        assert keys == sorted(keys, reverse=True)
 
 
 # ---------------------------------------------------------------------------
