@@ -305,7 +305,8 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
     top = pad_partition(shape, d)
 
     def children(level: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        spans = [range(level[i + 1], level[i] + 1) for i in range(len(level) - 1)]
+        # each span descends, so the product comes out in canonical order
+        spans = [range(level[i], level[i + 1] - 1, -1) for i in range(len(level) - 1)]
         return itertools.product(*spans)
 
     patterns: list[list[tuple[int, ...]]] = [[top]]
@@ -313,9 +314,7 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
         patterns = [
             [child, *stack] for stack in patterns for child in children(stack[0])
         ]
-    out = [GTPattern(tuple(stack)) for stack in patterns]
-    out.sort(key=GTPattern.key, reverse=True)
-    return tuple(out)
+    return tuple(GTPattern(tuple(stack)) for stack in patterns)
 
 
 # ---------------------------------------------------------------------------
