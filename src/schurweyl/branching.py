@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from schurweyl.amplitudes import down_transitions, up_transitions
-from schurweyl.radicals import ONE, Radical
+from schurweyl.radicals import ONE, Radical, add_product, nonzero_radicals
 from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
@@ -78,16 +78,6 @@ def empty_triplet(d: int) -> SchurWeylTriplet:
     return SchurWeylTriplet(GTPattern(tuple((0,) * j for j in range(1, d + 1))), ((),))
 
 
-def _merge(acc: dict, key, amp: Radical) -> None:
-    # setdefault hashes a new key once; a state holds no zero amplitude
-    size = len(acc)
-    held = acc.setdefault(key, amp)
-    if len(acc) == size:
-        amp = acc[key] = held + amp
-    if not amp:
-        del acc[key]
-
-
 class Engine:
     """The growth-path trie that the branching steps of one call share.
 
@@ -98,8 +88,11 @@ class Engine:
     ``(k - 1) * scale`` when letter ``k`` is read off.  A pattern is a
     tuple, so it is its own key, and each step reads the cached fans of
     :func:`up_transitions` and :func:`down_transitions` directly.  The
-    down fan depends on the parent node only through its shape.  Nodes
-    mean nothing outside the engine, and an engine lives for one call.
+    down fan depends on the parent node only through its shape.  A step
+    adds each term's products into one term map per output key
+    (:func:`~schurweyl.radicals.add_product`) and wraps the maps that did
+    not cancel once, at its end.  Nodes mean nothing outside the engine,
+    and an engine lives for one call.
     """
 
     def __init__(self):
@@ -153,25 +146,26 @@ class Engine:
     def up(self, state: dict, k: int) -> dict:
         """Append letter ``k`` to every term of an up state."""
         children = self.children
-        out: dict = {}
+        sums: dict = {}
         for (pattern, node), amp in state.items():
             for upper, edge in up_transitions(pattern, k):
                 shape = upper.shape
                 child = children.get((node, shape))
                 if child is None:
                     child = self.child(node, shape)
-                _merge(out, (upper, child), amp * edge)
-        return out
+                add_product(sums.setdefault((upper, child), {}), amp, edge)
+        return nonzero_radicals(sums)
 
     def down(self, state: dict, scale: int) -> dict:
         """Read the last letter off every term of a down state at level one or more."""
         parents, shapes = self.parents, self.shapes
-        out: dict = {}
+        sums: dict = {}
         for (pattern, node, word), amp in state.items():
             parent = parents[node]
             for lower, k, edge in down_transitions(pattern, shapes[parent]):
-                _merge(out, (lower, parent, word + (k - 1) * scale), amp * edge)
-        return out
+                key = (lower, parent, word + (k - 1) * scale)
+                add_product(sums.setdefault(key, {}), amp, edge)
+        return nonzero_radicals(sums)
 
 
 def branch_up_state(

@@ -93,6 +93,38 @@ def _new(terms: dict[int, tuple[int, int]]) -> "Radical":
     return out
 
 
+def add_product(terms: dict, a: "Radical", b: "Radical") -> None:
+    """Add ``a * b`` into the term map ``terms`` in place, keeping it canonical.
+
+    A map starts empty, and only this function writes it until
+    :func:`nonzero_radicals` wraps it.  It is never a :class:`Radical`'s
+    own map: the fans share one object among every edge of a value.  Its
+    radicands end in the order that ``acc + a * b`` gives for the value
+    ``acc`` it held before, and ``to_float`` sums terms in stored order, so
+    the wrapped value's float is the one that sum would have.
+    """
+    x, y = a._terms, b._terms
+    if len(x) > 1 and len(y) > 1:
+        # two sums can meet on one radicand inside their product, so it is
+        # folded first, as ``acc + a * b`` folds it
+        x, y = a.mul(b)._terms, ONE._terms
+    # times one root, distinct radicands stay distinct, so each term of the
+    # product reaches the map once, in the order ``mul`` lists them
+    for m1, (p1, q1) in x.items():
+        for m2, (p2, q2) in y.items():
+            g = gcd(m1, m2)
+            _accumulate(terms, (m1 // g) * (m2 // g), p1 * p2 * g, q1 * q2)
+
+
+def nonzero_radicals(maps: dict) -> dict:
+    """``{key: Radical}`` for every non-empty term map of ``{key: terms}``.
+
+    Each :class:`Radical` takes its map over, so the caller writes the maps
+    no more.
+    """
+    return {key: _new(terms) for key, terms in maps.items() if terms}
+
+
 class Radical:
     """An exact real number ``sum_m c_m * sqrt(m)`` in canonical form.
 

@@ -12,7 +12,7 @@ import itertools
 from typing import NamedTuple
 
 from schurweyl.branching import Engine, SchurWeylTriplet, Word
-from schurweyl.radicals import ONE, ZERO, Radical
+from schurweyl.radicals import ONE, ZERO, Radical, add_product, nonzero_radicals
 from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
@@ -101,7 +101,10 @@ def column_norms(d: int, n: int):
     """The exact squared norm of ``encode(word, d)`` for every word of :func:`words`, in order."""
     check_alphabet(d)
     for state in _column_states(Engine(), d, n):
-        yield sum((amp.square() for amp in state.values()), ZERO)
+        norm: dict = {}
+        for amp in state.values():
+            add_product(norm, amp, amp)
+        yield nonzero_radicals({0: norm}).get(0, ZERO)
 
 
 def words(d: int, n: int):
@@ -165,21 +168,17 @@ def verify_unitary(m: ExactSparseMatrix) -> bool:
     """Exact check that m times its transpose is the identity.
 
     Amplitudes are real, so unitarity reduces to orthonormal rows;
-    accumulating over columns touches each nonzero entry pair once.
+    accumulating over columns touches each nonzero entry pair once, and
+    each row pair's sum is one term map until the end.
     """
-    gram: dict[tuple[int, int], Radical] = {}
+    sums: dict[tuple[int, int], dict] = {}
     for column in m.columns():
         rows = sorted(column)
-        for a in rows:
-            for b in rows:
-                if a <= b:
-                    key = (a, b)
-                    gram[key] = gram.get(key, ZERO) + column[a] * column[b]
-    for (a, b), value in gram.items():
-        expected = ONE if a == b else ZERO
-        if value != expected:
-            return False
-    return all(gram.get((r, r)) == ONE for r in range(m.size))
+        for i, a in enumerate(rows):
+            amp = column[a]
+            for b in rows[i:]:
+                add_product(sums.setdefault((a, b), {}), amp, column[b])
+    return nonzero_radicals(sums) == {(r, r): ONE for r in range(m.size)}
 
 
 def dimension_check(d: int, n: int) -> bool:

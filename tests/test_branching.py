@@ -24,10 +24,12 @@ from schurweyl.tableaux import (
     weyl_to_gt,
 )
 from schurweyl.transform import (
+    column_norms,
     computational_to_json_obj,
     decode,
     encode,
     schur_matrix,
+    verify_unitary,
     words,
 )
 
@@ -290,28 +292,62 @@ def test_engine_matches_reference_fold(d, n):
         assert decode(state) == reference_decode(state) == {word: ONE}
 
 
+def assert_same_state(got, want):
+    # approx sums a value's terms in stored order, so bit-equal floats pin
+    # that the engine stores them in the order of the reference's get + mul
+    assert got == want
+    assert {key: amp.to_float().hex() for key, amp in got.items()} == {
+        key: amp.to_float().hex() for key, amp in want.items()
+    }
+
+
+def superposition(rng, pool, d, draw_weight):
+    state = {}
+    for word in rng.sample(pool, 3):
+        weight = draw_weight()
+        for t, amp in encode(word, d).items():
+            state[t] = state.get(t, ZERO) + amp * weight
+    return {t: amp for t, amp in state.items() if amp}
+
+
 def test_engine_matches_reference_on_superpositions():
     # decode of a sum of columns, where terms of different words merge and cancel
     rng = random.Random(11)
     for d, n in [(2, 6), (3, 4)]:
         pool = list(words(d, n))
         for _ in range(5):
-            state = {}
-            for word in rng.sample(pool, 3):
-                weight = radical_from_sqrt(1, rng.randint(1, 5), 1)
-                for t, amp in encode(word, d).items():
-                    state[t] = state.get(t, ZERO) + amp * weight
-            state = {t: amp for t, amp in state.items() if amp}
-            assert decode(state) == reference_decode(state)
+            state = superposition(
+                rng, pool, d, lambda: radical_from_sqrt(1, rng.randint(1, 5), 1)
+            )
+            assert_same_state(decode(state), reference_decode(state))
         for word in rng.sample(pool, 5):
             for k in range(1, d + 1):
                 state = encode(word, d)
-                assert branch_up_state(state, k) == reference_up(state, k)
+                assert_same_state(branch_up_state(state, k), reference_up(state, k))
                 terms = {(t, (k,)): amp for t, amp in state.items()}
-                assert branch_down_state(terms) == reference_down(terms)
+                assert_same_state(branch_down_state(terms), reference_down(terms))
             # words of mixed lengths and letters ride along unchanged
             terms = {(t, word[: i % 3]): amp for i, (t, amp) in enumerate(state.items())}
-            assert branch_down_state(terms) == reference_down(terms)
+            assert_same_state(branch_down_state(terms), reference_down(terms))
+        # two-root weights give amplitudes of three and four terms, whose
+        # float sums depend on the order of their terms
+        widths = set()
+        for _ in range(5):
+            state = superposition(
+                rng,
+                pool,
+                d,
+                lambda: radical_from_sqrt(1, rng.randint(1, 5), 1)
+                + radical_from_sqrt(-1, rng.randint(6, 12), 1),
+            )
+            decoded = decode(state)
+            assert_same_state(decoded, reference_decode(state))
+            widths.update(len(amp.terms) for amp in [*state.values(), *decoded.values()])
+            for k in range(1, d + 1):
+                assert_same_state(branch_up_state(state, k), reference_up(state, k))
+                terms = {(t, (k,)): amp for t, amp in state.items()}
+                assert_same_state(branch_down_state(terms), reference_down(terms))
+        assert max(widths) >= 3
 
 
 @pytest.mark.parametrize("d, n", [(2, 8), (3, 5), (4, 4)])
@@ -344,3 +380,55 @@ def test_encode_survives_cache_clear():
         cache.cache_clear()
     assert encode(word, 3) == before
     assert decode(before) == {word: ONE}
+
+
+def fan_edges(d, n):
+    """Every up- and down-fan amplitude up to level ``n``, keyed by its edge."""
+    edges = {}
+    for level in range(n + 1):
+        for shape in partitions(level, d):
+            for pattern in enumerate_gt(shape, d):
+                if level < n:
+                    for k in range(1, d + 1):
+                        for upper, edge in up_transitions(pattern, k):
+                            edges[("up", pattern, k, upper)] = edge
+                for row, length in enumerate(shape):
+                    if shape[row + 1 : row + 2] == (length,):
+                        continue  # one box less in this row is not a partition
+                    rows = (*shape[:row], length - 1, *shape[row + 1 :])
+                    for lower, k, edge in down_transitions(pattern, tuple(x for x in rows if x)):
+                        edges[("down", pattern, lower, k)] = edge
+    return edges
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
+def test_steps_leave_shared_amplitudes_and_drop_zeros(d, n):
+    # the fans hand the engine shared Radicals, one object per value; a step
+    # that wrote into one would change every edge of that value
+    edges = fan_edges(d, n)
+    assert len(set(map(id, edges.values()))) < len(edges)
+    texts = {key: str(edge) for key, edge in edges.items()}
+    rng = random.Random(5)
+    pool = list(words(d, n))
+    outputs = []
+    for word in pool:
+        state = encode(word, d)
+        outputs += [state, decode(state)]
+    for _ in range(4):
+        state = superposition(
+            rng, pool, d, lambda: radical_from_sqrt(1, rng.randint(1, 7), 1)
+        )
+        outputs += [state, decode(state)]
+        for k in range(1, d + 1):
+            outputs.append(branch_up_state(state, k))
+            outputs.append(branch_down_state({(t, (k,)): amp for t, amp in state.items()}))
+    # the sum of all basis states at a level, whose ONE amplitudes make every
+    # product an edge's own value, and whose terms meet on many keys
+    for k in range(1, d + 1):
+        outputs.append(branch_up_state(dict.fromkeys(all_triplets(n - 1, d), ONE), k))
+    outputs.append(branch_down_state({(t, ()): ONE for t in all_triplets(n, d)}))
+    assert all(amp for output in outputs for amp in output.values())
+    assert {key: str(edge) for key, edge in edges.items()} == texts
+    assert verify_unitary(schur_matrix(d, n))
+    assert all(norm == ONE for norm in column_norms(d, n))
+    assert {key: str(edge) for key, edge in edges.items()} == texts
