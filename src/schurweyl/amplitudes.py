@@ -22,9 +22,9 @@ one pattern, so a level's factor depends only on the positions of the
 boxes added there and one level below, and is computed once per pair
 of positions and fan.  The down fan's scan only lists the
 ``(lower, k)`` pairs that reach a pattern and takes each amplitude from
-the up fan of letter ``k`` at that lower, so every amplitude the engine
-reads is an entry of one cached up fan.  :func:`louck_amplitude` is the same
-formula for one pair, the reference the tests hold both fans to.
+the up fan of letter ``k`` at that lower, so every amplitude the branching
+steps read is an entry of one cached up fan.  :func:`louck_amplitude` is the
+same formula for one pair, the reference the tests hold both fans to.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and

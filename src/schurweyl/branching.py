@@ -14,9 +14,15 @@ A state is a plain ``{label: amplitude}`` dict that holds no zero
 amplitude.  Triplets are validated where they enter the package
 (:func:`validate_triplet`, the JSON readers), not on every step here.
 
-Every step runs on :class:`Engine`, which numbers growth paths for the
-length of one call and keys each term by its pattern itself; triplets
-are made from the labels only where a call returns.
+Every step is one of two functions, :func:`up` and :func:`down`, which
+key each term by its pattern and its growth path themselves: a step
+appends the upper shape to the path, or drops its last step.  A step
+adds each term's products into one term map per output key
+(:func:`~schurweyl.radicals.add_product`) and wraps the maps that did
+not cancel once, at its end.  Triplets are made from the keys only where
+a call returns.  A key holds its whole path, so a step costs time linear
+in the level per term; a state of one term, as at ``d = 1``, costs time
+quadratic in the word length over a whole word.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from schurweyl.amplitudes import down_transitions, up_transitions
-from schurweyl.radicals import ONE, Radical, add_product, nonzero_radicals
+from schurweyl.radicals import Radical, add_product, nonzero_radicals
 from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
@@ -78,94 +84,35 @@ def empty_triplet(d: int) -> SchurWeylTriplet:
     return SchurWeylTriplet(GTPattern(tuple((0,) * j for j in range(1, d + 1))), ((),))
 
 
-class Engine:
-    """The growth-path trie that the branching steps of one call share.
+def up(state: dict, k: int) -> dict:
+    """Append letter ``k`` to every term of an up state ``{(pattern, young): amplitude}``.
 
-    A node stands for a growth path: node 0 is the path ``((),)`` and
-    every other node extends its parent by one shape.  An up state is
-    ``{(pattern, node): amplitude}``; a down state is
-    ``{(pattern, node, word): amplitude}``, where the int ``word`` gains
-    ``(k - 1) * scale`` when letter ``k`` is read off.  A pattern is a
-    tuple, so it is its own key, and each step reads the cached fans of
-    :func:`up_transitions` and :func:`down_transitions` directly.  The
-    down fan depends on the parent node only through its shape.  A step
-    adds each term's products into one term map per output key
-    (:func:`~schurweyl.radicals.add_product`) and wraps the maps that did
-    not cancel once, at its end.  Nodes mean nothing outside the engine,
-    and an engine lives for one call.
+    Each edge of the up fan grows the growth path by the upper pattern's
+    shape.  A triplet is a ``(pattern, young)`` pair, so a triplet state is
+    an up state too; the keys returned are plain pairs.
     """
+    sums: dict = {}
+    for (pattern, young), amp in state.items():
+        for upper, edge in up_transitions(pattern, k):
+            add_product(sums.setdefault((upper, young + (upper.shape,)), {}), amp, edge)
+    return nonzero_radicals(sums)
 
-    def __init__(self):
-        self.parents = [-1]
-        self.shapes: list[Partition] = [()]
-        self.children: dict[tuple[int, Partition], int] = {}
-        self.nodes: dict[GrowthPath, int] = {}
-        self.paths: dict[int, GrowthPath] = {}
 
-    def child(self, node: int, shape: Partition) -> int:
-        key = (node, shape)
-        child = self.children.get(key)
-        if child is None:
-            child = self.children[key] = len(self.parents)
-            self.parents.append(node)
-            self.shapes.append(shape)
-        return child
+def down(state: dict, scale: int) -> dict:
+    """Read the last letter off every term of a down state at level one or more.
 
-    def node(self, young: GrowthPath) -> int:
-        """The node of a growth path the package made or validated."""
-        node = self.nodes.get(young)
-        if node is None:
-            node = 0
-            for shape in young[1:]:
-                node = self.child(node, shape)
-            self.nodes[young] = node
-        return node
-
-    def path(self, node: int) -> GrowthPath:
-        young = self.paths.get(node)
-        if young is None:
-            shapes = []
-            at = node
-            while at > 0:
-                shapes.append(self.shapes[at])
-                at = self.parents[at]
-            shapes.append(())
-            young = self.paths[node] = tuple(reversed(shapes))
-        return young
-
-    def start(self, d: int) -> dict[tuple[GTPattern, int], Radical]:
-        """The up state of the empty word over ``{1..d}``."""
-        return {(empty_triplet(d).pattern, 0): ONE}
-
-    def labels(self, state: dict[SchurWeylTriplet, Radical]) -> dict:
-        return {(t.pattern, self.node(t.young)): amp for t, amp in state.items()}
-
-    def triplets(self, state: dict) -> dict[SchurWeylTriplet, Radical]:
-        return {SchurWeylTriplet(p, self.path(node)): amp for (p, node), amp in state.items()}
-
-    def up(self, state: dict, k: int) -> dict:
-        """Append letter ``k`` to every term of an up state."""
-        children = self.children
-        sums: dict = {}
-        for (pattern, node), amp in state.items():
-            for upper, edge in up_transitions(pattern, k):
-                shape = upper.shape
-                child = children.get((node, shape))
-                if child is None:
-                    child = self.child(node, shape)
-                add_product(sums.setdefault((upper, child), {}), amp, edge)
-        return nonzero_radicals(sums)
-
-    def down(self, state: dict, scale: int) -> dict:
-        """Read the last letter off every term of a down state at level one or more."""
-        parents, shapes = self.parents, self.shapes
-        sums: dict = {}
-        for (pattern, node, word), amp in state.items():
-            parent = parents[node]
-            for lower, k, edge in down_transitions(pattern, shapes[parent]):
-                key = (lower, parent, word + (k - 1) * scale)
-                add_product(sums.setdefault(key, {}), amp, edge)
-        return nonzero_radicals(sums)
+    A down state is ``{(pattern, young, word): amplitude}``, where the int
+    ``word`` gains ``(k - 1) * scale`` when letter ``k`` is read off.  The
+    growth path loses its last step, and the down fan onto the step before
+    it lists the lower patterns.
+    """
+    sums: dict = {}
+    for (pattern, young, word), amp in state.items():
+        lower_young = young[:-1]
+        for lower, k, edge in down_transitions(pattern, lower_young[-1]):
+            key = (lower, lower_young, word + (k - 1) * scale)
+            add_product(sums.setdefault(key, {}), amp, edge)
+    return nonzero_radicals(sums)
 
 
 def branch_up_state(
@@ -177,8 +124,7 @@ def branch_up_state(
     one box within ``d`` rows; the Young tableau grows by the same box,
     and the term is weighted by the transition amplitude.
     """
-    engine = Engine()
-    return engine.triplets(engine.up(engine.labels(state), k))
+    return {SchurWeylTriplet(*key): amp for key, amp in up(state, k).items()}
 
 
 def branch_down_state(
@@ -189,18 +135,17 @@ def branch_down_state(
     The Young tableau forces the lower shape (drop the last growth
     step); each valid removal letter contributes one term.
     """
-    engine = Engine()
     words: dict[Word, int] = {}
-    labels = {}
+    terms = {}
     for (triplet, word), amp in state.items():
         if not triplet.level:
             raise InvariantViolation("nonempty register", f"{word}")
         index = words.setdefault(word, len(words))
-        labels[(triplet.pattern, engine.node(triplet.young), index)] = amp
+        terms[(triplet.pattern, triplet.young, index)] = amp
     # a word is its index among the input words plus (k - 1) times their count
     listed = list(words)
     scale = len(listed)
     return {
-        (SchurWeylTriplet(p, engine.path(node)), (index // scale + 1, *listed[index % scale])): amp
-        for (p, node, index), amp in engine.down(labels, scale).items()
+        (SchurWeylTriplet(p, young), (index // scale + 1, *listed[index % scale])): amp
+        for (p, young, index), amp in down(terms, scale).items()
     }

@@ -175,18 +175,54 @@ def path_to_syt(path) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
+_filling = False  # whether an enumerate_paths call is building its cache entry
+
+
 @cache
 def enumerate_paths(shape: Partition) -> tuple[GrowthPath, ...]:
-    """All growth paths from the empty partition to ``shape``, canonical order."""
+    """All growth paths from the empty partition to ``shape``, canonical order.
+
+    They are the cached paths of each shape one box smaller with ``shape``
+    appended, so a caller that asks level by level copies each path once.
+    A smaller shape the cache lacks is walked by :func:`_walk_paths`, not
+    built from its own smaller shapes, so no call nests more than two deep.
+    """
+    global _filling
     shape = check_partition(shape)
-    if not shape:
-        return (((),),)
-    out = []
-    for row, part in enumerate(shape):
-        if row + 1 == len(shape) or shape[row + 1] < part:  # the row's last box is removable
-            smaller = check_partition(shape[:row] + (part - 1,) + shape[row + 1 :])
-            out += [prefix + (shape,) for prefix in enumerate_paths(smaller)]
+    if _filling or not shape:
+        return _walk_paths(shape)
+    _filling = True
+    try:
+        out = []
+        for row, part in enumerate(shape):
+            if row + 1 == len(shape) or shape[row + 1] < part:  # the row's last box is removable
+                smaller = check_partition(shape[:row] + (part - 1,) + shape[row + 1 :])
+                out += [prefix + (shape,) for prefix in enumerate_paths(smaller)]
+    finally:
+        _filling = False
     return tuple(sorted(out, reverse=True))
+
+
+def _walk_paths(shape: Partition) -> tuple[GrowthPath, ...]:
+    """The growth paths of ``shape`` in canonical order, by a depth-first walk in a loop.
+
+    The stack holds each step still to visit with its level; the larger
+    next shape is visited first, and equal steps are one object.
+    """
+    size = sum(shape)
+    out, path, steps, stack = [], [], {}, [((), 0)]
+    while stack:
+        step, level = stack.pop()
+        del path[level:]
+        path.append(step)
+        if level == size:
+            out.append(tuple(path))
+        for row in reversed(range(min(len(step) + 1, len(shape)))):
+            part = step[row] if row < len(step) else 0
+            if part < shape[row] and (not row or step[row - 1] > part):
+                grown = step[:row] + (part + 1,) + step[row + 1 :]
+                stack.append((steps.setdefault(grown, grown), level + 1))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from schurweyl.branching import Engine, SchurWeylTriplet, Word
+from schurweyl.branching import SchurWeylTriplet, Word, down, empty_triplet, up
 from schurweyl.radicals import ONE, ZERO, Radical, add_product, nonzero_radicals
 from schurweyl.tableaux import (
     GTPattern,
@@ -38,12 +38,11 @@ class SizeBoundExceeded(ValueError):
 def encode(word: Word, d: int) -> dict[SchurWeylTriplet, Radical]:
     """Exact Schur-Weyl expansion of a computational basis word."""
     check_alphabet(d)
-    engine = Engine()
-    state = engine.start(d)
+    state = {empty_triplet(d): ONE}
     # up_transitions rejects a letter outside 1..d
     for k in word:
-        state = engine.up(state, k)
-    return engine.triplets(state)
+        state = up(state, k)
+    return {SchurWeylTriplet(*key): amp for key, amp in state.items()}
 
 
 def decode(state: dict[SchurWeylTriplet, Radical]) -> dict[Word, Radical]:
@@ -58,11 +57,10 @@ def decode(state: dict[SchurWeylTriplet, Radical]) -> dict[Word, Radical]:
     if not shared:
         return {}
     [(n, d)] = shared
-    engine = Engine()
     # a word is an int whose base-d digits, most significant first, are its letters less one
-    terms = {(*label, 0): amp for label, amp in engine.labels(state).items() if amp}
+    terms = {(t.pattern, t.young, 0): amp for t, amp in state.items() if amp}
     for step in range(n):
-        terms = engine.down(terms, d**step)
+        terms = down(terms, d**step)
     return {_word(word, d, n): amp for (_, _, word), amp in terms.items()}
 
 
@@ -74,7 +72,7 @@ def _word(number: int, d: int, n: int) -> Word:
     return tuple(reversed(letters))
 
 
-def _column_states(engine: Engine, d: int, n: int):
+def _column_states(d: int, n: int):
     """The up state of every length-``n`` word over ``{1..d}``, in ascending word order.
 
     A depth-first walk over the word trie in a loop: each prefix's state
@@ -82,11 +80,11 @@ def _column_states(engine: Engine, d: int, n: int):
     letter of the current word.
     """
     letters: list[int] = []
-    states = [engine.start(d)]
+    states = [{empty_triplet(d): ONE}]
     while True:
         while len(letters) < n:
             letters.append(1)
-            states.append(engine.up(states[-1], 1))
+            states.append(up(states[-1], 1))
         yield states.pop()
         while letters and letters[-1] == d:
             letters.pop()
@@ -94,13 +92,13 @@ def _column_states(engine: Engine, d: int, n: int):
         if not letters:
             return
         letters[-1] += 1
-        states.append(engine.up(states[-1], letters[-1]))
+        states.append(up(states[-1], letters[-1]))
 
 
 def column_norms(d: int, n: int):
     """The exact squared norm of ``encode(word, d)`` for every word of :func:`words`, in order."""
     check_alphabet(d)
-    for state in _column_states(Engine(), d, n):
+    for state in _column_states(d, n):
         norm: dict = {}
         for amp in state.values():
             add_product(norm, amp, amp)
@@ -155,12 +153,12 @@ def schur_matrix(
     """Assemble the transform column by column, one encode state per word."""
     check_size_bound(d, n, size_bound)
     basis = schur_basis(d, n)
-    engine = Engine()
-    rows = {(t.pattern, engine.node(t.young)): row for row, t in enumerate(basis)}
+    rows = {(t.pattern, t.young): row for row, t in enumerate(basis)}
     entries: dict[tuple[int, int], Radical] = {}
-    for col, state in enumerate(_column_states(engine, d, n)):
-        for label, amp in state.items():
-            entries[(rows[label], col)] = amp
+    for col, state in enumerate(_column_states(d, n)):
+        # by its parts: the empty word's key is the record empty_triplet(d)
+        for (pattern, young), amp in state.items():
+            entries[(rows[pattern, young], col)] = amp
     return ExactSparseMatrix(d, n, tuple(basis), entries)
 
 

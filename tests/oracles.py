@@ -57,6 +57,20 @@ def enumerate_syt(shape: Partition) -> list[Rows]:
     return [path_to_syt(path) for path in enumerate_paths(shape)]
 
 
+def recursive_paths(shape: Partition) -> tuple[GrowthPath, ...]:
+    """Growth paths of ``shape`` by the recursive definition: each path of a
+    shape one box smaller with ``shape`` appended, sorted descending."""
+    shape = check_partition(shape)
+    if not shape:
+        return (((),),)
+    out = []
+    for row, part in enumerate(shape):
+        if row + 1 == len(shape) or shape[row + 1] < part:
+            smaller = check_partition((*shape[:row], part - 1, *shape[row + 1 :]))
+            out += [prefix + (shape,) for prefix in recursive_paths(smaller)]
+    return tuple(sorted(out, reverse=True))
+
+
 def enumerate_weyl(shape: Partition, d: int) -> list[Rows]:
     """All standard Weyl tableaux of ``shape`` over ``{1..d}`` as rows, canonical order."""
     return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]

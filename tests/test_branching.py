@@ -294,7 +294,7 @@ def test_engine_matches_reference_fold(d, n):
 
 def assert_same_state(got, want):
     # approx sums a value's terms in stored order, so bit-equal floats pin
-    # that the engine stores them in the order of the reference's get + mul
+    # that the steps store them in the order of the reference's get + mul
     assert got == want
     assert {key: amp.to_float().hex() for key, amp in got.items()} == {
         key: amp.to_float().hex() for key, amp in want.items()
@@ -362,8 +362,8 @@ def test_matrix_matches_column_assembly(d, n):
 
 
 def test_encode_survives_cache_clear():
-    # the engine's labels live for one call, so a cleared module cache
-    # cannot renumber anything a later call reads
+    # a state's keys are its own patterns and growth paths, so a cleared
+    # module cache cannot renumber anything a later call reads
     modules = [
         importlib.import_module(f"schurweyl.{info.name}")
         for info in pkgutil.iter_modules(schurweyl.__path__)
@@ -403,7 +403,7 @@ def fan_edges(d, n):
 
 @pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
 def test_steps_leave_shared_amplitudes_and_drop_zeros(d, n):
-    # the fans hand the engine shared Radicals, one object per value; a step
+    # the fans hand the steps shared Radicals, one object per value; a step
     # that wrote into one would change every edge of that value
     edges = fan_edges(d, n)
     assert len(set(map(id, edges.values()))) < len(edges)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import schurweyl
 from schurweyl import cli
-from schurweyl.branching import SchurWeylTriplet
+from schurweyl.branching import SchurWeylTriplet, branch_down_state, branch_up_state
 from schurweyl.graph import SWYEdge, SWYVertex, build
 from schurweyl.tableaux import GTPattern
 from schurweyl.transform import ExactSparseMatrix, decode, encode, state_from_json_obj
@@ -124,6 +124,30 @@ def test_states_are_plain_dicts():
     assert not defined & {"SchurWeylState", "ComputationalState", "_AmplitudeMap"}
 
 
+def test_returned_states_are_keyed_by_triplets():
+    # the branching steps key terms by plain (pattern, young[, word]) tuples;
+    # every state a public call returns is keyed by SchurWeylTriplet records
+    state = encode((1, 2, 3, 1), 3)
+    readback = state_from_json_obj(json.loads(cli._dumps_state(state, 3, 4)))
+    for label in [*state, *branch_up_state(state, 2), *readback]:
+        assert type(label) is SchurWeylTriplet, label
+    down = branch_down_state({(t, (1,)): amp for t, amp in state.items()})
+    assert down
+    for label, word in down:
+        assert type(label) is SchurWeylTriplet and type(word) is tuple, label
+    assert type(next(iter(encode((), 3)))) is SchurWeylTriplet
+
+
+def test_branching_keeps_no_path_trie():
+    # a term's growth path is its own key: the per-call trie that numbered
+    # paths, its tables and its conversions at each boundary are gone
+    for path in PACKAGE.rglob("*.py"):
+        assert "Engine" not in referenced_names(path), path.name
+    trie = {"parents", "children", "nodes", "labels", "triplets", "node", "child"}
+    for name in ("branching.py", "transform.py"):
+        assert not referenced_names(PACKAGE / name) & trie, name
+
+
 
 def module_level_tables(source: str) -> list[str]:
     """Names bound at the top level of ``source`` to a new dict, list or set."""
@@ -148,7 +172,7 @@ def module_level_tables(source: str) -> list[str]:
 
 
 def test_no_process_wide_label_table():
-    # the branching engine numbers growth paths per call, the
+    # the branching steps key each term by its own growth path, the
     # state and graph writers and the reader keep their fragment and
     # amplitude tables per document, and the fans their hook tables per
     # miss, and the shared radicals live in a cache; a module-level table
@@ -229,7 +253,7 @@ def test_one_growth_path_reader():
 
 def test_records_are_tuples():
     # the immutable records are named tuples, which hash and compare at C
-    # speed, so the branching engine keys its states by pattern and keeps no
+    # speed, so the branching steps key their states by pattern and keep no
     # pattern ids or per-call copies of the fans
     importing = sorted(
         path.name for path in PACKAGE.rglob("*.py") if "dataclasses" in imported_modules(path)

@@ -31,7 +31,7 @@ from schurweyl.transform import (
     words,
 )
 
-from oracles import syt_to_path
+from oracles import module_caches, syt_to_path
 
 
 def state_document(state, d, n) -> dict:
@@ -116,8 +116,8 @@ def test_round_trip_random_d3():
 
 
 def test_round_trip_large_alphabets():
-    # the engine keys its states by pattern, and a pattern at d = 64 holds
-    # 2 080 entries; these are the largest keys it hashes
+    # the branching steps key their states by pattern, and a pattern at
+    # d = 64 holds 2 080 entries; these are the largest keys they hash
     for word, d in [
         ((64, 1, 64), 64),
         ((1, 33, 2), 64),
@@ -125,6 +125,28 @@ def test_round_trip_large_alphabets():
         ((8, 1, 8, 2, 5), 8),
     ]:
         assert decode(encode(word, d)) == {word: ONE}, (word, d)
+
+
+def clear_caches():
+    for cache in module_caches():
+        cache.cache_clear()
+
+
+def test_long_d1_words_from_cold_caches():
+    # a d = 1 state has one term, whose key holds its whole growth path; no
+    # step, enumeration or check recurses once per letter
+    path = tuple((k,) if k else () for k in range(3001))
+    clear_caches()
+    state = encode((1,) * 3000, 1)
+    [(t, amp)] = state.items()
+    assert t.young == path and amp == ONE
+    assert decode(state) == {(1,) * 3000: ONE}
+    clear_caches()
+    assert dimension_check(1, 1500)
+    clear_caches()
+    m = schur_matrix(1, 2000, size_bound=1)
+    assert m.basis == (SchurWeylTriplet(m.basis[0].pattern, path[:2001]),)
+    assert m.entries == {(0, 0): ONE}
 
 
 def test_schur_basis_counts():
