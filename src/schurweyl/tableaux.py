@@ -175,7 +175,9 @@ def path_to_syt(path) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
-_filling = False  # whether an enumerate_paths call is building its cache entry
+# set while an enumerate_paths call reads smaller shapes; it picks how a miss
+# is listed, never what the paths are, so any caller or thread may see it set
+_filling = False
 
 
 @cache
