@@ -126,37 +126,32 @@ def validate_path(steps, seen: dict | None = None) -> GrowthPath:
 
     Each step is canonicalized by :func:`check_partition`; the first must
     be empty and each later one a single box larger than the one before.
-    ``seen`` holds what one document has read: each path, keyed by its raw
-    step tuple, and the trie of their raw steps, where ``(node, step)``
-    maps to the next node and that step's shape and node 0 is the empty
-    prefix.  A new path checks only the steps after its longest prefix read
-    before, and the memo grows with the document, not with the square of
-    its paths' lengths.  Steps read with ``seen`` must be tuples, to be keys.
+    Faults are named in that order: every step's parts, then the start,
+    then the growth steps in turn.  ``seen`` holds what one document has
+    read: each raw step, mapped to its shape, and each pair of consecutive
+    raw steps whose growth :func:`grown_row` accepted, mapped to the grown
+    row.  So a document checks each distinct step and each distinct pair
+    once, and the memo grows with the document, not with its paths'
+    lengths.  Steps read with ``seen`` must be tuples of integers, to be
+    keys that no pair equals.
     """
-    node, path = 0, []
-    if seen:
-        known = seen.get(steps)
-        if known is not None:
-            return known
+    if seen is None:
+        path = tuple(map(check_partition, steps))
+    else:
+        path = []
         for step in steps:
-            child = seen.get((node, step))
-            if child is None:
-                break
-            node, shape = child
+            shape = seen.get(step)
+            if shape is None:
+                shape = seen[step] = check_partition(step)
             path.append(shape)
-    checked = len(path)
-    for step in steps[checked:] if checked else steps:
-        path.append(check_partition(step))
+        path = tuple(path)
     if not path or path[0] != ():
-        raise InvariantViolation("growth path starts empty", f"{tuple(path)!r}")
-    for i in range(checked or 1, len(path)):
-        grown_row(path[i - 1], path[i])
-    path = tuple(path)
-    if seen is not None:
-        for i in range(checked, len(path)):
-            seen[node, steps[i]] = len(seen) + 1, path[i]
-            node = len(seen)
-        seen[steps] = path
+        raise InvariantViolation("growth path starts empty", f"{path!r}")
+    for i in range(1, len(path)):
+        if seen is None:
+            grown_row(path[i - 1], path[i])
+        elif (pair := steps[i - 1 : i + 1]) not in seen:
+            seen[pair] = grown_row(path[i - 1], path[i])
     return path
 
 
@@ -350,7 +345,7 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
     patterns: list[list[tuple[int, ...]]] = [[top]]
     for _ in range(d - 1):
         patterns = [
-            [child, *stack] for stack in patterns for child in children(stack[0])
+            [lower, *stack] for stack in patterns for lower in children(stack[0])
         ]
     return tuple(GTPattern(tuple(stack)) for stack in patterns)
 

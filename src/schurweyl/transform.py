@@ -75,24 +75,20 @@ def _word(number: int, d: int, n: int) -> Word:
 def _column_states(d: int, n: int):
     """The up state of every length-``n`` word over ``{1..d}``, in ascending word order.
 
-    A depth-first walk over the word trie in a loop: each prefix's state
-    is built once, from its parent's, and the stack holds one state per
-    letter of the current word.
+    A depth-first walk over the word trie in a loop.  The stack holds the
+    prefixes still to visit, each as its state and length; a popped
+    prefix pushes its children, last letter first, so the first letter
+    comes out first.  Each state is built once, from its parent's, and the
+    parent's is dropped once its children exist: the stack holds at most
+    ``(d - 1) * n + 1`` states, one at ``d = 1``.
     """
-    letters: list[int] = []
-    states = [{empty_triplet(d): ONE}]
-    while True:
-        while len(letters) < n:
-            letters.append(1)
-            states.append(up(states[-1], 1))
-        yield states.pop()
-        while letters and letters[-1] == d:
-            letters.pop()
-            states.pop()
-        if not letters:
-            return
-        letters[-1] += 1
-        states.append(up(states[-1], letters[-1]))
+    stack = [({empty_triplet(d): ONE}, 0)]
+    while stack:
+        state, level = stack.pop()
+        if level == n:
+            yield state
+        else:
+            stack += [(up(state, k), level + 1) for k in range(d, 0, -1)]
 
 
 def column_norms(d: int, n: int):
@@ -201,11 +197,11 @@ def sorted_terms(
 def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     """Parse and validate a state document: the entry check of outside states.
 
-    Terms share their Weyl tableaux and growth paths, so each distinct
-    one is checked once per document: :func:`validate_path` checks a new
-    growth path only past the longest prefix the document has shown.  A
-    zero amplitude, written as such or summed from terms that cancel, is
-    dropped.
+    Terms share their Weyl tableaux and growth steps, so each distinct
+    Weyl tableau is checked once per document, and :func:`validate_path`
+    checks each distinct raw step and each distinct pair of consecutive
+    steps once.  A zero amplitude, written as such or summed from terms
+    that cancel, is dropped.
     """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
     check_alphabet(d)  # a term whose level is not n fails below, so n needs no check here
@@ -213,7 +209,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     if not entries:
         raise InvariantViolation("state document", "no terms")
     patterns: dict[Rows, GTPattern] = {}
-    paths: dict = {}  # validate_path's memo: the paths read and the trie of their steps
+    paths: dict = {}  # validate_path's memo: each raw step read and each growth pair accepted
     amplitudes: dict = {}
     terms: dict[SchurWeylTriplet, Radical] = {}
     for entry in entries:

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import tracemalloc
 
 import pytest
 
@@ -350,15 +351,34 @@ def test_engine_matches_reference_on_superpositions():
         assert max(widths) >= 3
 
 
-@pytest.mark.parametrize("d, n", [(2, 8), (3, 5), (4, 4)])
+@pytest.mark.parametrize(
+    "d, n", [(1, 6), (2, 5), (3, 3), (4, 3), (2, 8), (3, 5), (4, 4)]
+)
 def test_matrix_matches_column_assembly(d, n):
+    # the column walk yields every word's encode state in words() order,
+    # so each matrix column and each column norm is that word's own
     m = schur_matrix(d, n)
     index = {t: row for row, t in enumerate(m.basis)}
-    columns = {}
+    columns, norms = {}, []
     for col, word in enumerate(words(d, n)):
-        for t, amp in encode(word, d).items():
+        state = encode(word, d)
+        for t, amp in state.items():
             columns[(index[t], col)] = amp
+        norms.append(norm_squared(state))
     assert m.entries == columns
+    assert list(column_norms(d, n)) == norms
+
+
+def test_column_walk_keeps_only_pending_prefixes():
+    # a d = 1 walk has one prefix pending at a time, so its memory does not
+    # grow with the n states along the word (17 MB when every prefix stayed)
+    tracemalloc.start()
+    try:
+        assert list(column_norms(1, 2000)) == [ONE]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_encode_survives_cache_clear():

@@ -140,12 +140,15 @@ def test_returned_states_are_keyed_by_triplets():
 
 def test_branching_keeps_no_path_trie():
     # a term's growth path is its own key: the per-call trie that numbered
-    # paths, its tables and its conversions at each boundary are gone
+    # paths, its tables and its conversions at each boundary are gone, and
+    # the path reader's memo keys raw steps, not numbered trie nodes
     for path in PACKAGE.rglob("*.py"):
         assert "Engine" not in referenced_names(path), path.name
     trie = {"parents", "children", "nodes", "labels", "triplets", "node", "child"}
     for name in ("branching.py", "transform.py"):
         assert not referenced_names(PACKAGE / name) & trie, name
+    # enumerate_gt has a helper named children
+    assert not referenced_names(PACKAGE / "tableaux.py") & {"node", "child"}
 
 
 

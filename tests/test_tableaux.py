@@ -280,6 +280,21 @@ def test_path_memo_names_the_same_fault():
         validate_path(bad[0], seen)
 
 
+def test_path_memo_keeps_a_rejected_growth_step_out():
+    # a growth pair enters the memo only once grown_row accepts it, so a
+    # path with a bad step names that fault on every read, while a good
+    # path through the same steps still reads
+    bad = ((), (1,), (2,), (2, 2), (3, 2))
+    seen = {}
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match=r"\(\(2,\) -> \(2, 2\)\)"):
+            validate_path(bad, seen)
+    good = ((), (1,), (2,), (2, 1), (2, 2), (3, 2))
+    assert validate_path(good, seen) == good
+    with pytest.raises(InvariantViolation, match="single-box growth step"):
+        validate_path(bad, seen)
+
+
 # ---------------------------------------------------------------------------
 # standard Weyl tableaux and GT patterns
 
