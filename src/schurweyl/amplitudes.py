@@ -18,9 +18,12 @@ edge that enters a pattern from one lower shape.  Only the up fan
 evaluates the formula, once, on a cache miss: it carries each
 candidate's running product through its bottom-up scan, reading ``k``
 and the ``tau_j`` off the positions it placed.  Its hooks are those of
-one pattern, so a level's factor depends only on the positions of the
-boxes added there and one level below, and is computed once per pair
-of positions and fan.  The down fan's scan only lists the
+one pattern, so a level's factor depends only on that level and the one
+below it and on the positions of the boxes added there; it does not
+depend on the other levels, the letter or the alphabet.  The cached
+table :func:`_level_steps` computes each factor, and whether its boxes
+keep the levels interlaced, once per pair of adjacent levels, for all
+fans and alphabets.  The down fan's scan only lists the
 ``(lower, k)`` pairs that reach a pattern and takes each amplitude from
 the up fan of letter ``k`` at that lower, so every amplitude the branching
 steps read is an entry of one cached up fan.  :func:`louck_amplitude` is the
@@ -173,6 +176,53 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
 
 
 @cache
+def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The up fans' steps from one pair of adjacent levels of a lower pattern.
+
+    ``row`` is a level ``j`` and ``under`` the level ``j - 1`` below it
+    (empty at ``j = 1``), as adjacent levels of a valid GT pattern.  Entry
+    ``t_lo`` (``0..j-1``) lists, as one flat tuple of ints
+    ``(t_up, sign, num, den, ...)``, every position ``t_up`` (1-based,
+    ascending) at which a box added to ``row`` keeps it interlaced with
+    ``under`` plus a box at ``t_lo``, where ``t_lo = 0`` leaves ``under``
+    unchanged, with that level's factor of Louck's formula.  A step reads
+    these two levels and nothing else of the pattern, nor the letter or the
+    alphabet, so all fans share one table per pair.
+
+    Every ``t_lo`` is filled, also one that no fan reaches because ``under``
+    plus a box there is no partition.  Such an entry is empty, never a
+    :class:`NotAnEdge`: the box breaks the partition when ``under[t_lo - 2]
+    == under[t_lo - 1]``, and interlacing puts ``row[t_lo - 1]`` between the
+    two, so ``row[t_lo - 1] == under[t_lo - 1]`` and no box fits elsewhere;
+    the one remaining position, ``t_up = t_lo``, needs ``under[t_lo - 2] >
+    row[t_lo - 1]``, which fails too.  Only such a position gives a
+    vanishing hook product.
+
+    The table holds ints only, no rows, patterns or amplitudes, so clearing
+    it alone leaves each amplitude one shared object, and the garbage
+    collector stops tracking tuples that hold only ints.
+    """
+    below, hooks = _level_hooks(under), _level_hooks(row)
+    # Under interlaces row, so only an added box can break that.  One added
+    # to row at pos + 1 needs under[pos - 1] > row[pos], unless pos is 0 or
+    # the box below at t_lo = pos raises that entry; the box at t_lo needs
+    # row[t_lo - 1] > under[t_lo - 1], unless the one added to row sits at
+    # t_lo too.  Interlacing the level below also makes the top a partition.
+    free = [pos for pos in range(1, len(row)) if under[pos - 1] > row[pos]]
+    table = []
+    for t_lo in range(len(row)):
+        if not t_lo or row[t_lo - 1] > under[t_lo - 1]:
+            fits = sorted({0, t_lo, *free})
+        else:
+            fits = [t_lo - 1] if t_lo == 1 or under[t_lo - 2] > row[t_lo - 1] else []
+        entry = []
+        for pos in fits:
+            entry += (pos + 1, *_level_factor(below, hooks, t_lo, pos + 1))
+        table.append(tuple(entry))
+    return tuple(table)
+
+
+@cache
 def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical], ...]:
     """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
@@ -182,8 +232,9 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     one level for all of them at a time.  The last placed level is the
     lower pattern's with one box added at that position, so which new
     positions keep it interlaced, and their level factors, depend on that
-    position alone: each is worked out once per fan and shared by every
-    candidate.  Edges come in ascending order of their positions.
+    position and the two lower-pattern levels alone: :func:`_level_steps`
+    works each out once per pair of adjacent levels, for all fans and
+    alphabets.  Edges come in ascending order of their positions.
     ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
     ``ValueError``.
     """
@@ -191,44 +242,26 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     if not 1 <= k <= d:
         raise ValueError(f"letter out of range: {k} with d={d}")
     levels = lower.levels
-    # under is the lower pattern's level below the one being placed, and
-    # below its hooks
+    # under is the lower pattern's level below the one being placed
     under = levels[k - 2] if k > 1 else ()
-    below = _level_hooks(under)
     # (placed levels, last added box's position, sign, num, den); position 0
     # stands for level k - 1, placed unchanged
     candidates = [(levels[: k - 1], 0, 1, 1, 1)]
     for j in range(k, d + 1):
         row = levels[j - 1]
-        hooks = _level_hooks(row)
-        steps: dict[int, list] = {}
+        steps = _level_steps(under, row)
+        # row with one box added, one object per position for the whole level
+        grown = {}
         extended = []
         for placed, t_lo, sign, num, den in candidates:
-            step = steps.get(t_lo)
-            if step is None:
-                # The placed level is under plus a box at t_lo, and under
-                # interlaces row, so only an added box can break that: the
-                # box at t_lo needs row[t_lo - 1] > under[t_lo - 1], and one
-                # added to row at pos + 1 needs under[pos - 1] > row[pos],
-                # unless the other box raises the entry it is compared with.
-                # Interlacing the level below also makes the top a partition.
-                fits = not t_lo or row[t_lo - 1] > under[t_lo - 1]
-                step = steps[t_lo] = [
-                    (
-                        row[:pos] + (row[pos] + 1,) + row[pos + 1 :],
-                        pos + 1,
-                        *_level_factor(below, hooks, t_lo, pos + 1),
-                    )
-                    for pos in range(j)
-                    if (fits or pos + 1 == t_lo)
-                    and (not pos or pos == t_lo or under[pos - 1] > row[pos])
-                ]
-            extended += [
-                ((*placed, new), t_up, sign * s, num * n, den * m)
-                for new, t_up, s, n, m in step
-            ]
+            step = iter(steps[t_lo])
+            for t_up, s, n, m in zip(step, step, step, step):
+                new = grown.get(t_up)
+                if new is None:
+                    new = grown[t_up] = row[: t_up - 1] + (row[t_up - 1] + 1,) + row[t_up:]
+                extended.append(((*placed, new), t_up, sign * s, num * n, den * m))
         candidates = extended
-        under, below = row, hooks
+        under = row
     return tuple(
         (GTPattern(placed), radical_from_sqrt(sign, num, den))
         for placed, _, sign, num, den in candidates

@@ -6,6 +6,7 @@ import pytest
 from schurweyl.amplitudes import (
     NotAnEdge,
     WrongDimension,
+    _level_steps,
     down_transitions,
     louck_amplitude,
     pattern_amplitude_d2,
@@ -19,11 +20,12 @@ from schurweyl.tableaux import (
     enumerate_gt,
     enumerate_paths,
     gt_to_weyl,
+    interlaces,
     partitions,
     weyl_to_gt,
 )
 
-from oracles import down_fan, up_fan
+from oracles import down_fan, module_caches, up_fan
 
 
 def gt2(m11, a, b):
@@ -183,6 +185,73 @@ def test_up_fans_match_brute_force_in_order():
                     assert list(up_transitions(lower, k)) == up_fan(lower, k), (lower, k)
 
 
+def level_pairs(patterns):
+    """Every ``(under, row)`` pair of adjacent levels, ``under = ()`` below level 1."""
+    return {
+        (p.levels[j - 2] if j > 1 else (), p.levels[j - 1])
+        for p in patterns
+        for j in range(1, p.d + 1)
+    }
+
+
+def test_up_fans_match_brute_force_in_every_table_state():
+    # every fan, letter and alphabet reads one shared table of level steps,
+    # so a fan must not depend on what the table already holds
+    for d, n_max in ((3, 5), (4, 4), (5, 3)):
+        lowers = [p for n in range(n_max) for p in all_patterns(n, d)]
+        smaller = [p for n in range(n_max) for p in all_patterns(n, d - 1)]
+        expected = [up_fan(p, k) for p in lowers for k in range(1, d + 1)]
+
+        def fans(patterns):
+            return [list(up_transitions(p, k)) for p in patterns for k in range(1, p.d + 1)]
+
+        for c in module_caches():
+            c.cache_clear()
+        assert fans(lowers) == expected, d
+        # a smaller alphabet's fans fill entries that this one's fans read
+        for c in module_caches():
+            c.cache_clear()
+        fans(smaller)
+        assert level_pairs(smaller) & level_pairs(lowers)
+        assert fans(lowers) == expected, d
+        assert _level_steps.cache_info().currsize == len(level_pairs(smaller) | level_pairs(lowers))
+        # the table cleared, and the up fans so that they are rebuilt, but not
+        # the shared roots: every rebuilt amplitude is the object it was
+        before = fans(lowers)
+        _level_steps.cache_clear()
+        up_transitions.cache_clear()
+        after = fans(lowers)
+        assert after == expected, d
+        assert all(
+            a is b for old, new in zip(before, after) for (_, a), (_, b) in zip(old, new)
+        )
+
+
+def test_level_steps_on_every_adjacent_level_pair():
+    # the table fills every t_lo, also one that no fan reaches because under
+    # plus a box there is no partition: that entry must be empty, not raise
+    def grow(level, pos):
+        return level[:pos] + (level[pos] + 1,) + level[pos + 1 :]
+
+    unreachable = 0
+    for d in range(1, 5):
+        patterns = [p for n in range(6) for p in all_patterns(n, d)]
+        for under, row in level_pairs(patterns):
+            table = _level_steps(under, row)
+            assert len(table) == len(row)
+            for t_lo, entry in enumerate(table):
+                assert len(entry) % 4 == 0 and all(type(x) is int for x in entry)
+                placed = grow(under, t_lo - 1) if t_lo else under
+                fits = [
+                    pos + 1 for pos in range(len(row)) if interlaces(grow(row, pos), placed)
+                ]
+                assert list(entry[::4]) == fits, (under, row, t_lo)
+                if t_lo > 1 and under[t_lo - 2] == under[t_lo - 1]:
+                    assert entry == ()
+                    unreachable += 1
+    assert unreachable > 0
+
+
 def test_down_fans_match_brute_force_in_order():
     # decode merges in down-fan order and a sum's stored term order sets its
     # approx float, so the down fan's order is pinned as well as its edges
@@ -229,6 +298,7 @@ def test_fans_do_not_grow_the_stack():
     d = 64
     zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
     first = GTPattern(tuple((1,) + (0,) * (j - 1) for j in range(1, d + 1)))
+    _level_steps.cache_clear()
     up_transitions.cache_clear()
     down_transitions.cache_clear()
     limit = sys.getrecursionlimit()
