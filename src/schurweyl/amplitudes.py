@@ -23,7 +23,12 @@ below it and on the positions of the boxes added there; it does not
 depend on the other levels, the letter or the alphabet.  The cached
 table :func:`_level_steps` computes each factor, and whether its boxes
 keep the levels interlaced, once per pair of adjacent levels, for all
-fans and alphabets.  The down fan's scan only lists the
+fans and alphabets.  A full column adds 1 to every entry of a GT
+pattern, and a factor reads only differences of the two levels' hooks
+and a fit only comparisons of their entries, so full columns change no
+step: above level 1 the fan looks the table up with the pair shifted
+down by ``row[-1]``, its smallest entry, and pairs that differ by full
+columns share one entry.  The down fan's scan only lists the
 ``(lower, k)`` pairs that reach a pattern and takes each amplitude from
 the up fan of letter ``k`` at that lower, so every amplitude the branching
 steps read is an entry of one cached up fan.  :func:`louck_amplitude` is the
@@ -151,6 +156,9 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
     After subtracting the common box count ``c`` of the second row, the
     amplitude depends only on the reduced first-row length ``n`` of the
     upper pattern and on whether the bottom entries ``m_{1,1}`` agree.
+    The ``c`` full columns drop out, the ``d = 2`` case of the invariance
+    by which :func:`up_transitions` keys its level steps; this rule reads
+    the entries itself and shares no table with the fans.
     """
     if lower.d != 2:
         raise WrongDimension(f"entry-reading rule needs d=2, got d={lower.d}")
@@ -187,7 +195,11 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
     ``under`` plus a box at ``t_lo``, where ``t_lo = 0`` leaves ``under``
     unchanged, with that level's factor of Louck's formula.  A step reads
     these two levels and nothing else of the pattern, nor the letter or the
-    alphabet, so all fans share one table per pair.
+    alphabet, so all fans share one table per pair.  Nor does it read the
+    pair's full columns: adding ``c`` to every entry of both levels leaves
+    every hook difference and every comparison of entries as it was, so
+    :func:`up_transitions` passes each pair above level 1 shifted so that
+    ``row[-1]`` is 0.
 
     Every ``t_lo`` is filled, also one that no fan reaches because ``under``
     plus a box there is no partition.  Such an entry is empty, never a
@@ -234,7 +246,12 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     positions keep it interlaced, and their level factors, depend on that
     position and the two lower-pattern levels alone: :func:`_level_steps`
     works each out once per pair of adjacent levels, for all fans and
-    alphabets.  Edges come in ascending order of their positions.
+    alphabets.  It is keyed by the pair shifted down by ``row[-1]``, the
+    count of the pair's full columns, which change no hook difference and
+    no comparison of entries.  At ``row[-1] == 0``, which most lookups at
+    ``d >= 4`` meet, the levels go in as they are and no tuple is built;
+    level 1, whose few pairs hold one trivial step each, is never shifted.
+    Edges come in ascending order of their positions.
     ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
     ``ValueError``.
     """
@@ -247,9 +264,15 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     # (placed levels, last added box's position, sign, num, den); position 0
     # stands for level k - 1, placed unchanged
     candidates = [(levels[: k - 1], 0, 1, 1, 1)]
-    for j in range(k, d + 1):
-        row = levels[j - 1]
-        steps = _level_steps(under, row)
+    for row in levels[k - 1 :]:
+        # row[-1], the pair's smallest entry, counts its full columns; they
+        # change no step, so pairs that differ by them share one table entry;
+        # level 1, below which under is empty, goes in as it is
+        c = row[-1]
+        if c and under:
+            steps = _level_steps(tuple([m - c for m in under]), tuple([m - c for m in row]))
+        else:
+            steps = _level_steps(under, row)
         # row with one box added, one object per position for the whole level
         grown = {}
         extended = []

@@ -178,7 +178,8 @@ def test_fans_match_pairwise_formula():
 def test_up_fans_match_brute_force_in_order():
     # merges run in fan order and a sum's stored term order sets its approx
     # float, so the up fan's order is pinned as well as its edges
-    for d, n_max in ((3, 5), (4, 4), (5, 3), (6, 3)):
+    # d = 2 reaches level 10, where most patterns have full columns
+    for d, n_max in ((2, 11), (3, 5), (4, 4), (5, 3), (6, 3)):
         for n in range(n_max):
             for lower in all_patterns(n, d):
                 for k in range(1, d + 1):
@@ -191,6 +192,16 @@ def level_pairs(patterns):
         (p.levels[j - 2] if j > 1 else (), p.levels[j - 1])
         for p in patterns
         for j in range(1, p.d + 1)
+    }
+
+
+def shifted_pairs(patterns):
+    """The table's keys for :func:`level_pairs`: each pair above level 1 less its full columns."""
+    pairs = level_pairs(patterns)
+    return {(under, row) for under, row in pairs if not under} | {
+        (tuple(m - row[-1] for m in under), tuple(m - row[-1] for m in row))
+        for under, row in pairs
+        if under
     }
 
 
@@ -214,7 +225,10 @@ def test_up_fans_match_brute_force_in_every_table_state():
         fans(smaller)
         assert level_pairs(smaller) & level_pairs(lowers)
         assert fans(lowers) == expected, d
-        assert _level_steps.cache_info().currsize == len(level_pairs(smaller) | level_pairs(lowers))
+        # pairs that differ only by full columns share one entry
+        shared = shifted_pairs(smaller) | shifted_pairs(lowers)
+        assert _level_steps.cache_info().currsize == len(shared)
+        assert len(shared) < len(level_pairs(smaller) | level_pairs(lowers)), d
         # the table cleared, and the up fans so that they are rebuilt, but not
         # the shared roots: every rebuilt amplitude is the object it was
         before = fans(lowers)
@@ -250,6 +264,32 @@ def test_level_steps_on_every_adjacent_level_pair():
                     assert entry == ()
                     unreachable += 1
     assert unreachable > 0
+
+
+def test_level_steps_ignore_full_columns():
+    # a step reads differences of the two levels' hooks and comparisons of
+    # their entries, so adding c full columns to a pair changes no entry
+    steps = _level_steps.__wrapped__
+    patterns = [p for d in range(1, 5) for n in range(6) for p in all_patterns(n, d)]
+    patterns += [p for n in range(13) for p in all_patterns(n, 2)]
+    for under, row in level_pairs(patterns):
+        table = steps(under, row)
+        for c in (1, 2, 3):
+            shifted = tuple(m + c for m in under), tuple(m + c for m in row)
+            assert steps(*shifted) == table, (under, row, c)
+
+
+def test_cold_d2_graph_matches_entry_reading_rule():
+    # at d = 2 a level pair is the whole pattern, so most fans at the
+    # benchmark's (2,30) read an entry shared with a pattern of fewer columns;
+    # the paper's rule reads each amplitude off the pattern's own entries
+    for c in module_caches():
+        c.cache_clear()
+    g = build(2, 30)
+    patterns = [v.pattern for v in g.vertices]
+    for e in g.edges:
+        assert pattern_amplitude_d2(patterns[e.lower], patterns[e.upper]) == e.amplitude
+    assert len(g.edges) > 5000
 
 
 def test_down_fans_match_brute_force_in_order():
