@@ -17,12 +17,13 @@ amplitude.  Triplets are validated where they enter the package
 Every step is one of two functions, :func:`up` and :func:`down`, which
 key each term by its pattern and its growth path themselves: a step
 appends the upper shape to the path, or drops its last step.  A step
-adds each term's products into one term map per output key
-(:func:`~schurweyl.radicals.add_product`) and wraps the maps that did
-not cancel once, at its end.  Triplets are made from the keys only where
-a call returns.  A key holds its whole path, so a step costs time linear
-in the level per term; a state of one term, as at ``d = 1``, costs time
-quadratic in the word length over a whole word.
+adds each term's products into one accumulator per output key
+(:func:`~schurweyl.radicals.add_product`), made the first time the key
+is met, so a key is hashed once per product; at its end it deletes the
+accumulators that cancelled to zero.  Triplets are made from the keys
+only where a call returns.  A key holds its whole path, so a step costs
+time linear in the level per term; a state of one term, as at
+``d = 1``, costs time quadratic in the word length over a whole word.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from schurweyl.amplitudes import down_transitions, up_transitions
-from schurweyl.radicals import Radical, add_product, nonzero_radicals
+from schurweyl.radicals import Radical, accumulator, add_product, nonzero_radicals
 from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
@@ -92,9 +93,13 @@ def up(state: dict, k: int) -> dict:
     an up state too; the keys returned are plain pairs.
     """
     sums: dict = {}
+    spare = accumulator()
     for (pattern, young), amp in state.items():
         for upper, edge in up_transitions(pattern, k):
-            add_product(sums.setdefault((upper, young + (upper.shape,)), {}), amp, edge)
+            acc = sums.setdefault((upper, young + (upper.shape,)), spare)
+            if acc is spare:
+                spare = accumulator()
+            add_product(acc, amp, edge)
     return nonzero_radicals(sums)
 
 
@@ -107,11 +112,14 @@ def down(state: dict, scale: int) -> dict:
     it lists the lower patterns.
     """
     sums: dict = {}
+    spare = accumulator()
     for (pattern, young, word), amp in state.items():
         lower_young = young[:-1]
         for lower, k, edge in down_transitions(pattern, lower_young[-1]):
-            key = (lower, lower_young, word + (k - 1) * scale)
-            add_product(sums.setdefault(key, {}), amp, edge)
+            acc = sums.setdefault((lower, lower_young, word + (k - 1) * scale), spare)
+            if acc is spare:
+                spare = accumulator()
+            add_product(acc, amp, edge)
     return nonzero_radicals(sums)
 
 

@@ -106,23 +106,34 @@ def _list(items, newline: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{newline}]"
 
 
+class _Texts(dict):
+    """The texts of one document's repeated values, each written once, on its first lookup."""
+
+    def __init__(self, write):
+        super().__init__()
+        self.write = write
+
+    def __missing__(self, value):
+        text = self[value] = self.write(value)
+        return text
+
+
 def _amplitude(amp: Radical, newline: str) -> str:
     """``json.dumps(amp.to_json_obj(), indent=2)`` with each line break replaced by ``newline``.
 
-    ``approx`` is written with ``repr``, the text ``json`` gives every
-    finite float; the reader's bounds keep it finite.
+    It is written from the term pairs directly.  ``approx`` is written with
+    ``repr``, the text ``json`` gives every finite float; the reader's
+    bounds keep it finite.
     """
-    obj = amp.to_json_obj()
     inner = newline + "  "
     entry = inner + "  "
     field = entry + "  "
     terms = [
-        f'{{{field}"radicand": {t["radicand"]},{field}"num": {t["num"]},'
-        f'{field}"den": {t["den"]}{entry}}}'
-        for t in obj["terms"]
+        f'{{{field}"radicand": {m},{field}"num": {p},{field}"den": {q}{entry}}}'
+        for m, (p, q) in amp.int_items()
     ]
     terms_text = _list(terms, inner)
-    return f'{{{inner}"terms": {terms_text},{inner}"approx": {obj["approx"]!r}{newline}}}'
+    return f'{{{inner}"terms": {terms_text},{inner}"approx": {amp.to_float()!r}{newline}}}'
 
 
 def _dumps_state(state, d: int, n: int) -> str:
@@ -136,25 +147,19 @@ def _dumps_state(state, d: int, n: int) -> str:
     """
     field = "\n      "  # the line break and indent of a term's fields
     step = field + "  "
-    shapes: dict = {}
-    patterns: dict = {}
-    steps: dict = {}
-    terms = []
-    for triplet, amp in sorted_terms(state):
-        pattern, young = triplet.pattern, triplet.young
-        shape = young[-1]
-        shape_text = shapes.get(shape) or shapes.setdefault(
-            shape, _list([*map(str, shape)], field)
+    shapes = _Texts(lambda shape: _list([*map(str, shape)], field))
+    patterns = _Texts(
+        lambda pattern: _list(
+            [_list([*map(str, row)], step) for row in gt_to_external(pattern)], field
         )
-        rows = patterns.get(pattern) or patterns.setdefault(
-            pattern, _list([_list([*map(str, r)], step) for r in gt_to_external(pattern)], field)
-        )
-        path = [steps.get(s) or steps.setdefault(s, _list([*map(str, s)], step)) for s in young]
-        terms.append(
-            f'{{{field}"shape": {shape_text},{field}"weyl_rows": {rows},'
-            f'{field}"young_path": {_list(path, field)},'
-            f'{field}"amplitude": {_amplitude(amp, field)}\n    }}'
-        )
+    )
+    steps = _Texts(lambda shape: _list([*map(str, shape)], step))
+    terms = [
+        f'{{{field}"shape": {shapes[young[-1]]},{field}"weyl_rows": {patterns[pattern]},'
+        f'{field}"young_path": {_list([*map(steps.__getitem__, young)], field)},'
+        f'{field}"amplitude": {_amplitude(amp, field)}\n    }}'
+        for (pattern, young), amp in sorted_terms(state)
+    ]
     body = _list(terms, "\n  ")
     return f'{{\n  "d": {d},\n  "n": {n},\n  "terms": {body}\n}}'
 
@@ -174,21 +179,14 @@ def _dumps_graph(graph) -> str:
     inner = field + "  "  # ... of a tableau row
     shift = letter_offset(graph.d)
     rows = graph._weyl_rows()
-    shapes: dict = {}
-    row_texts: dict = {}
+    shapes = _Texts(lambda shape: _list([*map(str, shape)], field))
+    row_texts = _Texts(lambda row: _list([*map(str, row)], inner))
     amplitudes: dict = {}
     vertices = []
     for v in graph.vertices:
-        shape = v.shape
-        shape_text = shapes.get(shape) or shapes.setdefault(
-            shape, _list([*map(str, shape)], field)
-        )
-        lines = [
-            row_texts.get(row) or row_texts.setdefault(row, _list([*map(str, row)], inner))
-            for row in map(tuple, rows[v.id])
-        ]
+        lines = [*map(row_texts.__getitem__, map(tuple, rows[v.id]))]
         vertices.append(
-            f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {shape_text},'
+            f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {shapes[v.shape]},'
             f'{field}"tableau_rows": {_list(lines, field)}\n    }}'
         )
     edges = []

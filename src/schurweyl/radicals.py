@@ -93,17 +93,27 @@ def _new(terms: dict[int, tuple[int, int]]) -> "Radical":
     return out
 
 
-def add_product(terms: dict, a: "Radical", b: "Radical") -> None:
-    """Add ``a * b`` into the term map ``terms`` in place, keeping it canonical.
+def accumulator() -> "Radical":
+    """A new zero :class:`Radical` for :func:`add_product` to sum into.
 
-    A map starts empty, and only this function writes it until
-    :func:`nonzero_radicals` wraps it.  It is never a :class:`Radical`'s
-    own map: the fans share one object among every edge of a value.  Its
-    radicands end in the order that ``acc + a * b`` gives for the value
-    ``acc`` it held before, and ``to_float`` sums terms in stored order, so
-    the wrapped value's float is the one that sum would have.
+    It is the one kind of :class:`Radical` ever written: only by
+    :func:`add_product`, and only until its caller returns it.
     """
-    x, y = a._terms, b._terms
+    out = Radical.__new__(Radical)
+    out._terms = {}
+    return out
+
+
+def add_product(acc: "Radical", a: "Radical", b: "Radical") -> None:
+    """Add ``a * b`` into the accumulator ``acc`` in place, keeping it canonical.
+
+    ``acc`` comes from :func:`accumulator`; it is never a value shared
+    elsewhere, as the fans share one object among every edge of a value.
+    Its radicands end in the order that ``acc + a * b`` gives, and
+    ``to_float`` sums terms in stored order, so the float of the sum is
+    the one that ``+`` would have given.
+    """
+    terms, x, y = acc._terms, a._terms, b._terms
     if len(x) > 1 and len(y) > 1:
         # two sums can meet on one radicand inside their product, so it is
         # folded first, as ``acc + a * b`` folds it
@@ -116,13 +126,20 @@ def add_product(terms: dict, a: "Radical", b: "Radical") -> None:
             _accumulate(terms, (m1 // g) * (m2 // g), p1 * p2 * g, q1 * q2)
 
 
-def nonzero_radicals(maps: dict) -> dict:
-    """``{key: Radical}`` for every non-empty term map of ``{key: terms}``.
+def nonzero_radicals(sums: dict) -> dict:
+    """The entries of ``{key: accumulator}`` whose sums did not cancel to zero.
 
-    Each :class:`Radical` takes its map over, so the caller writes the maps
-    no more.
+    Only the fewer of the two kinds of key is hashed again: the zero
+    entries are deleted from ``sums`` in place when they are the fewer, as
+    in an up step, and otherwise the others are copied into a new dict,
+    as in a down step, whose sums mostly cancel.
     """
-    return {key: _new(terms) for key, terms in maps.items() if terms}
+    zeros = [key for key, acc in sums.items() if not acc._terms]
+    if 2 * len(zeros) > len(sums):
+        return {key: acc for key, acc in sums.items() if acc._terms}
+    for key in zeros:
+        del sums[key]
+    return sums
 
 
 class Radical:
@@ -153,6 +170,10 @@ class Radical:
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self.terms.items()))
+
+    def int_items(self) -> list[tuple[int, tuple[int, int]]]:
+        """:meth:`items` with each coefficient as its int pair ``(num, den)``, ``den > 0``."""
+        return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -242,55 +263,67 @@ class Radical:
 
     def to_json_obj(self):
         return {
-            "terms": [
-                {"radicand": m, "num": p, "den": q}
-                for m, (p, q) in sorted(self._terms.items())
-            ],
+            "terms": [{"radicand": m, "num": p, "den": q} for m, (p, q) in self.int_items()],
             "approx": self.to_float(),
         }
 
     @classmethod
-    def from_json_obj(cls, obj, memo: dict | None = None) -> "Radical":
+    def from_json_obj(cls, obj) -> "Radical":
         """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored.
 
-        Radicands may be any integers in ``1..MAX_JSON_RADICAND`` and
-        ``num``/``den`` have at most ``MAX_JSON_COEFFICIENT_BITS`` bits; the
-        terms are folded into canonical form as in the constructor.
-
-        A ``memo`` dict, kept by the caller for one document, maps the
-        checked ``(radicand, num, den)`` triples of each value read to its
-        result, so a repeated value is folded once.  The triples are exact
-        ints, so a ``true`` or ``1.0`` never meets the entry of a ``1``.
+        Each term's fields are checked in turn: exactly an int each, then
+        the bounds of :func:`check_json_triple`; the terms are folded into
+        canonical form as in the constructor.
         """
         triples = []
         for entry in json_field(obj, "terms", list, "radical"):
-            m, num, den = (
+            triple = tuple(
                 json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
             )
-            if not 1 <= m <= MAX_JSON_RADICAND:
-                raise InvariantViolation(
-                    "radical document",
-                    f"field 'radicand': {m} outside 1..{MAX_JSON_RADICAND}",
-                )
-            if den == 0:
-                raise InvariantViolation("radical document", "field 'den': zero")
-            for key, value in (("num", num), ("den", den)):
-                if value.bit_length() > MAX_JSON_COEFFICIENT_BITS:
-                    raise InvariantViolation(
-                        "radical document",
-                        f"field {key!r}: more than {MAX_JSON_COEFFICIENT_BITS} bits",
-                    )
-            triples.append((m, num, den))
-        memo = {} if memo is None else memo
-        key = tuple(triples)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = _new(_fold_terms(triples))
-        return found
+            check_json_triple(*triple)
+            triples.append(triple)
+        return _new(_fold_terms(triples))
 
 
 ZERO = Radical()
 ONE = Radical({1: 1})
+
+
+def check_json_triple(m: int, num: int, den: int) -> None:
+    """Bound one ``(radicand, num, den)`` term of a JSON document, its fields exact ints.
+
+    Radicands may be any integers in ``1..MAX_JSON_RADICAND``, ``den`` is
+    nonzero, and ``num``/``den`` have at most ``MAX_JSON_COEFFICIENT_BITS``
+    bits.
+    """
+    if not 1 <= m <= MAX_JSON_RADICAND:
+        raise InvariantViolation(
+            "radical document", f"field 'radicand': {m} outside 1..{MAX_JSON_RADICAND}"
+        )
+    if den == 0:
+        raise InvariantViolation("radical document", "field 'den': zero")
+    for key, value in (("num", num), ("den", den)):
+        if value.bit_length() > MAX_JSON_COEFFICIENT_BITS:
+            raise InvariantViolation(
+                "radical document", f"field {key!r}: more than {MAX_JSON_COEFFICIENT_BITS} bits"
+            )
+
+
+def radical_from_json_triples(triples: tuple, memo: dict) -> Radical:
+    """The value of a document's amplitude, given as its terms' ``(radicand, num, den)`` triples.
+
+    The triples are exact ints, checked by the caller, so a ``true`` or
+    ``1.0`` never meets the entry of a ``1``.  ``memo``, kept by the
+    caller for one document, maps each tuple of triples read to its value:
+    a tuple is bounded by :func:`check_json_triple` and folded the first
+    time it is seen, and a repeat is one lookup.
+    """
+    found = memo.get(triples)
+    if found is None:
+        for triple in triples:
+            check_json_triple(*triple)
+        found = memo[triples] = _new(_fold_terms(triples))
+    return found
 
 
 def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:

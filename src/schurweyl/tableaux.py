@@ -128,30 +128,35 @@ def validate_path(steps, seen: dict | None = None) -> GrowthPath:
     be empty and each later one a single box larger than the one before.
     Faults are named in that order: every step's parts, then the start,
     then the growth steps in turn.  ``seen`` holds what one document has
-    read: each raw step, mapped to its shape, and each pair of consecutive
-    raw steps whose growth :func:`grown_row` accepted, mapped to the grown
-    row.  So a document checks each distinct step and each distinct pair
-    once, and the memo grows with the document, not with its paths'
-    lengths.  Steps read with ``seen`` must be tuples of integers, to be
-    keys that no pair equals.
+    read: each raw step, as a tuple, mapped to its shape, and each pair of
+    consecutive shapes whose growth :func:`grown_row` accepted.  A path
+    whose steps and pairs are all there is read by one lookup per step and
+    per pair; otherwise each missing step and pair is checked in order.
+    So a document checks each distinct step and each distinct pair once,
+    and the memo grows with the document, not with its paths' lengths.
+    Steps read with ``seen`` must be a sequence of integer sequences, whose
+    tuples are keys that no pair of shapes equals; their integers must be
+    exact ints, since ``True == 1`` would meet the entry of a ``1``.
     """
     if seen is None:
         path = tuple(map(check_partition, steps))
     else:
-        path = []
-        for step in steps:
-            shape = seen.get(step)
-            if shape is None:
-                shape = seen[step] = check_partition(step)
-            path.append(shape)
-        path = tuple(path)
+        try:
+            path = tuple(map(seen.__getitem__, map(tuple, steps)))
+        except KeyError:  # a step not read before is checked once, in order
+            path = tuple(
+                seen[step] if step in seen else seen.setdefault(step, check_partition(step))
+                for step in map(tuple, steps)
+            )
     if not path or path[0] != ():
         raise InvariantViolation("growth path starts empty", f"{path!r}")
-    for i in range(1, len(path)):
-        if seen is None:
-            grown_row(path[i - 1], path[i])
-        elif (pair := steps[i - 1 : i + 1]) not in seen:
-            seen[pair] = grown_row(path[i - 1], path[i])
+    if seen is None:
+        for pair in zip(path, path[1:]):
+            grown_row(*pair)
+    elif not all(map(seen.__contains__, zip(path, path[1:]))):
+        for pair in zip(path, path[1:]):
+            if pair not in seen:
+                seen[pair] = grown_row(*pair)
     return path
 
 
@@ -354,24 +359,20 @@ def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
 # rendering, parsing and the external alphabet
 
 
-def _is_json(value, kind: type) -> bool:
-    # a JSON integer is an int, and bool is a subclass of int
-    return type(value) is int if kind is int else isinstance(value, kind)
-
-
 def all_of_type(values, kind: type) -> bool:
     """Whether every value is exactly a ``kind``, checked at C speed: no bool passes as an int."""
     return set(map(type, values)) <= {kind}
 
 
 def json_field(obj, name: str, kind: type, document: str, items: type = object):
-    """``obj[name]`` of a parsed JSON ``document``, checked to be a ``kind``.
+    """``obj[name]`` of a parsed JSON ``document``, checked to be exactly a ``kind``.
 
-    Booleans do not pass as integers, and a list must hold only ``items``,
-    of exactly that type.
+    ``obj`` must be exactly a dict, and a list must hold only ``items``, of
+    exactly that type.  JSON yields no subclass, so a bool does not pass as
+    an integer, nor a Python caller's dict or list subclass as a JSON value.
     """
-    value = obj.get(name) if isinstance(obj, dict) else None
-    if not _is_json(value, kind) or (items is not object and not all_of_type(value, items)):
+    value = obj.get(name) if type(obj) is dict else None
+    if type(value) is not kind or (items is not object and not all_of_type(value, items)):
         raise InvariantViolation(f"{document} document", f"bad or missing field {name!r}")
     return value
 

@@ -9,14 +9,21 @@ whose unitarity is verified with exact arithmetic rather than assumed.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 from schurweyl.branching import SchurWeylTriplet, Word, down, empty_triplet, up
-from schurweyl.radicals import ONE, ZERO, Radical, add_product, nonzero_radicals
+from schurweyl.radicals import (
+    ONE,
+    Radical,
+    accumulator,
+    add_product,
+    nonzero_radicals,
+    radical_from_json_triples,
+)
 from schurweyl.tableaux import (
-    GTPattern,
     InvariantViolation,
-    Rows,
+    all_of_type,
     check_alphabet,
     enumerate_gt,
     enumerate_paths,
@@ -95,10 +102,10 @@ def column_norms(d: int, n: int):
     """The exact squared norm of ``encode(word, d)`` for every word of :func:`words`, in order."""
     check_alphabet(d)
     for state in _column_states(d, n):
-        norm: dict = {}
+        norm = accumulator()
         for amp in state.values():
             add_product(norm, amp, amp)
-        yield nonzero_radicals({0: norm}).get(0, ZERO)
+        yield norm
 
 
 def words(d: int, n: int):
@@ -163,15 +170,18 @@ def verify_unitary(m: ExactSparseMatrix) -> bool:
 
     Amplitudes are real, so unitarity reduces to orthonormal rows;
     accumulating over columns touches each nonzero entry pair once, and
-    each row pair's sum is one term map until the end.
+    each row pair's sum is one accumulator.
     """
-    sums: dict[tuple[int, int], dict] = {}
+    sums: dict[tuple[int, int], Radical] = {}
     for column in m.columns():
         rows = sorted(column)
         for i, a in enumerate(rows):
             amp = column[a]
             for b in rows[i:]:
-                add_product(sums.setdefault((a, b), {}), amp, column[b])
+                acc = sums.get((a, b))
+                if acc is None:
+                    acc = sums[a, b] = accumulator()
+                add_product(acc, amp, column[b])
     return nonzero_radicals(sums) == {(r, r): ONE for r in range(m.size)}
 
 
@@ -190,47 +200,120 @@ def dimension_check(d: int, n: int) -> bool:
 def sorted_terms(
     state: dict[SchurWeylTriplet, Radical]
 ) -> list[tuple[SchurWeylTriplet, Radical]]:
-    """The terms of a state in canonical order: descending triplet sort key."""
-    return sorted(state.items(), key=lambda item: item[0].sort_key(), reverse=True)
+    """The terms of a state in canonical order: descending triplet sort key.
+
+    A pattern's levels read top level first order patterns of one alphabet
+    as :meth:`~schurweyl.tableaux.GTPattern.key` does, since level ``j``
+    of each holds ``j`` entries; the slice costs no Python call per term.
+    """
+
+    def sort_key(item):
+        (pattern, young), _ = item
+        return young[-1], pattern.levels[::-1], young
+
+    return sorted(state.items(), key=sort_key, reverse=True)
 
 
 def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     """Parse and validate a state document: the entry check of outside states.
 
-    Terms share their Weyl tableaux and growth steps, so each distinct
-    Weyl tableau is checked once per document, and :func:`validate_path`
-    checks each distinct raw step and each distinct pair of consecutive
-    steps once.  A zero amplitude, written as such or summed from terms
-    that cancel, is dropped.
+    JSON types are checked first, column by column (:func:`_term_columns`):
+    each field of every term must be exactly a JSON dict, list or int, so
+    no ``true`` ever meets the memo entry of a ``1``.  Then one loop reads
+    each term through per-document memos: each distinct Weyl tableau is
+    checked once, :func:`validate_path` checks each distinct raw step and
+    each distinct pair of consecutive shapes once, and each distinct
+    amplitude is bounded and folded once.  The loop names the first term
+    whose shapes, level or values are wrong.  A zero amplitude, written as
+    such or summed from terms that cancel, is dropped.
     """
     d, n = (json_field(obj, key, int, "state") for key in ("d", "n"))
     check_alphabet(d)  # a term whose level is not n fails below, so n needs no check here
     entries = json_field(obj, "terms", list, "state")
     if not entries:
         raise InvariantViolation("state document", "no terms")
-    patterns: dict[Rows, GTPattern] = {}
+    patterns: dict = {}  # each Weyl tableau's rows read, with its pattern and shape
     paths: dict = {}  # validate_path's memo: each raw step read and each growth pair accepted
     amplitudes: dict = {}
-    terms: dict[SchurWeylTriplet, Radical] = {}
-    for entry in entries:
-        shape = tuple(json_field(entry, "shape", list, "state", int))
-        rows = json_rows(entry, "weyl_rows", "state")
-        pattern = patterns.get(rows)
-        if pattern is None:
-            pattern = patterns[rows] = gt_from_external(rows, d)
-        young = validate_path(json_rows(entry, "young_path", "state"), paths)
-        if not shape == pattern.shape == young[-1]:
+    keys, amps = [], []
+    for shape, rows, steps, triples in zip(*_term_columns(entries)):
+        rows = tuple(map(tuple, rows))
+        found = patterns.get(rows)
+        if found is None:
+            pattern = gt_from_external(rows, d)
+            found = patterns[rows] = pattern, pattern.shape
+        pattern, top = found
+        young = validate_path(steps, paths)
+        shape = tuple(shape)
+        if not shape == top == young[-1]:
             raise InvariantViolation(
-                "components share one shape", f"{shape} / {pattern.shape} / {young[-1]}"
+                "components share one shape", f"{shape} / {top} / {young[-1]}"
             )
         if len(young) - 1 != n:
             raise InvariantViolation("terms share level and alphabet", f"{shape} at n={n}")
-        triplet = SchurWeylTriplet(pattern, young)
-        amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "state"), amplitudes)
-        if triplet in terms:
-            amp = terms[triplet] + amp
-        terms[triplet] = amp
+        keys.append(SchurWeylTriplet(pattern, young))
+        amps.append(radical_from_json_triples(triples, amplitudes))
+    terms = dict(zip(keys, amps))
+    if len(terms) == len(keys) and all(amplitudes.values()):
+        return terms  # no triplet repeats and no amplitude is zero
+    terms = {}
+    for triplet, amp in zip(keys, amps):
+        terms[triplet] = terms[triplet] + amp if triplet in terms else amp
     return {triplet: amp for triplet, amp in terms.items() if amp}
+
+
+_flatten = itertools.chain.from_iterable
+_TERM_FIELDS = itemgetter("shape", "weyl_rows", "young_path", "amplitude")
+_RADICAL_FIELDS = itemgetter("radicand", "num", "den")
+
+
+def _term_columns(entries: list) -> tuple:
+    """The terms of a state document as four columns, every JSON type checked.
+
+    The columns are each term's shape, Weyl rows and growth path, as
+    parsed, and its amplitude as a tuple of ``(radicand, num, den)``
+    triples.  Each column is checked in one pass over its values at every
+    depth, with exact types, so a subclass or a bool does not pass.  If a
+    check fails, the terms are walked one at a time, field by field in
+    document order, and the first fault is named as :func:`json_field`
+    names it.
+    """
+    try:
+        if all_of_type(entries, dict):
+            shapes, weyl, young, amplitudes = zip(*map(_TERM_FIELDS, entries))
+            if all_of_type(amplitudes, dict):
+                radicals = [*map(itemgetter("terms"), amplitudes)]
+                if (
+                    all_of_type(shapes, list)
+                    and all_of_type(_flatten(shapes), int)
+                    and _rows_of_ints(weyl)
+                    and _rows_of_ints(young)
+                    and all_of_type(radicals, list)
+                    and all_of_type(_flatten(radicals), dict)
+                ):
+                    triples = [tuple(map(_RADICAL_FIELDS, terms)) for terms in radicals]
+                    if all_of_type(_flatten(_flatten(triples)), int):
+                        return shapes, weyl, young, triples
+    except KeyError:  # a missing field, named below
+        pass
+    for entry in entries:
+        json_field(entry, "shape", list, "state", int)
+        json_rows(entry, "weyl_rows", "state")
+        json_rows(entry, "young_path", "state")
+        amplitude = json_field(entry, "amplitude", dict, "state")
+        for term in json_field(amplitude, "terms", list, "radical"):
+            for key in ("radicand", "num", "den"):
+                json_field(term, key, int, "radical")
+    raise AssertionError("the term walk passed a document whose columns failed")
+
+
+def _rows_of_ints(column) -> bool:
+    """Whether every value of ``column`` is a list of lists of ints."""
+    return (
+        all_of_type(column, list)
+        and all_of_type(_flatten(column), list)
+        and all_of_type(_flatten(_flatten(column)), int)
+    )
 
 
 def computational_to_json_obj(state: dict[Word, Radical], d: int, n: int) -> dict:

@@ -355,7 +355,8 @@ def test_equal_edge_amplitudes_are_one_object(d, n):
 def test_serializers_format_each_amplitude_once(monkeypatch):
     g = build(3, 5)
     distinct = {e.amplitude for e in g.edges}
-    for method, write in (("to_json_obj", cli._dumps_graph), ("to_string", SWYGraph.to_dot)):
+    # the JSON writer reads each amplitude's terms through int_items, once per text
+    for method, write in (("int_items", cli._dumps_graph), ("to_string", SWYGraph.to_dot)):
         calls = []
         original = getattr(Radical, method)
 

@@ -5,7 +5,8 @@ commands write.  ``decode`` and ``check`` print it directly; the state and
 graph writers lay their documents out from the helpers ``cli._list`` and
 ``cli._amplitude``, which are held to it here at several indents.
 :func:`state_to_json_obj` is the object the state writer must spell, and the
-decode fuzz feeds mutated ``encode`` documents back in.
+decode fuzz feeds mutated ``encode`` documents back in.  The reader must name
+each type fault as a term-by-term reader does and admit exact JSON types only.
 """
 
 import copy
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from schurweyl import cli
 from schurweyl.radicals import Radical, _new, radical_from_sqrt
-from schurweyl.tableaux import gt_to_external, parse_word
-from schurweyl.transform import encode, sorted_terms, words
+from schurweyl.tableaux import InvariantViolation, gt_to_external, parse_word
+from schurweyl.transform import encode, sorted_terms, state_from_json_obj, words
 
 
 def reference(obj) -> str:
@@ -244,3 +245,123 @@ def test_decode_fuzz_exits_cleanly(capsys, monkeypatch, doc, fmt):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err
+
+
+# ---------------------------------------------------------------------------
+# the reader: each JSON type checked, each fault named as one term at a time names it
+
+READER_BASE = json.loads(cli._dumps_state(encode((1, 2, 3, 1), 3), 3, 4))
+DELETED = object()
+
+
+def field_holder(doc, field):
+    """The dict that holds ``field`` in the third term of ``doc``."""
+    term = doc["terms"][2]
+    if field == "terms":
+        return term["amplitude"]
+    if field in ("radicand", "num", "den"):
+        return term["amplitude"]["terms"][0]
+    return term
+
+
+def read_fault(doc) -> str:
+    with pytest.raises(InvariantViolation) as fault:
+        state_from_json_obj(doc)
+    return str(fault.value)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None, DELETED])
+@pytest.mark.parametrize(
+    "field", ["shape", "weyl_rows", "young_path", "amplitude", "terms", "radicand", "num", "den"]
+)
+def test_reader_names_each_type_fault(field, value):
+    doc = copy.deepcopy(READER_BASE)
+    holder = field_holder(doc, field)
+    if value is DELETED:
+        del holder[field]
+    else:
+        holder[field] = value
+    document = "radical" if field in ("terms", "radicand", "num", "den") else "state"
+    assert read_fault(doc) == f"invariant: {document} document (bad or missing field {field!r})"
+
+
+def test_reader_drops_zero_amplitudes():
+    # a term written as zero, or a term and its negation, leave no entry
+    state = state_from_json_obj(READER_BASE)
+    zero = copy.deepcopy(READER_BASE)
+    zero["terms"][2]["amplitude"]["terms"] = []
+    read = state_from_json_obj(zero)
+    assert len(read) == len(state) - 1 and all(read.values())
+    assert read == {t: amp for t, amp in state.items() if t in read}
+    negated = copy.deepcopy(READER_BASE["terms"][2])
+    negated["amplitude"]["terms"][0]["num"] *= -1
+    assert state_from_json_obj(dict(READER_BASE, terms=[*READER_BASE["terms"], negated])) == read
+
+
+def first_one(value, path=()):
+    """The path to the first int 1 below ``value``: dict keys and list indices."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        if type(child) is int and child == 1:
+            return path + (key,)
+        if isinstance(child, (dict, list)):
+            found = first_one(child, path + (key,))
+            if found:
+                return found
+    return None
+
+
+@pytest.mark.parametrize(
+    "field, document",
+    [("weyl_rows", "state"), ("young_path", "state"), ("amplitude", "radical")],
+)
+def test_true_never_meets_the_memo_entry_of_one(field, document):
+    # the second term repeats the first with one 1 written as true: every
+    # memo is keyed by exact ints, so it is rejected, not read as the first
+    doc = copy.deepcopy(READER_BASE)
+    first = doc["terms"][0]
+    second = copy.deepcopy(first)
+    path = first_one(first[field])
+    assert path, field
+    holder = second[field]
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = True
+    doc["terms"][1:1] = [second]
+    assert state_from_json_obj(dict(doc, terms=[first, copy.deepcopy(first)]))
+    name = path[-1] if document == "radical" else field
+    assert read_fault(doc) == f"invariant: {document} document (bad or missing field {name!r})"
+
+
+class ListSubclass(list):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
+@pytest.mark.parametrize(
+    "where, name, document",
+    [
+        ((), "shape", "state"),
+        (("shape",), "shape", "state"),
+        (("weyl_rows",), "weyl_rows", "state"),
+        (("weyl_rows", 0), "weyl_rows", "state"),
+        (("young_path",), "young_path", "state"),
+        (("young_path", 1), "young_path", "state"),
+        (("amplitude",), "amplitude", "state"),
+        (("amplitude", "terms"), "terms", "radical"),
+        (("amplitude", "terms", 0), "radicand", "radical"),
+    ],
+)
+def test_reader_rejects_list_and_dict_subclasses(where, name, document):
+    # JSON yields exact dicts and lists only; a Python caller's subclass is
+    # rejected like any other non-JSON value
+    doc = copy.deepcopy(READER_BASE)
+    parent, key = doc["terms"], 2
+    for step in where:
+        parent, key = parent[key], step
+    value = parent[key]
+    parent[key] = (DictSubclass if isinstance(value, dict) else ListSubclass)(value)
+    assert read_fault(doc) == f"invariant: {document} document (bad or missing field {name!r})"

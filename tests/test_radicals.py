@@ -10,6 +10,7 @@ from schurweyl.radicals import (
     ONE,
     ZERO,
     Radical,
+    accumulator,
     add_product,
     nonzero_radicals,
     radical_from_sqrt,
@@ -307,44 +308,46 @@ def test_multi_term_cases():
 
 @given(st.lists(st.tuples(raw_maps, raw_maps), min_size=1, max_size=4))
 def test_add_product_matches_sum_of_products(pairs):
-    # every product, then every product negated, which cancels the map back
-    # to empty, then the first product again
+    # every product, then every product negated, which cancels the
+    # accumulator back to zero, then the first product again
     operands = [(Radical(x), Radical(y)) for x, y in pairs]
     steps = operands + [(-a, b) for a, b in operands] + operands[:1]
-    terms, acc, ref = {}, ZERO, {}
+    total, acc, ref = accumulator(), ZERO, {}
     for i, (a, b) in enumerate(steps, 1):
         held = (list(a._terms.items()), list(b._terms.items()))
-        add_product(terms, a, b)
+        add_product(total, a, b)
         acc = acc + a * b
         ref = ref_fold([*ref.items(), *ref_mul(a.terms, b.terms).items()])
         assert (list(a._terms.items()), list(b._terms.items())) == held
         # the Radical sum's pairs in its order, so approx sums them alike
-        assert list(terms.items()) == list(acc._terms.items())
-        assert_matches(nonzero_radicals({0: dict(terms)}).get(0, ZERO), ref)
+        assert list(total._terms.items()) == list(acc._terms.items())
+        assert_matches(nonzero_radicals({0: total}).get(0, ZERO), ref)
         if i == 2 * len(operands):
-            assert terms == {}
+            assert total._terms == {}
 
 
 def test_add_product_cancels_regains_and_keeps_order():
     root2, root3, root6 = (radical_from_sqrt(1, m, 1) for m in (2, 3, 6))
-    terms = {}
-    add_product(terms, root2 + root3, root2 - root3)
-    assert terms == {1: (-1, 1)}
-    add_product(terms, ONE, ONE)
-    assert terms == {}
-    assert nonzero_radicals({"kept": {2: (1, 1)}, "gone": terms}) == {"kept": root2}
-    add_product(terms, root2, root3)
-    assert nonzero_radicals({"back": terms}) == {"back": root6}
+    total = accumulator()
+    add_product(total, root2 + root3, root2 - root3)
+    assert total._terms == {1: (-1, 1)}
+    add_product(total, ONE, ONE)
+    assert total._terms == {}
+    kept = accumulator()
+    add_product(kept, root2, ONE)
+    sums = {"kept": kept, "gone": total}
+    assert nonzero_radicals(sums) is sums and sums == {"kept": root2}
+    add_product(total, root2, root3)
+    assert nonzero_radicals({"back": total}) == {"back": root6}
     # (sqrt2 + sqrt3)(sqrt6 - 2) == 2*sqrt3 - 2*sqrt2 + 3*sqrt2 - 2*sqrt3: the
-    # sqrt3 terms cancel inside the product, so -2*sqrt3 already in the map
+    # sqrt3 terms cancel inside the product, so -2*sqrt3 already in the sum
     # keeps its place, as it does in acc + a * b
     a, b = root2 + root3, root6 - Radical({1: 2})
-    terms = {}
-    add_product(terms, Radical({3: -2}), ONE)
-    add_product(terms, ONE, Radical({5: 1}))
+    total = accumulator()
+    add_product(total, Radical({3: -2}), ONE)
+    add_product(total, ONE, Radical({5: 1}))
     acc = Radical({3: -2}) + Radical({5: 1})
-    add_product(terms, a, b)
-    assert list(terms.items()) == list((acc + a * b)._terms.items())
-    assert list(terms.items()) == [(3, (-2, 1)), (5, (1, 1)), (2, (1, 1))]
-    # the shared roots are read, never written
+    add_product(total, a, b)
+    assert list(total._terms.items()) == list((acc + a * b)._terms.items())
+    assert list(total._terms.items()) == [(3, (-2, 1)), (5, (1, 1)), (2, (1, 1))]
     assert (root2._terms, root3._terms, root6._terms) == ({2: (1, 1)}, {3: (1, 1)}, {6: (1, 1)})
