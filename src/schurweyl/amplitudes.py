@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from schurweyl.radicals import Radical, radical_from_sqrt
+from schurweyl.radicals import Radical, _unchecked_sqrt, radical_from_sqrt
 from schurweyl.tableaux import GTPattern, Partition, interlaces, pad_partition
 
 
@@ -285,10 +285,14 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
                 extended.append(((*placed, new), t_up, sign * s, num * n, den * m))
         candidates = extended
         under = row
-    return tuple(
-        (GTPattern(placed), radical_from_sqrt(sign, num, den))
+    # the levels were placed here from a valid pattern and the product's ints
+    # are the formula's, so neither is checked again: each upper is made by
+    # tuple.__new__, as namedtuple's _make does, and each root unchecked
+    new = tuple.__new__
+    return tuple([
+        (new(GTPattern, (placed,)), _unchecked_sqrt(sign, num, den))
         for placed, _, sign, num, den in candidates
-    )
+    ])
 
 
 @cache

@@ -33,7 +33,9 @@ from .tableaux import (
     parse_word,
     path_to_syt,
     render_tableau_rows,
+    row_entries,
     shape_to_text,
+    weyl_row,
     word_to_text,
 )
 from .transform import (
@@ -170,21 +172,24 @@ def _dumps_graph(graph) -> str:
     Every vertex and every edge sits at one depth, so their fields are laid
     out here directly, with no object tree in between.  Each distinct shape,
     tableau row and amplitude is written once per document and its text
-    reused; rows come from the graph's row list.  Amplitude texts are keyed
-    by object: ``approx`` sums the terms in stored order, so two equal
-    radicals can print different floats, but one object always prints the
-    same text.  Equal amplitudes from the fans are one object.
+    reused.  A row's text is keyed by the GT entries that fix it
+    (:func:`~schurweyl.tableaux.weyl_row`), so no row grid is made.
+    Amplitude texts are keyed by object: ``approx`` sums the terms in stored
+    order, so two equal radicals can print different floats, but one object
+    always prints the same text.  Equal amplitudes from the fans are one
+    object.
     """
     field = "\n      "  # the line break and indent of a vertex's or edge's fields
     inner = field + "  "  # ... of a tableau row
     shift = letter_offset(graph.d)
-    rows = graph._weyl_rows()
     shapes = _Texts(lambda shape: _list([*map(str, shape)], field))
-    row_texts = _Texts(lambda row: _list([*map(str, row)], inner))
+    row_texts = _Texts(
+        lambda entries: _list([str(x - shift) for x in weyl_row(entries)], inner)
+    )
     amplitudes: dict = {}
     vertices = []
     for v in graph.vertices:
-        lines = [*map(row_texts.__getitem__, map(tuple, rows[v.id]))]
+        lines = [*map(row_texts.__getitem__, row_entries(v.pattern))]
         vertices.append(
             f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {shapes[v.shape]},'
             f'{field}"tableau_rows": {_list(lines, field)}\n    }}'

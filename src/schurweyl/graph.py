@@ -10,6 +10,7 @@ DOT and JSON dumps are byte-stable for fixed ``(d, n_max)``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from schurweyl.amplitudes import up_transitions
@@ -28,7 +29,9 @@ from schurweyl.tableaux import (
     letter_from_json,
     letter_offset,
     partitions,
+    row_entries,
     shape_to_text,
+    weyl_row,
 )
 
 
@@ -54,13 +57,6 @@ class SWYGraph:
         self.n_max = n_max
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._rows = None
-
-    def _weyl_rows(self) -> list[list[list[int]]]:
-        # each vertex's external rows, made once for both serializers
-        if self._rows is None:
-            self._rows = [gt_to_external(v.pattern) for v in self.vertices]
-        return self._rows
 
     def vertex(self, v: int) -> SWYVertex:
         if not 0 <= v < len(self.vertices):
@@ -90,7 +86,6 @@ class SWYGraph:
 
     def to_json_obj(self):
         shift = letter_offset(self.d)
-        rows = self._weyl_rows()
         return {
             "d": self.d,
             "n_max": self.n_max,
@@ -99,7 +94,7 @@ class SWYGraph:
                     "id": v.id,
                     "level": v.level,
                     "shape": list(v.shape),
-                    "tableau_rows": [row[:] for row in rows[v.id]],
+                    "tableau_rows": gt_to_external(v.pattern),
                 }
                 for v in self.vertices
             ],
@@ -165,23 +160,27 @@ class SWYGraph:
             '  node [shape=box, fontname="monospace"];',
         ]
         shift = letter_offset(self.d)
-        rows = self._weyl_rows()
-        clusters: dict[tuple[int, Partition], list[int]] = {}
+        clusters: dict[tuple[int, Partition], list[SWYVertex]] = {}
         for v in self.vertices:
-            clusters.setdefault((v.level, v.shape), []).append(v.id)
+            clusters.setdefault((v.level, v.shape), []).append(v)
         line_break = "\\n"  # a line break inside a DOT label
-        row_texts: dict = {}  # each distinct row's text, made once per call
+        # each distinct row's text, made once per call and keyed by the GT
+        # entries that fix it
+        row_texts: dict = {}
         for level in range(self.n_max + 1):
             for f, shape in enumerate(partitions(level, self.d)):
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
-                for vid in clusters.get((level, shape), ()):
+                for v in clusters.get((level, shape), ()):
                     label = line_break.join([
-                        row_texts.get(row) or row_texts.setdefault(row, " ".join(map(str, row)))
-                        for row in map(tuple, rows[vid])
+                        row_texts.get(entries)
+                        or row_texts.setdefault(
+                            entries, " ".join([str(x - shift) for x in weyl_row(entries)])
+                        )
+                        for entries in row_entries(v.pattern)
                     ])
                     # only the empty tableau has no rows; its label is ()
-                    lines.append(f'    v{vid} [label="{label or "()"}"];')
+                    lines.append(f'    v{v.id} [label="{label or "()"}"];')
                 lines.append("  }")
         # each amplitude object's text, made once per call; equal amplitudes
         # from the fans are one object
@@ -199,23 +198,30 @@ def build(d: int, n_max: int) -> SWYGraph:
     check_alphabet(d)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    # the records' fields are the package's own, so each is made by
+    # tuple.__new__, as namedtuple's _make does, with no constructor frame
+    new = tuple.__new__
     vertices: list[SWYVertex] = []
-    # ids[level] maps each pattern there to its vertex id
-    ids: list[dict[GTPattern, int]] = []
+    # each pattern's vertex id; patterns of two levels differ in size, so one
+    # map serves every level
+    ids: dict[GTPattern, int] = {}
     for level in range(n_max + 1):
-        level_ids: dict[GTPattern, int] = {}
+        below = len(vertices)  # at the top level, the vertices whose up fans are edges
         for shape in partitions(level, d):
             for pattern in enumerate_gt(shape, d):
-                vid = level_ids[pattern] = len(vertices)
-                vertices.append(SWYVertex(vid, level, shape, pattern))
-        ids.append(level_ids)
+                vid = ids[pattern] = len(vertices)
+                vertices.append(new(SWYVertex, (vid, level, shape, pattern)))
+    letters = range(1, d + 1)
+    by_letter_upper = itemgetter(2, 1)
     edges: list[SWYEdge] = []
-    for v in vertices:
-        if v.level == n_max:
-            break
-        uppers = ids[v.level + 1]
-        for k in range(1, d + 1):
-            fan = [(uppers[upper], amp) for upper, amp in up_transitions(v.pattern, k)]
-            fan.sort()  # ids are distinct within a fan, so no two amplitudes are compared
-            edges += [SWYEdge(v.id, vid, k, amp) for vid, amp in fan]
+    for vid, _, _, pattern in vertices[:below]:
+        fans = [
+            new(SWYEdge, (vid, ids[upper], k, amp))
+            for k in letters
+            for upper, amp in up_transitions(pattern, k)
+        ]
+        # each fan in upper id order; one sort of the whole edge list would
+        # hold a key tuple per edge alive at once, which costs more collections
+        fans.sort(key=by_letter_upper)
+        edges += fans
     return SWYGraph(d, n_max, vertices, edges)

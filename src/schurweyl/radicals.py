@@ -336,7 +336,16 @@ def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:
         raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
     if num < 0 or den <= 0:
         raise ValueError(f"expected num >= 0 and den > 0, got {num}/{den}")
-    if sign == 0 or num == 0:
+    return _unchecked_sqrt(sign, num, den) if sign else ZERO
+
+
+def _unchecked_sqrt(sign: int, num: int, den: int) -> Radical:
+    """:func:`radical_from_sqrt` for a ``sign`` of -1 or +1 and ints ``num >= 0``, ``den > 0``.
+
+    Only the argument checks are skipped, for the up fans, whose own ints
+    pass them: a zero ``num`` still gives :data:`ZERO`.
+    """
+    if not num:
         return ZERO
     # gcd takes ints only, so the cache below is keyed by exact ints
     g = gcd(num, den)

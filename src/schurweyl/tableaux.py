@@ -12,7 +12,9 @@ Conventions used throughout the package:
 * A standard Weyl tableau (semistandard, entries bounded by the
   alphabet size ``d``) is stored canonically as its GT pattern; its
   row grid over ``{1..d}`` is read by :func:`weyl_to_gt` and written by
-  :func:`gt_to_weyl`, at the text/JSON boundary only.  The external
+  :func:`gt_to_weyl`, at the text/JSON boundary only.  Each row is written
+  by :func:`weyl_row` from the GT entries that fix it, so the graph writers
+  key row texts by those entries and build no row grid.  The external
   two-letter alphabet ``{0,1}`` maps ``0 -> 1``, ``1 -> 2`` there
   (:func:`gt_from_external`, :func:`gt_to_external`).
 * A GT pattern lists ``d`` levels, level ``j`` holding ``j`` entries;
@@ -316,23 +318,41 @@ def weyl_to_gt(rows, d: int) -> GTPattern:
 
 
 def gt_to_weyl(p: GTPattern) -> Rows:
-    """Rows over ``{1..d}`` of a pattern validated where it entered; the one Weyl writer."""
+    """Rows over ``{1..d}`` of a pattern validated where it entered; the one Weyl writer.
+
+    Each row is written by :func:`weyl_row` from its entries in :func:`row_entries`.
+    """
+    return tuple(tuple(weyl_row(entries)) for entries in row_entries(p))
+
+
+def row_entries(p: GTPattern) -> Iterator[tuple[int | None, ...]]:
+    """The GT entries ``(m_{i,i}, ..., m_{i,d})`` of each nonempty row ``i``, top row first.
+
+    Level ``j`` holds ``m_{1,j}, ..., m_{j,j}``, so the levels read side by
+    side, level 1 first, give row ``i``'s entries in order after ``i - 1``
+    Nones, one for each level below ``i``.  Those entries fix row ``i`` of
+    the Weyl tableau (:func:`weyl_row`), so a writer can key a row's text by
+    them.
+    """
     levels = p.levels
-    d = len(levels)
-    rows = []
-    for i, length in enumerate(levels[-1]):
-        if not length:
-            break  # the rows below an empty one are empty too
-        # row i holds m_{i+1,j} - m_{i+1,j-1} copies of letter j, for j > i
-        row: list[int] = []
-        before = 0
-        for j in range(i, d):
-            here = levels[j][i]
-            if here > before:
-                row += [j + 1] * (here - before)
-                before = here
-        rows.append(tuple(row))
-    return tuple(rows)
+    # the top level is weakly decreasing, so its zeros end it
+    return itertools.islice(itertools.zip_longest(*levels), len(levels) - levels[-1].count(0))
+
+
+def weyl_row(entries: tuple[int | None, ...]) -> list[int]:
+    """Row ``i`` over ``{1..d}`` from its entries in :func:`row_entries`; the one row writer.
+
+    After ``i - 1`` Nones come ``(m_{i,i}, ..., m_{i,d})``: row ``i`` holds
+    ``m_{i,j} - m_{i,j-1}`` copies of letter ``j`` for ``j = i..d``, with
+    ``m_{i,i-1} = 0``, as no entry of row ``i`` is below ``i``.
+    """
+    below = entries.count(None)
+    row: list[int] = []
+    before = 0
+    for letter, here in enumerate(entries[below:], start=below + 1):
+        row += [letter] * (here - before)
+        before = here
+    return row
 
 
 @cache

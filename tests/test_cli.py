@@ -589,6 +589,38 @@ def test_graph_bytes_golden_at_other_bench_sizes(tmp_path, capsys, d, n, stdout_
     assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha
 
 
+@pytest.mark.parametrize(
+    "d, n, stdout_sha, dot_sha",
+    [
+        (
+            8, 4,
+            "3234688a0a0ac261c14b2846b0850ac002721d3a13e0159a4425d2b657d69fa8",
+            "708be89f347383fcb1a89fec5b7aafb83deb4b377c52869c8140545b7934003c",
+        ),
+        (
+            16, 3,
+            "7fae47fdc2bbf6099b5452779e63209feef728756a7287a200347959bbafc630",
+            "9e3162308f575e6864fb468d158b60e2df59cadce8d495d77f4d5bf0667fb308",
+        ),
+        (
+            32, 2,
+            "d8212831a9f3b67247fd5c3c5077fba9fa59ccb47cf94490487348ce0f6644b0",
+            "45f1bbfaf9dd5148bb8984cd50c50a73484c95a1397a967f32d080145ec82f64",
+        ),
+    ],
+    ids=["8-4", "16-3", "32-2"],
+)
+def test_graph_bytes_golden_beyond_d5(tmp_path, capsys, d, n, stdout_sha, dot_sha):
+    # large alphabets: long Weyl rows and fans that place up to d levels
+    dot_path = tmp_path / "swy.dot"
+    code, out, _ = run(
+        capsys, "graph", "--d", str(d), "--n", str(n), "--format", "json", "--dot", str(dot_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha
+
+
 def test_graph_level_zero(capsys):
     code, out, _ = run(capsys, "graph", "--d", "2", "--n", "0")
     assert code == 0

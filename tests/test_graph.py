@@ -266,28 +266,49 @@ def test_graph_bytes_golden(d, n, json_sha256, dot_sha256):
     assert hashlib.sha256(g.to_dot().encode()).hexdigest() == dot_sha256
 
 
-def test_serializers_convert_each_vertex_once(monkeypatch):
-    # JSON and DOT share one conversion of each vertex's rows per graph
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
+def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
+    # the JSON and DOT writers write each distinct row once per call, from the
+    # GT entries (m_{i,i}, ..., m_{i,d}) that fix it, after i - 1 Nones, and
+    # make no vertex's row grid
     import schurweyl.graph as graph_module
+    import schurweyl.tableaux as tableaux_module
 
-    calls = []
-    original = graph_module.gt_to_external
+    g = build(d, n)
+    expected_json, expected_dot = cli._dumps_graph(g), g.to_dot()
+    keys = {
+        (None,) * (i - 1) + tuple(v.pattern.m(i, j) for j in range(i, d + 1))
+        for v in g.vertices
+        for i in range(1, len(v.shape) + 1)
+    }
 
-    def counting(pattern):
-        calls.append(pattern)
-        return original(pattern)
+    def forbidden(pattern):
+        raise AssertionError("a graph writer made a row grid")
 
-    monkeypatch.setattr(graph_module, "gt_to_external", counting)
-    g = build(3, 4)
-    dot = g.to_dot()
+    for module in (tableaux_module, graph_module, cli):
+        for name in ("gt_to_weyl", "gt_to_external"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for write in (cli._dumps_graph, SWYGraph.to_dot):
+        written = []
+
+        def counting(entries, original=tableaux_module.weyl_row):
+            written.append(entries)
+            return original(entries)
+
+        for module in (graph_module, cli):
+            monkeypatch.setattr(module, "weyl_row", counting)
+        assert write(g) == (expected_json if write is cli._dumps_graph else expected_dot)
+        assert len(written) == len(set(written)) and set(written) == keys, write.__name__
+    monkeypatch.undo()
+    # the reference document converts each vertex itself, and its rows are its
+    # own: editing them leaves the graph's output as it was
     obj = g.to_json_obj()
-    assert len(calls) == len(g.vertices)
-    # the document's rows are its own: editing them leaves the graph's output as it was
     rows = obj["vertices"][-1]["tableau_rows"]
     rows[0][0] = 99
-    assert g.to_dot() == dot
+    assert g.to_dot() == expected_dot
     assert g.to_json_obj()["vertices"][-1]["tableau_rows"] != rows
-    assert len(calls) == len(g.vertices)
+    assert cli._dumps_graph(g) == expected_json == json.dumps(g.to_json_obj(), indent=2)
 
 
 @pytest.mark.parametrize(

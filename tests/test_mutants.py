@@ -1,0 +1,51 @@
+import pytest
+
+from schurweyl import cli
+from schurweyl.graph import build
+from schurweyl.transform import DEFAULT_SIZE_BOUND
+
+from mutants import MUTANTS, applied
+
+
+def suite_results(d: int, n: int) -> dict:
+    """Each suite's name mapped to True (pass), False (fail) or None (skip) at (d, n)."""
+    return {name: passed for name, passed, _ in cli._suites(d, n, DEFAULT_SIZE_BOUND)}
+
+
+def edge_texts(d: int, n: int) -> list[str]:
+    return [e.amplitude.to_string() for e in build(d, n).edges]
+
+
+def params(with_marks: bool):
+    for mutant in MUTANTS:
+        marks = ()
+        if with_marks and mutant.open_item:
+            marks = pytest.mark.xfail(strict=True, reason=f"ROADMAP {mutant.open_item}")
+        yield pytest.param(mutant, id=mutant.name, marks=marks)
+
+
+@pytest.mark.parametrize("d, n", sorted({mutant.size for mutant in MUTANTS}))
+def test_suites_pass_without_a_mutant(d, n):
+    results = suite_results(d, n)
+    assert all(passed is not False for passed in results.values()), results
+
+
+@pytest.mark.parametrize("mutant", params(with_marks=False))
+def test_mutant_changes_edges(monkeypatch, mutant):
+    # a mutant that changes no edge would pass the suites for no reason
+    d, n = mutant.size
+    clean = edge_texts(d, n)
+    with applied(monkeypatch, mutant):
+        mutated = edge_texts(d, n)
+    assert mutated != clean
+    assert edge_texts(d, n) == clean  # nothing of the mutant outlives it
+
+
+@pytest.mark.parametrize("mutant", params(with_marks=True))
+def test_mutant_is_killed(monkeypatch, mutant):
+    with applied(monkeypatch, mutant):
+        results = suite_results(*mutant.size)
+    failed = {name for name, passed in results.items() if passed is False}
+    assert failed, f"no suite kills {mutant.name!r}: {results}"
+    # an open mutant names no suites, so the first suite to kill it makes it pass
+    assert failed == mutant.killed_by or not mutant.killed_by

@@ -10,6 +10,7 @@ from schurweyl.radicals import (
     ONE,
     ZERO,
     Radical,
+    _unchecked_sqrt,
     accumulator,
     add_product,
     nonzero_radicals,
@@ -109,6 +110,18 @@ def test_from_sqrt_shares_one_object_per_value():
     # a float or bool sign that passes the sign check gives the int result
     assert radical_from_sqrt(1.0, 2, 1) is radical_from_sqrt(True, 2, 1)
     assert radical_from_sqrt(1.0, 2, 1)._terms == {2: (1, 1)}
+
+
+def test_unchecked_sqrt_is_the_checked_value():
+    # the up fans' entry skips only the argument checks: for every argument
+    # the checks pass, with a sign of -1 or +1, it gives the same shared
+    # object, and a zero product still gives ZERO
+    for num in range(0, 30):
+        for den in range(1, 30):
+            for sign in (-1, 1):
+                assert _unchecked_sqrt(sign, num, den) is radical_from_sqrt(sign, num, den)
+    assert _unchecked_sqrt(-1, 0, 7) is ZERO
+    assert radical_from_sqrt(0, 5, 7) is ZERO
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,11 @@ from schurweyl.tableaux import (
     partitions,
     path_to_syt,
     render_tableau_rows,
+    row_entries,
     shape_to_text,
     validate_gt,
     validate_path,
+    weyl_row,
     weyl_to_gt,
     word_to_text,
 )
@@ -461,3 +463,37 @@ def test_rendering():
     assert gt_from_external([[0, 0, 1], [1]], 2) == p
     assert render_tableau_rows(gt_to_external(p)) == ["0 0 1", "1"]
     assert render_tableau_rows(()) == ["()"]
+
+
+def graph_patterns():
+    """Every pattern of the graphs up to (5,5), up to level 30 at d = 2, at (8,4) and (64,2)."""
+    sizes = [(d, 5) for d in range(1, 6)] + [(2, 30), (8, 4), (64, 2)]
+    for d, n in sizes:
+        for level in range(n + 1):
+            for shape in partitions(level, d):
+                yield from enumerate_gt(shape, d)
+
+
+def test_row_writer_matches_row_grids():
+    # the graph writers key each row i by its entries (m_{i,i}, ..., m_{i,d})
+    # after i - 1 Nones and write it with weyl_row; the rows must be those of
+    # the pattern's row grid
+    empty = 0
+    for p in graph_patterns():
+        d = p.d
+        entries = list(row_entries(p))
+        assert entries == [
+            (None,) * (i - 1) + tuple(p.m(i, j) for j in range(i, d + 1))
+            for i in range(1, len(p.shape) + 1)
+        ]
+        rows = [weyl_row(e) for e in entries]
+        if d <= 8:  # the one Weyl reader reads the rows back as the pattern
+            assert weyl_to_gt(rows, d) == p
+        # the writers shift the letters to the external alphabet, as for edges
+        shift = letter_offset(d)
+        rows = [[x - shift for x in row] for row in rows]
+        assert rows == gt_to_external(p)
+        # DOT labels: the empty tableau, which has no rows, is written ()
+        assert render_tableau_rows(rows) == render_tableau_rows(gt_to_external(p))
+        empty += not entries
+    assert empty == 8  # one per graph
