@@ -10,14 +10,11 @@ from schurweyl.amplitudes import (
     NotAnEdge,
     WrongDimension,
     down_transitions,
-    louck_amplitude,
     pattern_amplitude_d2,
     up_transitions,
 )
 from schurweyl.branching import (
     SchurWeylTriplet,
-    branch_down_state,
-    branch_up_state,
     empty_triplet,
     validate_triplet,
 )
@@ -61,8 +58,6 @@ __all__ = [
     "SchurWeylTriplet",
     "SizeBoundExceeded",
     "WrongDimension",
-    "branch_down_state",
-    "branch_up_state",
     "build",
     "decode",
     "dimension_check",
@@ -72,7 +67,6 @@ __all__ = [
     "enumerate_gt",
     "enumerate_paths",
     "gt_to_weyl",
-    "louck_amplitude",
     "parse_word",
     "partitions",
     "path_to_syt",

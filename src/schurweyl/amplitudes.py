@@ -3,13 +3,13 @@
 A transition runs from a pattern with ``n`` boxes to one with ``n + 1``:
 there is a smallest level ``k`` at which the patterns differ, and every
 level ``j >= k`` of the upper pattern exceeds the lower by exactly one,
-at position ``tau_j``.  :func:`louck_amplitude` gives its amplitude by
-the closed-form product formula over partial hooks
-``p_{i,j} = m_{i,j} + j - i`` of the lower pattern, valid for any
-alphabet size.  The amplitude is a signed square root of a rational, so
-it is always a single-term :class:`~schurweyl.radicals.Radical`, and
-equal amplitudes are one shared object, made by
-:func:`~schurweyl.radicals.radical_from_sqrt`.
+at position ``tau_j`` (:func:`transition_context` reads ``k`` and the
+``tau_j`` off a pair).  Its amplitude is Louck's closed-form product
+formula over partial hooks ``p_{i,j} = m_{i,j} + j - i`` of the lower
+pattern, valid for any alphabet size.  The amplitude is a signed square
+root of a rational, so it is always a single-term
+:class:`~schurweyl.radicals.Radical`, and equal amplitudes are one shared
+object, made by :func:`~schurweyl.radicals.radical_from_sqrt`.
 
 The branching rule reads amplitudes from two cached fans, one per
 direction, and nowhere else: :func:`up_transitions` lists every edge
@@ -31,8 +31,8 @@ down by ``row[-1]``, its smallest entry, and pairs that differ by full
 columns share one entry.  The down fan's scan only lists the
 ``(lower, k)`` pairs that reach a pattern and takes each amplitude from
 the up fan of letter ``k`` at that lower, so every amplitude the branching
-steps read is an entry of one cached up fan.  :func:`louck_amplitude` is the
-same formula for one pair, the reference the tests hold both fans to.
+steps read is an entry of one cached up fan.  The tests hold both fans
+to their own evaluation of the formula, which shares no code with these.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
@@ -87,33 +87,6 @@ def transition_context(lower: GTPattern, upper: GTPattern) -> tuple[int, tuple[i
     if not k:
         raise NotAnEdge("patterns are identical")
     return k, tuple(taus)
-
-
-def louck_amplitude(lower: GTPattern, upper: GTPattern) -> Radical:
-    """Exact transition amplitude from the product formula over partial hooks.
-
-    All hooks are evaluated on the lower pattern.  The first factor runs
-    over level pairs ``(j-1, j)`` for ``j = k+1..d`` and carries the sign
-    ``sgn(tau_{j-1} - tau_j)`` with ``sgn(0) = +1``; the second factor
-    involves level ``k`` alone and drops out when ``k = 1``.  Each level
-    contributes a signed ``sqrt(num/den)`` of integers, so the product is
-    kept as one sign and one integer fraction and becomes a single square
-    root at the end.
-
-    The trust contract is that of :func:`transition_context`: valid GT
-    patterns in, :class:`NotAnEdge` for a pair that is not an edge.  The
-    up fan evaluates the same formula on positions its scan placed; read
-    amplitudes from the fans instead.
-    """
-    k, taus = transition_context(lower, upper)
-    hooks = list(map(_level_hooks, lower.levels))
-    # level k - 1 is unchanged, which position 0 stands for
-    sign = num = den = 1
-    t_lo = 0
-    for j, t_up in enumerate(taus, start=k):
-        s, n, m = _level_factor(hooks[j - 2] if j > 1 else [], hooks[j - 1], t_lo, t_up)
-        sign, num, den, t_lo = sign * s, num * n, den * m, t_up
-    return radical_from_sqrt(sign, num, den)
 
 
 def _level_hooks(level: tuple[int, ...]) -> list[int]:

@@ -17,16 +17,10 @@ from schurweyl.amplitudes import up_transitions
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
-    InvariantViolation,
     Partition,
     check_alphabet,
-    check_partition,
     enumerate_gt,
-    gt_from_external,
     gt_to_external,
-    json_field,
-    json_rows,
-    letter_from_json,
     letter_offset,
     partitions,
     row_entries,
@@ -108,50 +102,6 @@ class SWYGraph:
                 for e in self.edges
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "SWYGraph":
-        """Parse and validate :meth:`to_json_obj` output.
-
-        Ids must be dense and in order, no vertex may lie above ``n_max``,
-        each vertex's shape and level must match its tableau, and every
-        edge must join existing vertices one level apart with a letter in
-        the alphabet.
-        """
-        d, n_max = (json_field(obj, key, int, "graph") for key in ("d", "n_max"))
-        check_alphabet(d)
-        if n_max < 0:
-            raise InvariantViolation("graph document", f"bad n_max={n_max}")
-        vertices: list[SWYVertex] = []
-        for entry in json_field(obj, "vertices", list, "graph"):
-            vid, level = (json_field(entry, key, int, "graph") for key in ("id", "level"))
-            if vid != len(vertices):
-                raise InvariantViolation("dense vertex ids", f"id {vid} at {len(vertices)}")
-            if level > n_max:
-                raise InvariantViolation(
-                    "vertex level within n_max", f"vertex {vid}: level {level} > {n_max}"
-                )
-            shape = check_partition(json_field(entry, "shape", list, "graph", int))
-            pattern = gt_from_external(json_rows(entry, "tableau_rows", "graph"), d)
-            if shape != pattern.shape or level != sum(shape):
-                raise InvariantViolation(
-                    "vertex matches its tableau", f"vertex {vid}: {shape} at level {level}"
-                )
-            vertices.append(SWYVertex(vid, level, shape, pattern))
-        edges = []
-        for entry in json_field(obj, "edges", list, "graph"):
-            lower, upper, k = (
-                json_field(entry, key, int, "graph") for key in ("lower", "upper", "k")
-            )
-            if not (
-                0 <= lower < len(vertices)
-                and 0 <= upper < len(vertices)
-                and vertices[upper].level == vertices[lower].level + 1
-            ):
-                raise InvariantViolation("edge joins adjacent levels", f"{lower} -> {upper}")
-            amp = Radical.from_json_obj(json_field(entry, "amplitude", dict, "graph"))
-            edges.append(SWYEdge(lower, upper, letter_from_json(k, d), amp))
-        return cls(d, n_max, vertices, edges)
 
     def to_dot(self) -> str:
         lines = [

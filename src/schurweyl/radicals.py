@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, sqrt
 
-from schurweyl.tableaux import InvariantViolation, json_field
+from schurweyl.tableaux import InvariantViolation
 
 # Largest radicand a JSON document may carry.  Reading one means a
 # square-free split, whose trial division then stops near 65 536; the
@@ -266,23 +266,6 @@ class Radical:
             "terms": [{"radicand": m, "num": p, "den": q} for m, (p, q) in self.int_items()],
             "approx": self.to_float(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Radical":
-        """Parse :meth:`to_json_obj` output; the ``approx`` float is ignored.
-
-        Each term's fields are checked in turn: exactly an int each, then
-        the bounds of :func:`check_json_triple`; the terms are folded into
-        canonical form as in the constructor.
-        """
-        triples = []
-        for entry in json_field(obj, "terms", list, "radical"):
-            triple = tuple(
-                json_field(entry, key, int, "radical") for key in ("radicand", "num", "den")
-            )
-            check_json_triple(*triple)
-            triples.append(triple)
-        return _new(_fold_terms(triples))
 
 
 ZERO = Radical()

@@ -274,10 +274,13 @@ def interlaces(longer: tuple[int, ...], shorter: tuple[int, ...]) -> bool:
 
 
 def validate_gt(p: GTPattern) -> GTPattern:
+    """Check a pattern built outside the package: every entry exactly an int, no bool."""
     check_alphabet(p.d)
     for j, level in enumerate(p.levels, start=1):
         if len(level) != j:
             raise InvariantViolation("triangular pattern", f"level {j} has {len(level)} entries")
+        if not all_of_type(level, int):
+            raise InvariantViolation("integer entries", f"level {j}: {level!r}")
         if any(x < 0 for x in level):
             raise InvariantViolation("nonnegative entries", f"level {j}: {level}")
         if j > 1 and not interlaces(level, p.levels[j - 2]):
@@ -288,8 +291,8 @@ def validate_gt(p: GTPattern) -> GTPattern:
 def weyl_to_gt(rows, d: int) -> GTPattern:
     """GT pattern of a Weyl tableau given as rows over ``{1..d}``; the one Weyl reader.
 
-    The rows are validated here.  Level ``j`` of the pattern is the shape
-    of the entries-``<= j`` subtableau.
+    The rows are validated here, each entry exactly an int.  Level ``j`` of
+    the pattern is the shape of the entries-``<= j`` subtableau.
     """
     check_alphabet(d)
     rows = tuple(tuple(row) for row in rows)
@@ -300,7 +303,7 @@ def weyl_to_gt(rows, d: int) -> GTPattern:
         raise InvariantViolation("at most d rows", f"{len(rows)} rows, d={d}")
     for row in rows:
         for x in row:
-            if not isinstance(x, int) or not 1 <= x <= d:
+            if type(x) is not int or not 1 <= x <= d:
                 raise InvariantViolation("entries in alphabet", f"{x!r} with d={d}")
         for a, b in zip(row, row[1:]):
             if a > b:

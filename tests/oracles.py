@@ -3,16 +3,20 @@
 The package holds a standard Young tableau as its growth path and a Weyl
 tableau as its Gelfand-Tsetlin pattern; these helpers read and list the
 row grids directly, so the tests can hold the package's forms to them.
-:func:`module_caches` lists the package's caches, for tests that clear them.
+:func:`louck_reference` evaluates Louck's transition amplitude on its own,
+for the brute-force fans to carry.  :func:`module_caches` lists the
+package's caches, for tests that clear them.
 """
 
 import importlib
 import pkgutil
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import schurweyl
-from schurweyl.amplitudes import NotAnEdge, louck_amplitude, transition_context
-from schurweyl.radicals import Radical
+from schurweyl.amplitudes import NotAnEdge, transition_context
+from schurweyl.radicals import Radical, radical_from_sqrt
 from schurweyl.tableaux import (
     GrowthPath,
     GTPattern,
@@ -76,12 +80,58 @@ def enumerate_weyl(shape: Partition, d: int) -> list[Rows]:
     return [gt_to_weyl(p) for p in enumerate_gt(check_partition(shape), d)]
 
 
+def louck_reference(lower: GTPattern, upper: GTPattern) -> Radical:
+    """Louck's amplitude of the single-box transition ``lower -> upper``, from the book.
+
+    With the lower pattern's partial hooks ``p_{i,j} = m_{i,j} + j - i``,
+    the bumped positions ``tau_j`` (``j = k..d``) from
+    :func:`transition_context`, and ``sgn(0) = +1``, the amplitude is
+
+        sqrt|B| * prod_{j=k+1..d} sgn(s - t) sqrt|A_j|,  s = tau_{j-1}, t = tau_j,
+
+        A_j = prod_{i != s} (p_{t,j} - p_{i,j-1}) / (p_{s,j-1} - p_{i,j-1} + 1)
+            * prod_{i != t} (p_{s,j-1} - p_{i,j} + 1) / (p_{t,j} - p_{i,j}),
+        B   = prod_{i < k} (p_{t,k} - p_{i,k-1}) / prod_{i != t} (p_{t,k} - p_{i,k}),  t = tau_k
+
+    (Louck, *Unitary Symmetry and Combinatorics*, 2008).  The square is
+    kept as one :class:`~fractions.Fraction`; no table of the package's fans
+    is read.  A pair that :func:`transition_context` does not read as a
+    single-box transition raises :class:`NotAnEdge`.
+    """
+    k, taus = transition_context(lower, upper)
+    tau = dict(zip(range(k, lower.d + 1), taus))
+    hook = {
+        (i, j): m + j - i
+        for j, level in enumerate(lower.levels, start=1)
+        for i, m in enumerate(level, start=1)
+    }
+    t = tau[k]
+    square = Fraction(
+        prod(hook[t, k] - hook[i, k - 1] for i in range(1, k)),
+        prod(hook[t, k] - hook[i, k] for i in range(1, k + 1) if i != t),
+    )
+    sign = 1
+    for j in range(k + 1, lower.d + 1):
+        lo, up = tau[j - 1], tau[j]
+        h_lo, h_up = hook[lo, j - 1], hook[up, j]
+        if lo < up:
+            sign = -sign
+        for i in range(1, j):
+            if i != lo:
+                square *= Fraction(h_up - hook[i, j - 1], h_lo - hook[i, j - 1] + 1)
+        for i in range(1, j + 1):
+            if i != up:
+                square *= Fraction(h_lo - hook[i, j] + 1, h_up - hook[i, j])
+    square = abs(square)
+    return radical_from_sqrt(sign, square.numerator, square.denominator)
+
+
 def up_fan(lower: GTPattern, k: int) -> list[tuple[GTPattern, Radical]]:
     """The up fan of letter ``k`` at ``lower``, by brute force over the patterns one box up.
 
     Every pattern of every shape one box larger is tried; those that
     :func:`transition_context` reads as an edge of letter ``k`` are kept,
-    with the amplitude :func:`louck_amplitude` gives, in ascending order of
+    with the amplitude :func:`louck_reference` gives, in ascending order of
     their bumped positions.
     """
     d = lower.d
@@ -99,7 +149,7 @@ def up_fan(lower: GTPattern, k: int) -> list[tuple[GTPattern, Radical]]:
             if letter == k:
                 edges.append((taus, upper))
     edges.sort(key=lambda edge: edge[0])
-    return [(upper, louck_amplitude(lower, upper)) for _, upper in edges]
+    return [(upper, louck_reference(lower, upper)) for _, upper in edges]
 
 
 def down_fan(upper: GTPattern, shape: Partition) -> list[tuple[GTPattern, int, Radical]]:
@@ -107,7 +157,7 @@ def down_fan(upper: GTPattern, shape: Partition) -> list[tuple[GTPattern, int, R
 
     Every pattern of ``shape`` is tried; those that :func:`transition_context`
     reads as an edge into ``upper`` are kept, with their letter and the
-    amplitude :func:`louck_amplitude` gives, by descending letter and then in
+    amplitude :func:`louck_reference` gives, by descending letter and then in
     ascending order of their bumped positions read from the top level down.
     """
     edges = []
@@ -118,7 +168,7 @@ def down_fan(upper: GTPattern, shape: Partition) -> list[tuple[GTPattern, int, R
             continue
         edges.append(((-k, taus[::-1]), lower, k))
     edges.sort(key=lambda edge: edge[0])
-    return [(lower, k, louck_amplitude(lower, upper)) for _, lower, k in edges]
+    return [(lower, k, louck_reference(lower, upper)) for _, lower, k in edges]
 
 
 def module_caches() -> list:

@@ -10,9 +10,9 @@ import schurweyl
 from schurweyl.amplitudes import down_transitions, up_transitions
 from schurweyl.branching import (
     SchurWeylTriplet,
-    branch_down_state,
-    branch_up_state,
+    down,
     empty_triplet,
+    up,
     validate_triplet,
 )
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
@@ -74,21 +74,19 @@ def test_validate_triplet():
 def test_branch_up_first_letter():
     for d in (1, 2, 3):
         for k in range(1, d + 1):
-            state = branch_up_state({empty_triplet(d): ONE}, k)
-            assert len(state) == 1
-            [(grown, amp)] = state.items()
+            [((pattern, young), amp)] = up({empty_triplet(d): ONE}, k).items()
             assert amp == ONE
-            assert grown.shape == (1,)
-            assert gt_to_weyl(grown.pattern) == ((k,),)
-            assert grown.young == ((), (1,))
+            assert pattern.shape == (1,)
+            assert gt_to_weyl(pattern) == ((k,),)
+            assert young == ((), (1,))
     with pytest.raises(ValueError):
-        branch_up_state({empty_triplet(2): ONE}, 3)
+        up({empty_triplet(2): ONE}, 3)
 
 
 def test_branch_up_golden_two_letter():
     # |(2,1), [[0,1],[1]], [[1,2],[3]]> plus letter 0
     start = triplet((2, 1), [[1, 2], [2]], [[1, 2], [3]], 2)
-    state = branch_up_state({start: ONE}, 1)
+    state = up({start: ONE}, 1)
     expected = {
         triplet((3, 1), [[1, 1, 2], [2]], [[1, 2, 4], [3]], 2): radical_from_sqrt(1, 1, 2),
         triplet((2, 2), [[1, 1], [2, 2]], [[1, 2], [3, 4]], 2): radical_from_sqrt(-1, 1, 2),
@@ -99,7 +97,7 @@ def test_branch_up_golden_two_letter():
 def test_branch_up_second_golden():
     # |(1), [0], [1]> plus letter 1 splits evenly
     start = triplet((1,), [[1]], [[1]], 2)
-    state = branch_up_state({start: ONE}, 2)
+    state = up({start: ONE}, 2)
     expected = {
         triplet((2,), [[1, 2]], [[1, 2]], 2): radical_from_sqrt(1, 1, 2),
         triplet((1, 1), [[1], [2]], [[1], [2]], 2): radical_from_sqrt(1, 1, 2),
@@ -110,15 +108,12 @@ def test_branch_up_second_golden():
 def test_branch_down_golden():
     # |(2,1), [[0,1],[1]], [[1,2],[3]]> strips to level 2
     start = triplet((2, 1), [[1, 2], [2]], [[1, 2], [3]], 2)
-    terms = branch_down_state({(start, ()): ONE})
+    terms = down({(*start, 0): ONE}, 1)
     lower_young = syt_to_path([[1, 2]])
+    # the word of a term gains k - 1 times the scale, 1 here, for letter k
     assert terms == {
-        (SchurWeylTriplet(weyl_to_gt([[2, 2]], 2), lower_young), (1,)): (
-            radical_from_sqrt(-1, 2, 3)
-        ),
-        (SchurWeylTriplet(weyl_to_gt([[1, 2]], 2), lower_young), (2,)): (
-            radical_from_sqrt(1, 1, 3)
-        ),
+        (weyl_to_gt([[2, 2]], 2), lower_young, 0): radical_from_sqrt(-1, 2, 3),
+        (weyl_to_gt([[1, 2]], 2), lower_young, 1): radical_from_sqrt(1, 1, 3),
     }
 
 
@@ -126,22 +121,22 @@ def test_branch_down_level_one_and_zero():
     for d in (1, 2, 3):
         for k in range(1, d + 1):
             start = SchurWeylTriplet(weyl_to_gt([[k]], d), ((), (1,)))
-            assert branch_down_state({(start, ()): ONE}) == {(empty_triplet(d), (k,)): ONE}
-        with pytest.raises(InvariantViolation, match="register"):
-            branch_down_state({(empty_triplet(d), ()): ONE})
+            assert down({(*start, 0): ONE}, 1) == {(*empty_triplet(d), k - 1): ONE}
+        # a level-zero state has no letter to read off
+        assert decode({empty_triplet(d): ONE}) == {(): ONE}
 
 
 def test_branch_down_keeps_young_fixed():
     # the lower Young tableau always drops the last growth step
     start = triplet((2, 2), [[1, 1], [2, 2]], [[1, 3], [2, 4]], 2)
-    terms = branch_down_state({(start, ()): ONE})
+    terms = down({(*start, 0): ONE}, 1)
     expected_young = syt_to_path([[1, 3], [2]])
-    assert [t.young for t, _ in terms] == [expected_young] * len(terms)
-    assert {(gt_to_weyl(t.pattern), k) for t, (k,) in terms} == {
+    assert [young for _, young, _ in terms] == [expected_young] * len(terms)
+    assert {(gt_to_weyl(pattern), word + 1) for pattern, _, word in terms} == {
         (((1, 2), (2,)), 1),
         (((1, 1), (2,)), 2),
     }
-    amps = {k: amp for (_, (k,)), amp in terms.items()}
+    amps = {word + 1: amp for (_, _, word), amp in terms.items()}
     assert amps[1] == radical_from_sqrt(-1, 1, 2)
     assert amps[2] == radical_from_sqrt(1, 1, 2)
 
@@ -151,11 +146,9 @@ def test_branch_isometries_exhaustive():
         for n in range(0, 4):
             for t in all_triplets(n, d):
                 for k in range(1, d + 1):
-                    up = branch_up_state({t: ONE}, k)
-                    assert norm_squared(up) == ONE
+                    assert norm_squared(up({t: ONE}, k)) == ONE
                 if n:
-                    down = branch_down_state({(t, ()): ONE})
-                    assert norm_squared(down) == ONE
+                    assert norm_squared(down({(*t, 0): ONE}, 1)) == ONE
 
 
 def test_branch_up_columns_orthogonal():
@@ -163,7 +156,7 @@ def test_branch_up_columns_orthogonal():
     for d in (2, 3):
         for n in range(0, 4):
             for t in all_triplets(n, d):
-                states = {k: branch_up_state({t: ONE}, k) for k in range(1, d + 1)}
+                states = {k: up({t: ONE}, k) for k in range(1, d + 1)}
                 for k1, k2 in itertools.combinations(states, 2):
                     inner = ZERO
                     for key, amp in states[k1].items():
@@ -177,17 +170,16 @@ def test_row_bound_respected():
     # d=2 never grows a third row
     t = triplet((1, 1), [[1], [2]], [[1], [2]], 2)
     for k in (1, 2):
-        for grown in branch_up_state({t: ONE}, k):
-            assert len(grown.shape) <= 2
+        for _, young in up({t: ONE}, k):
+            assert len(young[-1]) <= 2
 
 
 def test_hybrid_round_trip_exhaustive_d2():
     for n in range(0, 4):
         for t in all_triplets(n, 2):
             for k in (1, 2):
-                up = branch_up_state({t: ONE}, k)
-                down = branch_down_state({(u, ()): amp for u, amp in up.items()})
-                assert down == {(t, (k,)): ONE}
+                grown = up({t: ONE}, k)
+                assert down({(*u, 0): amp for u, amp in grown.items()}, 1) == {(*t, k - 1): ONE}
 
 
 def test_hybrid_round_trip_random_d3():
@@ -196,25 +188,22 @@ def test_hybrid_round_trip_random_d3():
     for _ in range(25):
         t = rng.choice(pool)
         k = rng.randint(1, 3)
-        up = branch_up_state({t: ONE}, k)
-        down = branch_down_state({(u, ()): amp for u, amp in up.items()})
-        assert down == {(t, (k,)): ONE}
+        grown = up({t: ONE}, k)
+        assert down({(*u, 0): amp for u, amp in grown.items()}, 1) == {(*t, k - 1): ONE}
     # and the opposite composition on level-3 triplets: strip one letter,
     # then append each letter to the terms that lost it
     for t in itertools.islice(all_triplets(3, 3), 0, 60, 7):
-        down = branch_down_state({(t, ()): ONE})
+        stripped = down({(*t, 0): ONE}, 1)
         total = {}
         for k in (1, 2, 3):
-            part = {s: amp for (s, word), amp in down.items() if word == (k,)}
-            for u, amp in branch_up_state(part, k).items():
+            part = {(p, young): amp for (p, young, word), amp in stripped.items() if word == k - 1}
+            for u, amp in up(part, k).items():
                 total[u] = total.get(u, ZERO) + amp
         assert {u: amp for u, amp in total.items() if amp} == {t: ONE}
 
 
 def test_state_level_errors():
     t = triplet((1,), [[1]], [[1]], 2)
-    with pytest.raises(InvariantViolation, match="register"):
-        branch_down_state({(empty_triplet(2), (1,)): ONE})
     # decode is the entry check of a caller-built state
     for mixed in (
         {t: ONE, triplet((2,), [[1, 1]], [[1, 2]], 2): ONE},
@@ -231,12 +220,12 @@ def test_state_merging_and_cancellation():
     u = triplet((1,), [[2]], [[1]], 2)
     sym = triplet((2,), [[1, 2]], [[1, 2]], 2)
     anti = triplet((1, 1), [[1], [2]], [[1], [2]], 2)
-    state = {(sym, ()): ONE, (anti, ()): ONE}
-    stepped = branch_down_state(state)
+    state = {(*sym, 0): ONE, (*anti, 0): ONE}
+    stepped = down(state, 1)
     # both inputs strip to (t, letter 2) and (u, letter 1): the first
     # doubles, the second cancels exactly
-    assert stepped[(t, (2,))] == radical_from_sqrt(1, 2, 1)
-    assert (u, (1,)) not in stepped
+    assert stepped[(*t, 1)] == radical_from_sqrt(1, 2, 1)
+    assert (*u, 0) not in stepped
     assert len(stepped) == 1
 
 
@@ -249,24 +238,24 @@ def test_computational_state():
 
 
 # ---------------------------------------------------------------------------
-# a reference fold keyed by triplets, reading only the two transition fans
+# a reference fold keyed as the steps key their terms, reading only the two
+# transition fans
 
 
 def reference_up(state, k):
     out = {}
-    for t, amp in state.items():
-        for upper, edge in up_transitions(t.pattern, k):
-            key = SchurWeylTriplet(upper, t.young + (upper.shape,))
+    for (pattern, young), amp in state.items():
+        for upper, edge in up_transitions(pattern, k):
+            key = (upper, young + (upper.shape,))
             out[key] = out.get(key, ZERO) + amp * edge
     return {key: amp for key, amp in out.items() if amp}
 
 
-def reference_down(state):
+def reference_down(state, scale):
     out = {}
-    for (t, word), amp in state.items():
-        young = t.young[:-1]
-        for lower, k, edge in down_transitions(t.pattern, young[-1]):
-            key = (SchurWeylTriplet(lower, young), (k, *word))
+    for (pattern, young, word), amp in state.items():
+        for lower, k, edge in down_transitions(pattern, young[-2]):
+            key = (lower, young[:-1], word + (k - 1) * scale)
             out[key] = out.get(key, ZERO) + amp * edge
     return {key: amp for key, amp in out.items() if amp}
 
@@ -279,10 +268,16 @@ def reference_encode(word, d):
 
 
 def reference_decode(state):
-    terms = {(t, ()): amp for t, amp in state.items()}
-    for _ in range(len(next(iter(state)).young) - 1):
-        terms = reference_down(terms)
-    return {word: amp for (_, word), amp in terms.items()}
+    first = next(iter(state))
+    d, n = first.d, first.level
+    terms = {(*t, 0): amp for t, amp in state.items()}
+    for i in range(n):
+        terms = reference_down(terms, d**i)
+    # the letter read off first is the word's last, so it is the lowest digit
+    return {
+        tuple(word // d ** (n - 1 - i) % d + 1 for i in range(n)): amp
+        for (_, _, word), amp in terms.items()
+    }
 
 
 @pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (4, 4)])
@@ -324,12 +319,12 @@ def test_engine_matches_reference_on_superpositions():
         for word in rng.sample(pool, 5):
             for k in range(1, d + 1):
                 state = encode(word, d)
-                assert_same_state(branch_up_state(state, k), reference_up(state, k))
-                terms = {(t, (k,)): amp for t, amp in state.items()}
-                assert_same_state(branch_down_state(terms), reference_down(terms))
-            # words of mixed lengths and letters ride along unchanged
-            terms = {(t, word[: i % 3]): amp for i, (t, amp) in enumerate(state.items())}
-            assert_same_state(branch_down_state(terms), reference_down(terms))
+                assert_same_state(up(state, k), reference_up(state, k))
+                terms = {(*t, k - 1): amp for t, amp in state.items()}
+                assert_same_state(down(terms, d), reference_down(terms, d))
+            # words of several values ride along, each raised by its letter
+            terms = {(*t, i % 3): amp for i, (t, amp) in enumerate(state.items())}
+            assert_same_state(down(terms, 3), reference_down(terms, 3))
         # two-root weights give amplitudes of three and four terms, whose
         # float sums depend on the order of their terms
         widths = set()
@@ -345,9 +340,9 @@ def test_engine_matches_reference_on_superpositions():
             assert_same_state(decoded, reference_decode(state))
             widths.update(len(amp.terms) for amp in [*state.values(), *decoded.values()])
             for k in range(1, d + 1):
-                assert_same_state(branch_up_state(state, k), reference_up(state, k))
-                terms = {(t, (k,)): amp for t, amp in state.items()}
-                assert_same_state(branch_down_state(terms), reference_down(terms))
+                assert_same_state(up(state, k), reference_up(state, k))
+                terms = {(*t, k - 1): amp for t, amp in state.items()}
+                assert_same_state(down(terms, d), reference_down(terms, d))
         assert max(widths) >= 3
 
 
@@ -440,13 +435,13 @@ def test_steps_leave_shared_amplitudes_and_drop_zeros(d, n):
         )
         outputs += [state, decode(state)]
         for k in range(1, d + 1):
-            outputs.append(branch_up_state(state, k))
-            outputs.append(branch_down_state({(t, (k,)): amp for t, amp in state.items()}))
+            outputs.append(up(state, k))
+            outputs.append(down({(*t, k - 1): amp for t, amp in state.items()}, d))
     # the sum of all basis states at a level, whose ONE amplitudes make every
     # product an edge's own value, and whose terms meet on many keys
     for k in range(1, d + 1):
-        outputs.append(branch_up_state(dict.fromkeys(all_triplets(n - 1, d), ONE), k))
-    outputs.append(branch_down_state({(t, ()): ONE for t in all_triplets(n, d)}))
+        outputs.append(up(dict.fromkeys(all_triplets(n - 1, d), ONE), k))
+    outputs.append(down({(*t, 0): ONE for t in all_triplets(n, d)}, 1))
     assert all(amp for output in outputs for amp in output.values())
     assert {key: str(edge) for key, edge in edges.items()} == texts
     assert verify_unitary(schur_matrix(d, n))

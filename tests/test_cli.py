@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schurweyl import cli
 from schurweyl.branching import SchurWeylTriplet
-from schurweyl.graph import SWYGraph, build
+from schurweyl.graph import build
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import parse_word, weyl_to_gt
 from schurweyl.transform import encode, schur_matrix, state_from_json_obj
@@ -528,8 +528,7 @@ def test_graph_summary_and_files(tmp_path, capsys):
     assert dot.count(" -> ") == 20
     assert sum(line.lstrip().startswith("v") and "->" not in line
                for line in dot.splitlines()) == 13
-    reloaded = SWYGraph.from_json_obj(json.loads(json_path.read_text()))
-    assert reloaded == build(2, 3)
+    assert json.loads(json_path.read_text()) == build(2, 3).to_json_obj()
 
 
 def test_graph_json_file_matches_stdout(tmp_path, capsys):
@@ -630,7 +629,7 @@ def test_graph_level_zero(capsys):
 def test_graph_json_stdout(capsys):
     code, out, _ = run(capsys, "graph", "--d", "3", "--n", "2", "--format", "json")
     assert code == 0
-    assert SWYGraph.from_json_obj(json.loads(out)) == build(3, 2)
+    assert json.loads(out) == build(3, 2).to_json_obj()
 
 
 def test_check_passes_d2(capsys):

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from schurweyl.branching import SchurWeylTriplet, validate_triplet
 from schurweyl.tableaux import (
     GTPattern,
     InvariantViolation,
@@ -386,6 +387,20 @@ def test_gt_validation():
         validate_gt(GTPattern(((1, 1),)))
     with pytest.raises(InvariantViolation, match="nonnegative"):
         validate_gt(GTPattern(((-1,), (0, 0))))
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_entries_must_be_exact_ints(entry):
+    # a bool or a float compares as the int 1 and a str fails only later,
+    # so each reader names the entry's type, as check_partition does
+    for levels in (((entry,), (1, 0)), ((1,), (entry, 0))):
+        pattern = GTPattern(levels)
+        with pytest.raises(InvariantViolation, match="integer entries"):
+            validate_gt(pattern)
+        with pytest.raises(InvariantViolation, match="integer entries"):
+            validate_triplet(SchurWeylTriplet(pattern, ((), (1,))))
+    with pytest.raises(InvariantViolation, match="entries in alphabet"):
+        weyl_to_gt([[entry, 2]], 2)
 
 
 def test_interlaces():
