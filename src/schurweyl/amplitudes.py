@@ -14,16 +14,23 @@ object, made by :func:`~schurweyl.radicals.radical_from_sqrt`.
 The branching rule reads amplitudes from two cached fans, one per
 direction, and nowhere else: :func:`up_transitions` lists every edge
 that leaves a pattern by one letter, :func:`down_transitions` every
-edge that enters a pattern from one lower shape.  Only the up fan
-evaluates the formula, once, on a cache miss: it carries each
-candidate's running product through its bottom-up scan, reading ``k``
-and the ``tau_j`` off the positions it placed.  Its hooks are those of
-one pattern, so a level's factor depends only on that level and the one
-below it and on the positions of the boxes added there; it does not
-depend on the other levels, the letter or the alphabet.  The cached
-table :func:`_level_steps` computes each factor, and whether its boxes
-keep the levels interlaced, once per pair of adjacent levels, for all
-fans and alphabets.  A full column adds 1 to every entry of a GT
+edge that enters a pattern from one lower shape.  The up fans of one
+lower pattern are the slots of one cached table, :func:`_fans`, since the
+Clebsch-Gordan step is block-diagonal in the lower shape and all of a
+pattern's fans form one row block.  Only :func:`_scan` writes the slots,
+and only it evaluates the formula, once per edge: one bottom-up scan fills
+any range of empty slots, so :func:`_all_fans` fills all of a pattern's
+fans at once, for :func:`~schurweyl.graph.build`, and
+:func:`up_transitions` one cold letter alone.  The scan carries each
+candidate's running product, reading ``k`` and the ``tau_j`` off the
+positions it placed.  Its hooks are those of one pattern, so a level's
+factor depends only on that level and the one below it and on the
+positions of the boxes added there; it does not depend on the other
+levels, the letter or the alphabet.  The cached table
+:func:`_level_steps` computes each factor, and whether its boxes keep the
+levels interlaced, once per pair of adjacent levels, for all fans and
+alphabets, and a scan looks each level's entry up once for all the
+letters it fills.  A full column adds 1 to every entry of a GT
 pattern, and a factor reads only differences of the two levels' hooks
 and a fit only comparisons of their entries, so full columns change no
 step: above level 1 the fan looks the table up with the pair shifted
@@ -130,7 +137,7 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
     amplitude depends only on the reduced first-row length ``n`` of the
     upper pattern and on whether the bottom entries ``m_{1,1}`` agree.
     The ``c`` full columns drop out, the ``d = 2`` case of the invariance
-    by which :func:`up_transitions` keys its level steps; this rule reads
+    by which :func:`_scan` keys its level steps; this rule reads
     the entries itself and shares no table with the fans.
     """
     if lower.d != 2:
@@ -171,7 +178,7 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
     alphabet, so all fans share one table per pair.  Nor does it read the
     pair's full columns: adding ``c`` to every entry of both levels leaves
     every hook difference and every comparison of entries as it was, so
-    :func:`up_transitions` passes each pair above level 1 shifted so that
+    :func:`_scan` passes each pair above level 1 shifted so that
     ``row[-1]`` is 0.
 
     Every ``t_lo`` is filled, also one that no fan reaches because ``under``
@@ -208,36 +215,54 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
 
 
 @cache
-def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical], ...]:
-    """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
+def _fans(lower: GTPattern) -> list:
+    """The up fan table of ``lower``: slot ``k - 1`` holds the up fan of letter ``k``.
 
-    Levels ``k..d`` each gain one box.  Each candidate holds the levels
-    placed so far, bottom-up, the position of the last one's extra box and
-    the running product of the formula's level factors; the scan places
-    one level for all of them at a time.  The last placed level is the
-    lower pattern's with one box added at that position, so which new
-    positions keep it interlaced, and their level factors, depend on that
-    position and the two lower-pattern levels alone: :func:`_level_steps`
-    works each out once per pair of adjacent levels, for all fans and
-    alphabets.  It is keyed by the pair shifted down by ``row[-1]``, the
-    count of the pair's full columns, which change no hook difference and
-    no comparison of entries.  At ``row[-1] == 0``, which most lookups at
-    ``d >= 4`` meet, the levels go in as they are and no tuple is built;
-    level 1, whose few pairs hold one trivial step each, is never shifted.
-    Edges come in ascending order of their positions.
-    ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
-    ``ValueError``.
+    A slot is ``None`` until :func:`_scan` fills it, and an empty tuple for a
+    letter that has no edge at ``lower``.  The table is made empty on a miss
+    and filled in place, so a reader that needs one letter pays for that
+    letter alone, and a filled fan is the one object every reader gets.
+    ``lower`` must be a valid GT pattern.
     """
-    d = lower.d
-    if not 1 <= k <= d:
-        raise ValueError(f"letter out of range: {k} with d={d}")
+    return [None] * len(lower.levels)
+
+
+def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
+    """Fill every empty slot of letters ``first..last`` of ``fans``, the table of ``lower``.
+
+    One bottom-up scan serves all of them.  Letter ``j``'s fan has one
+    candidate at level ``j``: the lower pattern's levels below ``j``, placed
+    unchanged.  Each candidate holds the levels placed so far, the position
+    of the last one's extra box and the running product of the formula's
+    level factors, and the scan places one level for every candidate of
+    every letter at a time.  The last placed level is the lower pattern's
+    with one box added at that position, so which new positions keep it
+    interlaced, and their level factors, depend on that position and the
+    two lower-pattern levels alone: :func:`_level_steps` works each out once
+    per pair of adjacent levels, for all fans and alphabets, and the scan
+    looks each level's entry up once for all its letters.  The table is
+    keyed by the pair shifted down by ``row[-1]``, the count of the pair's
+    full columns, which change no hook difference and no comparison of
+    entries.  At ``row[-1] == 0``, which most lookups at ``d >= 4`` meet,
+    the levels go in as they are and no tuple is built; level 1, whose few
+    pairs hold one trivial step each, is never shifted.  Each fan's edges
+    come in ascending order of their positions.
+    """
     levels = lower.levels
     # under is the lower pattern's level below the one being placed
-    under = levels[k - 2] if k > 1 else ()
-    # (placed levels, last added box's position, sign, num, den); position 0
-    # stands for level k - 1, placed unchanged
-    candidates = [(levels[: k - 1], 0, 1, 1, 1)]
-    for row in levels[k - 1 :]:
+    under = levels[first - 2] if first > 1 else ()
+    # each letter being filled, mapped to the list that collects its edges
+    filled = {}
+    # one list for the candidates of every letter: (its letter's edge list,
+    # placed levels, last added box's position, sign, num, den); position 0
+    # stands for level j - 1 of letter j, placed unchanged.  The scan keeps
+    # each letter's candidates in order as it extends them
+    candidates = []
+    for j in range(first, len(fans) + 1):
+        row = levels[j - 1]
+        if j <= last and fans[j - 1] is None:
+            edges = filled[j] = []
+            candidates.append((edges, levels[: j - 1], 0, 1, 1, 1))
         # row[-1], the pair's smallest entry, counts its full columns; they
         # change no step, so pairs that differ by them share one table entry;
         # level 1, below which under is empty, goes in as it is
@@ -249,23 +274,56 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
         # row with one box added, one object per position for the whole level
         grown = {}
         extended = []
-        for placed, t_lo, sign, num, den in candidates:
+        for edges, placed, t_lo, sign, num, den in candidates:
             step = iter(steps[t_lo])
             for t_up, s, n, m in zip(step, step, step, step):
                 new = grown.get(t_up)
                 if new is None:
                     new = grown[t_up] = row[: t_up - 1] + (row[t_up - 1] + 1,) + row[t_up:]
-                extended.append(((*placed, new), t_up, sign * s, num * n, den * m))
+                extended.append((edges, (*placed, new), t_up, sign * s, num * n, den * m))
         candidates = extended
         under = row
     # the levels were placed here from a valid pattern and the product's ints
     # are the formula's, so neither is checked again: each upper is made by
     # tuple.__new__, as namedtuple's _make does, and each root unchecked
     new = tuple.__new__
-    return tuple([
-        (new(GTPattern, (placed,)), _unchecked_sqrt(sign, num, den))
-        for placed, _, sign, num, den in candidates
-    ])
+    for edges, placed, _, sign, num, den in candidates:
+        edges.append((new(GTPattern, (placed,)), _unchecked_sqrt(sign, num, den)))
+    for letter, edges in filled.items():
+        fans[letter - 1] = tuple(edges)
+
+
+def _all_fans(lower: GTPattern) -> list:
+    """The up fan table of ``lower`` with every slot filled, its empty ones by one scan.
+
+    The scan starts at the first empty slot: the levels below it hold no
+    candidate of an empty letter.
+    """
+    fans = _fans(lower)
+    if None in fans:
+        _scan(lower, fans, fans.index(None) + 1, len(fans))
+    return fans
+
+
+def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical], ...]:
+    """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
+
+    Levels ``k..d`` each gain one box.  The fan is slot ``k - 1`` of the
+    cached table :func:`_fans`; a cold slot is filled by a :func:`_scan` of
+    letter ``k`` alone, so a caller that needs one letter, as a cold
+    ``decode`` does, pays for no other; :func:`_all_fans` fills all of a
+    table's empty slots in one scan.  Edges come in ascending order
+    of their positions.  ``lower`` must be a valid GT pattern; a letter
+    outside ``1..d`` raises ``ValueError``.
+    """
+    fans = _fans(lower)
+    if not 0 < k <= len(fans):
+        raise ValueError(f"letter out of range: {k} with d={len(fans)}")
+    fan = fans[k - 1]
+    if fan is None:
+        _scan(lower, fans, k, k)
+        fan = fans[k - 1]
+    return fan
 
 
 @cache

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from schurweyl.amplitudes import up_transitions
+from schurweyl.amplitudes import _all_fans
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
@@ -67,16 +67,6 @@ class SWYGraph:
         for v in self.level_vertices(level):
             census[v.shape] = census.get(v.shape, 0) + 1
         return census
-
-    def __eq__(self, other):
-        if not isinstance(other, SWYGraph):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.n_max == other.n_max
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
 
     def to_json_obj(self):
         shift = letter_offset(self.d)
@@ -161,14 +151,13 @@ def build(d: int, n_max: int) -> SWYGraph:
             for pattern in enumerate_gt(shape, d):
                 vid = ids[pattern] = len(vertices)
                 vertices.append(new(SWYVertex, (vid, level, shape, pattern)))
-    letters = range(1, d + 1)
     by_letter_upper = itemgetter(2, 1)
     edges: list[SWYEdge] = []
     for vid, _, _, pattern in vertices[:below]:
         fans = [
             new(SWYEdge, (vid, ids[upper], k, amp))
-            for k in letters
-            for upper, amp in up_transitions(pattern, k)
+            for k, fan in enumerate(_all_fans(pattern), start=1)
+            for upper, amp in fan
         ]
         # each fan in upper id order; one sort of the whole edge list would
         # hold a key tuple per edge alive at once, which costs more collections

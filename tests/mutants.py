@@ -3,9 +3,10 @@
 A mutant is a small, deliberate fault in the engine's mathematics.  Each
 one names a size and the suites of ``cli._suites`` that fail there, so a
 test can hold the suites, not the byte goldens, to catching it.  A fan
-mutant wraps ``up_transitions`` under the names ``amplitudes``,
-``branching`` and ``graph`` bind, so the up fans, the down fans made from
-them, the branching steps and the graph all read the mutated edges.
+mutant wraps ``amplitudes._scan``, the one function that writes the slots
+of the up fan tables.  No other module binds that name, so the graph, the
+single-letter fans of ``up_transitions``, the branching steps and the down
+fans made from them all read the mutated edges.
 :func:`applied` clears every package cache before and after, so no fan
 made on either side of the mutant outlives it.
 """
@@ -15,11 +16,9 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, NamedTuple
 
-from schurweyl import amplitudes, branching, graph
+from schurweyl import amplitudes
 
 from oracles import module_caches
-
-FAN_MODULES = (amplitudes, branching, graph)
 
 
 class Mutant(NamedTuple):
@@ -30,23 +29,44 @@ class Mutant(NamedTuple):
     open_item: str | None = None  # the ROADMAP item that closes a mutant no suite kills
 
 
+def rewritten_fan(d: int, k: int, shape: tuple[int, ...], rewrite: Callable) -> Callable:
+    """Pass every letter-``k`` up fan the scan writes at a lower pattern of ``shape`` through
+    ``rewrite(scan, lower, fan)``, where ``scan`` is the unpatched writer."""
+
+    def patch(monkeypatch):
+        original = amplitudes._scan
+
+        def _scan(lower, fans, first, last):
+            hit = lower.d == d and lower.shape == shape and first <= k <= last
+            hit = hit and fans[k - 1] is None
+            original(lower, fans, first, last)
+            if hit:
+                fans[k - 1] = rewrite(original, lower, fans[k - 1])
+
+        monkeypatch.setattr(amplitudes, "_scan", _scan)
+
+    return patch
+
+
 def negated_first_edge(d: int, k: int, shape: tuple[int, ...]) -> Callable:
     """Negate the first edge of every letter-``k`` up fan at a lower pattern of ``shape``."""
 
-    def patch(monkeypatch):
-        original = amplitudes.up_transitions
+    def negate(scan, lower, fan):
+        (upper, amp), *rest = fan
+        return ((upper, -amp), *rest)
 
-        def up_transitions(lower, letter):
-            fan = original(lower, letter)
-            if letter != k or lower.d != d or lower.shape != shape:
-                return fan
-            (upper, amp), *rest = fan
-            return ((upper, -amp), *rest)
+    return rewritten_fan(d, k, shape, negate)
 
-        for module in FAN_MODULES:
-            monkeypatch.setattr(module, "up_transitions", up_transitions)
 
-    return patch
+def wrong_letter(d: int, k: int, slot: int, shape: tuple[int, ...]) -> Callable:
+    """Write the letter-``k`` up fan into letter ``slot``'s slot at a lower pattern of ``shape``."""
+
+    def other_letter(scan, lower, fan):
+        table = [None] * d
+        scan(lower, table, k, k)
+        return table[k - 1]
+
+    return rewritten_fan(d, slot, shape, other_letter)
 
 
 def level_three_sign_flip(monkeypatch) -> None:
@@ -70,6 +90,12 @@ MUTANTS = [
     Mutant(
         "negated first edge of the d = 3 letter-2 fans at shape (2,1)",
         negated_first_edge(3, 2, (2, 1)),
+        (3, 4),
+        frozenset({"unitarity"}),
+    ),
+    Mutant(
+        "d = 3 letter-1 fans written into letter 2's slot at shape (2,1)",
+        wrong_letter(3, 1, 2, (2, 1)),
         (3, 4),
         frozenset({"unitarity"}),
     ),

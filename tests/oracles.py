@@ -11,6 +11,7 @@ package's caches, for tests that clear them.
 import importlib
 import pkgutil
 from fractions import Fraction
+from functools import cache
 from math import prod
 from pathlib import Path
 
@@ -132,11 +133,19 @@ def up_fan(lower: GTPattern, k: int) -> list[tuple[GTPattern, Radical]]:
     Every pattern of every shape one box larger is tried; those that
     :func:`transition_context` reads as an edge of letter ``k`` are kept,
     with the amplitude :func:`louck_reference` gives, in ascending order of
-    their bumped positions.
+    their bumped positions.  The patterns one box up are tried once per
+    lower pattern, for all letters (:func:`edges_by_letter`).
     """
+    edges = sorted(edges_by_letter(lower).get(k, ()))
+    return [(upper, louck_reference(lower, upper)) for _, upper in edges]
+
+
+@cache
+def edges_by_letter(lower: GTPattern) -> dict[int, list[tuple[tuple[int, ...], GTPattern]]]:
+    """Every ``(taus, upper)`` edge out of ``lower``, by letter, over all patterns one box up."""
     d = lower.d
     top = pad_partition(lower.shape, d)
-    edges = []
+    edges: dict = {}
     for row in range(d):
         if row and top[row] == top[row - 1]:
             continue  # one more box in this row is not a partition
@@ -146,10 +155,8 @@ def up_fan(lower: GTPattern, k: int) -> list[tuple[GTPattern, Radical]]:
                 letter, taus = transition_context(lower, upper)
             except NotAnEdge:
                 continue
-            if letter == k:
-                edges.append((taus, upper))
-    edges.sort(key=lambda edge: edge[0])
-    return [(upper, louck_reference(lower, upper)) for _, upper in edges]
+            edges.setdefault(letter, []).append((taus, upper))
+    return edges
 
 
 def down_fan(upper: GTPattern, shape: Partition) -> list[tuple[GTPattern, int, Radical]]:

@@ -1,11 +1,14 @@
 import inspect
+import random
 import sys
 
 import pytest
 
+from schurweyl import amplitudes
 from schurweyl.amplitudes import (
     NotAnEdge,
     WrongDimension,
+    _fans,
     _level_steps,
     down_transitions,
     pattern_amplitude_d2,
@@ -23,6 +26,7 @@ from schurweyl.tableaux import (
     partitions,
     weyl_to_gt,
 )
+from schurweyl.transform import decode, encode
 
 from oracles import down_fan, louck_reference, module_caches, up_fan
 
@@ -233,12 +237,139 @@ def test_up_fans_match_brute_force_in_every_table_state():
         # the shared roots: every rebuilt amplitude is the object it was
         before = fans(lowers)
         _level_steps.cache_clear()
-        up_transitions.cache_clear()
+        _fans.cache_clear()
         after = fans(lowers)
         assert after == expected, d
         assert all(
             a is b for old, new in zip(before, after) for (_, a), (_, b) in zip(old, new)
         )
+
+
+def clear_tables():
+    """Clear the fan tables and the level steps, but not the shared roots."""
+    _fans.cache_clear()
+    _level_steps.cache_clear()
+    down_transitions.cache_clear()
+
+
+def fill_single_letters(patterns, letters_of):
+    """Fill each pattern's slots of the letters ``letters_of(pattern)``, one letter at a time."""
+    for p in patterns:
+        for k in letters_of(p):
+            up_transitions(p, k)
+
+
+@pytest.mark.parametrize("d, n", [(5, 5), (8, 4), (2, 13)])
+def test_fan_tables_match_the_oracle_in_every_fill_order(d, n):
+    # build fills a vertex's empty slots in one scan and up_transitions one
+    # cold slot alone; whichever fills a slot first, every slot must hold the
+    # oracle's fan, and a filled slot is never written again
+    patterns = [p for level in range(n) for p in all_patterns(level, d)]
+    letters = range(1, d + 1)
+    expected = {(p, k): up_fan(p, k) for p in patterns for k in letters}
+    roots = None
+
+    def check_tables():
+        nonlocal roots
+        tables = {p: list(_fans(p)) for p in patterns}
+        assert {(p, k): list(tables[p][k - 1]) for p in patterns for k in letters} == expected
+        amps = [amp for p in patterns for fan in tables[p] for _, amp in fan]
+        if roots is None:
+            roots = amps
+        # the roots are not cleared, so every rebuilt amplitude is the object it was
+        assert all(a is b for a, b in zip(amps, roots)) and len(amps) == len(roots)
+        return tables
+
+    # single letters cold, then build, which finds every slot filled
+    clear_tables()
+    fill_single_letters(patterns, lambda p: letters)
+    filled = check_tables()
+    build(d, n)
+    assert all(_fans(p)[k - 1] is filled[p][k - 1] for p in patterns for k in letters)
+    check_tables()
+    # build, then single letters, which read the slots build filled
+    clear_tables()
+    build(d, n)
+    filled = check_tables()
+    assert all(up_transitions(p, k) is filled[p][k - 1] for p in patterns for k in letters)
+    # partly filled: build fills the rest and leaves the filled slots alone
+    clear_tables()
+    fill_single_letters(patterns, lambda p: [k for k in letters if (k + len(p.shape)) % 3 == 0])
+    partial = {p: list(_fans(p)) for p in patterns}
+    assert any(None in table for table in partial.values())
+    assert any(fan is not None for table in partial.values() for fan in table)
+    build(d, n)
+    check_tables()
+    assert all(
+        _fans(p)[k - 1] is fan for p, table in partial.items() for k, fan in enumerate(table, 1)
+        if fan is not None
+    )
+
+
+def test_cold_single_letter_fills_one_slot():
+    # a caller that needs one letter pays for that letter alone, also at d = 64
+    d = 64
+    zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
+    first = GTPattern(tuple((1,) + (0,) * (j - 1) for j in range(1, d + 1)))
+    clear_tables()
+    for p, k in ((zero, 1), (zero, 40), (first, 64), (first, 2)):
+        before = list(_fans(p))
+        fan = up_transitions(p, k)
+        assert fan and list(fan) == up_fan(p, k)
+        after = _fans(p)
+        assert after[k - 1] is fan
+        assert [i for i, slot in enumerate(after) if slot is not before[i]] == [k - 1]
+    assert [k for k, slot in enumerate(_fans(zero), 1) if slot is not None] == [1, 40]
+
+
+def test_all_fans_scans_from_the_first_empty_slot(monkeypatch):
+    # the levels below the first empty slot seed no letter the scan fills,
+    # so it starts there and a full table runs no scan at all
+    d = 5
+    p = GTPattern(((1,), (1, 0), (2, 1, 0), (2, 1, 0, 0), (3, 1, 0, 0, 0)))
+    clear_tables()
+    up_transitions(p, 1)
+    up_transitions(p, 2)
+    up_transitions(p, 4)
+    scans = []
+    original = amplitudes._scan
+
+    def recorded(lower, fans, first, last):
+        scans.append((first, last))
+        original(lower, fans, first, last)
+
+    monkeypatch.setattr(amplitudes, "_scan", recorded)
+    fans = amplitudes._all_fans(p)
+    assert scans == [(3, d)]
+    assert [list(fan) for fan in fans] == [up_fan(p, k) for k in range(1, d + 1)]
+    amplitudes._all_fans(p)
+    assert scans == [(3, d)]
+
+
+def test_build_reads_the_same_level_steps():
+    # one scan per vertex looks up each adjacent-level pair of the pattern,
+    # the pairs the per-letter scans looked up between them
+    for d, n in ((2, 30), (4, 6), (16, 3)):
+        clear_tables()
+        build(d, n)
+        below = [p for level in range(n) for p in all_patterns(level, d)]
+        assert _level_steps.cache_info().currsize == len(shifted_pairs(below)), (d, n)
+
+
+def test_warm_round_trips_run_no_scan(monkeypatch):
+    # the (3,8) graph fills every slot that a (3,8) word's up and down steps
+    # read, so a warm round trip scans no level
+    clear_tables()
+    build(3, 8)
+
+    def no_scan(lower, fans, first, last):
+        raise AssertionError(f"scan of letters {first}..{last} at {lower}")
+
+    monkeypatch.setattr(amplitudes, "_scan", no_scan)
+    rng = random.Random(8)
+    for _ in range(20):
+        word = tuple(rng.randint(1, 3) for _ in range(8))
+        assert decode(encode(word, 3)) == {word: ONE}
 
 
 def test_level_steps_on_every_adjacent_level_pair():
@@ -339,7 +470,7 @@ def test_fans_do_not_grow_the_stack():
     zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
     first = GTPattern(tuple((1,) + (0,) * (j - 1) for j in range(1, d + 1)))
     _level_steps.cache_clear()
-    up_transitions.cache_clear()
+    _fans.cache_clear()
     down_transitions.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)

@@ -1,11 +1,14 @@
+import sys
+
 import pytest
 
-from schurweyl import amplitudes, cli
+from schurweyl import amplitudes, branching, cli
 from schurweyl.graph import build
+from schurweyl.radicals import ONE
 from schurweyl.tableaux import enumerate_gt, enumerate_paths, partitions
 from schurweyl.transform import DEFAULT_SIZE_BOUND
 
-from mutants import MUTANTS, applied
+from mutants import MUTANTS, applied, clear_caches
 from oracles import down_fan, up_fan
 
 
@@ -85,3 +88,77 @@ def test_mutant_is_killed(monkeypatch, mutant):
     assert failed, f"no suite kills {mutant.name!r}: {results}"
     # an open mutant names no suites, so the first suite to kill it makes it pass
     assert failed == mutant.killed_by or not mutant.killed_by
+
+
+def fans_by_reader(d: int, n: int) -> dict:
+    """Each reader's up fans of every pattern below level ``n`` and letter, cold caches each.
+
+    ``build`` fills a vertex's fans in one scan, ``up_transitions`` one letter
+    alone, and ``branching.up`` reads its fans through ``up_transitions``; each
+    lists its fan as ``{upper: amplitude}``.
+    """
+    lowers = [
+        p for level in range(n) for shape in partitions(level, d) for p in enumerate_gt(shape, d)
+    ]
+    clear_caches()
+    built = {}
+    g = build(d, n)
+    for e in g.edges:
+        lower, upper = g.vertices[e.lower].pattern, g.vertices[e.upper].pattern
+        built.setdefault((lower, e.added_entry), {})[upper] = e.amplitude
+    readers = {"build": built, "up_transitions": {}, "up": {}}
+    clear_caches()
+    for lower in lowers:
+        for k in range(1, d + 1):
+            readers["up_transitions"][lower, k] = dict(amplitudes.up_transitions(lower, k))
+    clear_caches()
+    for lower in lowers:
+        for k in range(1, d + 1):
+            state = branching.up({(lower, ((),)): ONE}, k)
+            readers["up"][lower, k] = {upper: amp for (upper, _), amp in state.items()}
+    return {name: {key: fan for key, fan in fans.items() if fan} for name, fans in readers.items()}
+
+
+def down_reads(fans: dict) -> bool:
+    """Whether every down fan into an upper of ``fans`` holds the amplitude ``fans`` give its edge.
+
+    False when the down scan lists an edge that the up fan of its letter
+    lacks, which ``down_transitions`` meets as a ``KeyError``.
+    """
+    clear_caches()
+    for upper in {upper for fan in fans.values() for upper in fan}:
+        for shape in {path[-2] for path in enumerate_paths(upper.shape)}:
+            try:
+                fan = amplitudes.down_transitions(upper, shape)
+            except KeyError:
+                return False
+            for lower, k, amp in fan:
+                assert fans[lower, k][upper] == amp, (lower, k, upper)
+    return True
+
+
+@pytest.mark.parametrize("mutant", params(with_marks=False))
+def test_every_reader_reads_the_mutated_fans(monkeypatch, mutant):
+    # the mutants patch the one writer of the fan slots, which no other module
+    # binds by name, so the graph, the single-letter fans and the branching
+    # step read one set of fans, and the down fans take their amplitudes from it
+    binding = [
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "schurweyl" and "_scan" in vars(module)
+    ]
+    assert binding == ["schurweyl.amplitudes"]
+    d, n = mutant.size
+    with applied(monkeypatch, mutant):
+        readers = fans_by_reader(d, n)
+        built = readers["build"]
+        assert readers["up_transitions"] == built
+        assert readers["up"] == built
+        keeps_uppers = down_reads(built)
+    clean = fans_by_reader(d, n)["build"]
+    assert built != clean
+    # a mutant that keeps every edge's upper moves only amplitudes, which the
+    # down fans then hold; one that moves an upper leaves a down edge no up fan has
+    same_uppers = {key: set(fan) for key, fan in built.items()} == {
+        key: set(fan) for key, fan in clean.items()
+    }
+    assert keeps_uppers == same_uppers
