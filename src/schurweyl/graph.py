@@ -136,8 +136,8 @@ class SWYGraph:
 def build(d: int, n_max: int) -> SWYGraph:
     """All vertices up to level ``n_max`` with amplitude-labeled edges."""
     check_alphabet(d)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if type(n_max) is not int or n_max < 0:
+        raise ValueError(f"n_max must be a nonnegative int, got {n_max!r}")
     # the records' fields are the package's own, so each is made by
     # tuple.__new__, as namedtuple's _make does, with no constructor frame
     new = tuple.__new__

@@ -55,9 +55,13 @@ class InvariantViolation(ValueError):
 
 
 def check_alphabet(d: int) -> None:
-    """Bound the alphabet size ``d`` where it enters the package: ``1..MAX_ALPHABET``."""
-    if not 1 <= d <= MAX_ALPHABET:
-        raise InvariantViolation("alphabet size", f"d={d} outside 1..{MAX_ALPHABET}")
+    """Bound the alphabet size ``d`` where it enters the package: ``1..MAX_ALPHABET``.
+
+    ``d`` must be exactly an int, as a GT entry must: a bool or a float
+    does not pass as one.
+    """
+    if type(d) is not int or not 1 <= d <= MAX_ALPHABET:
+        raise InvariantViolation("alphabet size", f"d={d!r} outside 1..{MAX_ALPHABET}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,9 @@ def partitions(n: int, max_parts: int) -> tuple[Partition, ...]:
             return
         if slots == 0:
             return
-        for first in range(min(left, cap), 0, -1):
+        # a first part below left / slots leaves too much for the other
+        # slots, so each branch yields, and one slot costs one step, not left
+        for first in range(min(left, cap), -(-left // slots) - 1, -1):
             for rest in rec(left - first, slots - 1, first):
                 yield (first, *rest)
 
@@ -177,42 +183,15 @@ def path_to_syt(path) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
-# set while an enumerate_paths call reads smaller shapes; it picks how a miss
-# is listed, never what the paths are, so any caller or thread may see it set
-_filling = False
-
-
-@cache
 def enumerate_paths(shape: Partition) -> tuple[GrowthPath, ...]:
     """All growth paths from the empty partition to ``shape``, canonical order.
 
-    They are the cached paths of each shape one box smaller with ``shape``
-    appended, so a caller that asks level by level copies each path once.
-    A smaller shape the cache lacks is walked by :func:`_walk_paths`, not
-    built from its own smaller shapes, so no call nests more than two deep.
+    A depth-first walk in a loop, so no call nests, whatever the size of the
+    shape.  The stack holds each step still to visit with its level; the
+    larger next shape is visited first, so the paths come out in canonical
+    order with no sort, and equal steps are one object.
     """
-    global _filling
     shape = check_partition(shape)
-    if _filling or not shape:
-        return _walk_paths(shape)
-    _filling = True
-    try:
-        out = []
-        for row, part in enumerate(shape):
-            if row + 1 == len(shape) or shape[row + 1] < part:  # the row's last box is removable
-                smaller = check_partition(shape[:row] + (part - 1,) + shape[row + 1 :])
-                out += [prefix + (shape,) for prefix in enumerate_paths(smaller)]
-    finally:
-        _filling = False
-    return tuple(sorted(out, reverse=True))
-
-
-def _walk_paths(shape: Partition) -> tuple[GrowthPath, ...]:
-    """The growth paths of ``shape`` in canonical order, by a depth-first walk in a loop.
-
-    The stack holds each step still to visit with its level; the larger
-    next shape is visited first, and equal steps are one object.
-    """
     size = sum(shape)
     out, path, steps, stack = [], [], {}, [((), 0)]
     while stack:
@@ -358,7 +337,6 @@ def weyl_row(entries: tuple[int | None, ...]) -> list[int]:
     return row
 
 
-@cache
 def enumerate_gt(shape: Partition, d: int) -> tuple[GTPattern, ...]:
     """All GT patterns with top level ``shape`` (zero-padded to ``d``), canonical order."""
     check_alphabet(d)

@@ -186,11 +186,29 @@ def verify_unitary(m: ExactSparseMatrix) -> bool:
 
 
 def dimension_check(d: int, n: int) -> bool:
-    """Exactly d**n dimensions across all (frame, weyl, young) combinations."""
-    total = 0
-    for shape in partitions(n, d):
-        total += len(enumerate_gt(shape, d)) * len(enumerate_paths(shape))
-    return total == d**n
+    """Exactly ``d**m`` (weyl, young) pairs at every level ``m <= n``, in one pass.
+
+    Each shape's Weyl tableaux are listed and its standard Young tableaux
+    counted, level by level: a shape's count is the sum of the counts of the
+    shapes one box smaller, one for each removable box (a row's last box
+    with a shorter row, or none, below it), so no growth path is made.
+    """
+    if n < 0:
+        raise ValueError(f"expected n >= 0, got {n}")
+    counts = {(): 1}
+    for m in range(n + 1):
+        if m:
+            counts = {
+                shape: sum(
+                    counts[shape[:row] + ((part - 1,) if part > 1 else ()) + shape[row + 1 :]]
+                    for row, part in enumerate(shape)
+                    if row + 1 == len(shape) or shape[row + 1] < part
+                )
+                for shape in partitions(m, d)
+            }
+        if sum(len(enumerate_gt(shape, d)) * f for shape, f in counts.items()) != d**m:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,19 @@ def negated_first_edge(d: int, k: int, shape: tuple[int, ...]) -> Callable:
     return rewritten_fan(d, k, shape, negate)
 
 
+def swapped_amplitudes(d: int, k: int, shape: tuple[int, ...]) -> Callable:
+    """Swap the amplitudes of the first two edges of every letter-``k`` up fan at a
+    lower pattern of ``shape``; a fan of fewer edges is kept."""
+
+    def swap(scan, lower, fan):
+        if len(fan) < 2:
+            return fan
+        (first, a), (second, b), *rest = fan
+        return ((first, b), (second, a), *rest)
+
+    return rewritten_fan(d, k, shape, swap)
+
+
 def wrong_letter(d: int, k: int, slot: int, shape: tuple[int, ...]) -> Callable:
     """Write the letter-``k`` up fan into letter ``slot``'s slot at a lower pattern of ``shape``."""
 
@@ -98,6 +111,27 @@ MUTANTS = [
         wrong_letter(3, 1, 2, (2, 1)),
         (3, 4),
         frozenset({"unitarity"}),
+    ),
+    Mutant(
+        "swapped amplitudes of the d = 2 letter-1 fans at shape (1)",
+        swapped_amplitudes(2, 1, (1,)),
+        (2, 3),
+        frozenset({"pattern-louck equivalence"}),
+    ),
+    Mutant(
+        "swapped amplitudes of the d = 3 letter-2 fans at shape (2,1)",
+        swapped_amplitudes(3, 2, (2, 1)),
+        (3, 4),
+        frozenset({"unitarity"}),
+    ),
+    Mutant(
+        # the fan's two amplitudes are +-1/2 sqrt 2, so the swap negates one
+        # row of the CG block: a sign per pattern, which no suite checks
+        "swapped amplitudes of the d = 3 letter-1 fans at shape (1)",
+        swapped_amplitudes(3, 1, (1,)),
+        (3, 4),
+        frozenset(),
+        open_item="item 2: a sign per irrep or per pattern passes every suite",
     ),
     Mutant(
         "level-3 sign flip in _level_factor",

@@ -39,6 +39,8 @@ def test_cache_inventory():
         assert c.cache_info().currsize == 0
     amplitudes = {c.__name__ for c in caches if c.__module__ == "schurweyl.amplitudes"}
     assert amplitudes == {"_level_steps", "_fans", "down_transitions"}
+    tableaux = {c.__name__ for c in caches if c.__module__ == "schurweyl.tableaux"}
+    assert tableaux == {"partitions"}
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -10,9 +10,12 @@ from schurweyl.graph import SWYGraph, build
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_json_triples, radical_from_sqrt
 from schurweyl.tableaux import (
     InvariantViolation,
+    check_alphabet,
+    enumerate_gt,
     enumerate_paths,
     gt_to_weyl,
 )
+from schurweyl.transform import encode
 
 
 def up_edges(g, v, k=None):
@@ -161,6 +164,22 @@ def test_alphabet_bound_on_graphs():
     for d in (0, 65):
         with pytest.raises(InvariantViolation, match="alphabet size"):
             build(d, 1)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_sizes_must_be_exact_ints(value):
+    # True compares as 1 and 2.0 as 2, and a str fails only later, so d and
+    # n_max must be exactly ints, as the GT entries are
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        check_alphabet(value)
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        build(value, 2)
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        encode((1, 1), value)
+    with pytest.raises(InvariantViolation, match="alphabet size"):
+        enumerate_gt((1,), value)
+    with pytest.raises(ValueError, match="n_max must be a nonnegative int"):
+        build(2, value)
 
 
 def test_dot_output():

@@ -179,25 +179,20 @@ def test_syt_path_bijection_exhaustive():
 
 
 def test_paths_match_the_recursive_definition():
-    # a shape whose smaller shapes are cached is built from them, and one
-    # whose smaller shapes are not has them walked: asked cold, smallest
-    # first or largest first, every shape up to n = 8 gets the same paths
+    # asked alone, smallest first or largest first, every shape up to
+    # n = 8 gets the same paths
     shapes = [shape for n in range(9) for shape in partitions(n, n)]
     want = {shape: recursive_paths(shape) for shape in shapes}
     for shape in shapes:
-        enumerate_paths.cache_clear()
         assert enumerate_paths(shape) == want[shape], shape
     for order in (shapes, shapes[::-1]):
-        enumerate_paths.cache_clear()
         for shape in order:
             assert enumerate_paths(shape) == want[shape], shape
 
 
 def test_paths_of_long_shapes_from_a_cold_cache():
-    # neither the walk nor the read of the cache nests once per box
-    enumerate_paths.cache_clear()
+    # the walk does not nest once per box
     assert enumerate_paths((2000,)) == (((), *((k,) for k in range(1, 2001))),)
-    enumerate_paths.cache_clear()
     paths = enumerate_paths((1500, 1))
     assert len(paths) == len(set(paths)) == 1500
     assert list(paths) == sorted(paths, reverse=True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurweyl import cli, tableaux
+from schurweyl import cli, tableaux, transform
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
@@ -32,6 +32,7 @@ from schurweyl.transform import (
 )
 
 from oracles import module_caches, syt_to_path
+from test_acceptance import budget
 
 
 def state_document(state, d, n) -> dict:
@@ -213,6 +214,31 @@ def test_dimension_check():
         for n in range(0, 7):
             assert dimension_check(d, n)
     assert dimension_check(3, 4)
+
+
+def test_dimension_check_counts_within_budget():
+    # each shape's tableaux are counted from the counts one box smaller, not
+    # listed, so the identity stays cheap where the paths number millions
+    for d, n in ((2, 30), (1, 3000)):
+        clear_caches()
+        with budget(f"dimension identity at every level up to ({d},{n})", 500):
+            assert dimension_check(d, n)
+
+
+def test_dimension_check_fails_on_a_lost_pattern(monkeypatch, capsys):
+    # a shape at level 3 short of one pattern fails the identity at n = 4,
+    # since every level up to n is checked, and check reports it
+    listed = transform.enumerate_gt
+
+    def lossy(shape, d):
+        patterns = listed(shape, d)
+        return patterns[1:] if shape == (2, 1) else patterns
+
+    monkeypatch.setattr(transform, "enumerate_gt", lossy)
+    assert dimension_check(3, 2)
+    assert not dimension_check(3, 4)
+    assert cli.main(["check", "--d", "3", "--n", "4"]) == 3
+    assert "FAIL  dimension identity  (n <= 4)\n" in capsys.readouterr().out
 
 
 def test_size_bound():
