@@ -49,6 +49,7 @@ is kept as the reference that the tests and ``check`` compare against.
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
 
 from schurweyl.radicals import Radical, _unchecked_sqrt, radical_from_sqrt
 from schurweyl.tableaux import GTPattern, Partition, interlaces, pad_partition
@@ -173,13 +174,13 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
     ``(t_up, sign, num, den, ...)``, every position ``t_up`` (1-based,
     ascending) at which a box added to ``row`` keeps it interlaced with
     ``under`` plus a box at ``t_lo``, where ``t_lo = 0`` leaves ``under``
-    unchanged, with that level's factor of Louck's formula.  A step reads
-    these two levels and nothing else of the pattern, nor the letter or the
-    alphabet, so all fans share one table per pair.  Nor does it read the
-    pair's full columns: adding ``c`` to every entry of both levels leaves
-    every hook difference and every comparison of entries as it was, so
-    :func:`_scan` passes each pair above level 1 shifted so that
-    ``row[-1]`` is 0.
+    unchanged, with that level's factor of Louck's formula, ``num / den``
+    in lowest terms.  A step reads these two levels and nothing else of the
+    pattern, nor the letter or the alphabet, so all fans share one table per
+    pair.  Nor does it read the pair's full columns: adding ``c`` to every
+    entry of both levels leaves every hook difference and every comparison
+    of entries as it was, so :func:`_scan` passes each pair above level 1
+    shifted so that ``row[-1]`` is 0.
 
     Every ``t_lo`` is filled, also one that no fan reaches because ``under``
     plus a box there is no partition.  Such an entry is empty, never a
@@ -209,7 +210,11 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
             fits = [t_lo - 1] if t_lo == 1 or under[t_lo - 2] > row[t_lo - 1] else []
         entry = []
         for pos in fits:
-            entry += (pos + 1, *_level_factor(below, hooks, t_lo, pos + 1))
+            sign, num, den = _level_factor(below, hooks, t_lo, pos + 1)
+            # reduced once here, a scan's running product stays small: at
+            # d = 64 the unreduced one reached thousands of bits for a value of 1
+            g = gcd(num, den)
+            entry += (pos + 1, sign, num // g, den // g)
         table.append(tuple(entry))
     return tuple(table)
 

@@ -9,7 +9,10 @@ Every JSON document is the text of ``json.dumps(obj, indent=2)``.  The
 ``decode`` and ``check`` documents are written by ``json`` itself; the state
 and graph documents, which repeat the same shapes, rows and amplitudes many
 times, are laid out in one pass by :func:`_dumps_state` and
-:func:`_dumps_graph`, with no object tree in between.
+:func:`_graph_chunks`, with no object tree in between.  The graph document
+grows fastest, 19 MB at ``--d 2 --n 50``, so it is written in chunks of at
+most :data:`GRAPH_CHUNK` vertices or edges, and ``graph`` holds one chunk
+of it at a time beside the graph itself, never the whole document.
 """
 
 import argparse
@@ -166,9 +169,16 @@ def _dumps_state(state, d: int, n: int) -> str:
     return f'{{\n  "d": {d},\n  "n": {n},\n  "terms": {body}\n}}'
 
 
-def _dumps_graph(graph) -> str:
-    """The text of ``json.dumps(graph.to_json_obj(), indent=2)``, written in one pass.
+# vertices or edges per chunk of the graph document: enough that the writes
+# cost nothing beside the texts, few enough that a chunk is kilobytes
+GRAPH_CHUNK = 512
 
+
+def _graph_chunks(graph):
+    """Yield the text of ``json.dumps(graph.to_json_obj(), indent=2)`` in chunks.
+
+    Each chunk holds at most :data:`GRAPH_CHUNK` vertices or edges, so a
+    writer holds one chunk of the document at a time, never the whole.
     Every vertex and every edge sits at one depth, so their fields are laid
     out here directly, with no object tree in between.  Each distinct shape,
     tableau row and amplitude is written once per document and its text
@@ -181,32 +191,49 @@ def _dumps_graph(graph) -> str:
     """
     field = "\n      "  # the line break and indent of a vertex's or edge's fields
     inner = field + "  "  # ... of a tableau row
+    entry = "\n    "  # ... of a vertex or an edge
+    sep = "," + entry
     shift = letter_offset(graph.d)
     shapes = _Texts(lambda shape: _list([*map(str, shape)], field))
     row_texts = _Texts(
         lambda entries: _list([str(x - shift) for x in weyl_row(entries)], inner)
     )
     amplitudes: dict = {}
-    vertices = []
-    for v in graph.vertices:
-        lines = [*map(row_texts.__getitem__, row_entries(v.pattern))]
-        vertices.append(
+    # each list as _list lays it out: its opening, then one join of a chunk's
+    # entries at a time, each after the separator that ends the one before
+    vertices, edges = graph.vertices, graph.edges
+    yield f'{{\n  "d": {graph.d},\n  "n_max": {graph.n_max},\n  "vertices": ['
+    lead = entry
+    for start in range(0, len(vertices), GRAPH_CHUNK):
+        yield lead + sep.join([
             f'{{{field}"id": {v.id},{field}"level": {v.level},{field}"shape": {shapes[v.shape]},'
-            f'{field}"tableau_rows": {_list(lines, field)}\n    }}'
-        )
-    edges = []
-    for e in graph.edges:
-        amp = e.amplitude
-        value = amplitudes.get(id(amp)) or amplitudes.setdefault(id(amp), _amplitude(amp, field))
-        edges.append(
-            f'{{{field}"lower": {e.lower},{field}"upper": {e.upper},'
-            f'{field}"k": {e.added_entry - shift},{field}"amplitude": {value}\n    }}'
-        )
-    body = [_list(items, "\n  ") for items in (vertices, edges)]
-    return (
-        f'{{\n  "d": {graph.d},\n  "n_max": {graph.n_max},'
-        f'\n  "vertices": {body[0]},\n  "edges": {body[1]}\n}}'
-    )
+            f'{field}"tableau_rows": '
+            f'{_list([*map(row_texts.__getitem__, row_entries(v.pattern))], field)}{entry}}}'
+            for v in vertices[start : start + GRAPH_CHUNK]
+        ])
+        lead = sep
+    # the level-0 vertex is always there; a graph of one level has no edge
+    yield '\n  ],\n  "edges": [' if edges else '\n  ],\n  "edges": []'
+    lead = entry
+    for start in range(0, len(edges), GRAPH_CHUNK):
+        texts = []
+        for e in edges[start : start + GRAPH_CHUNK]:
+            amp = e.amplitude
+            value = amplitudes.get(id(amp)) or amplitudes.setdefault(
+                id(amp), _amplitude(amp, field)
+            )
+            texts.append(
+                f'{{{field}"lower": {e.lower},{field}"upper": {e.upper},'
+                f'{field}"k": {e.added_entry - shift},{field}"amplitude": {value}{entry}}}'
+            )
+        yield lead + sep.join(texts)
+        lead = sep
+    yield "\n  ]\n}" if edges else "\n}"
+
+
+def _dumps_graph(graph) -> str:
+    """The whole text of :func:`_graph_chunks`."""
+    return "".join(_graph_chunks(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +282,15 @@ def cmd_graph(args) -> int:
     graph = build(args.d, args.n)
     if args.dot is not None:
         Path(args.dot).write_text(graph.to_dot())
-    if args.json_path is not None or args.format == "json":
-        text = _dumps_graph(graph)
     if args.json_path is not None:
-        Path(args.json_path).write_text(text + "\n")
+        # the file is whole before stdout is written, so a reader that closes
+        # stdout early cannot cut it short
+        with open(args.json_path, "w") as file:
+            file.writelines(_graph_chunks(graph))
+            file.write("\n")
     if args.format == "json":
-        print(text)
+        sys.stdout.writelines(_graph_chunks(graph))
+        sys.stdout.write("\n")
         return EXIT_OK
     print(
         f"d={graph.d} n_max={graph.n_max}:"

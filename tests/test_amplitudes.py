@@ -1,6 +1,8 @@
 import inspect
 import random
 import sys
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -395,6 +397,24 @@ def test_level_steps_on_every_adjacent_level_pair():
                     assert entry == ()
                     unreachable += 1
     assert unreachable > 0
+
+
+def test_level_steps_hold_each_factor_in_lowest_terms():
+    # a scan multiplies one factor per level, so each is stored reduced, with
+    # the value of the formula's unreduced hook products
+    reduced = 0
+    for d in range(1, 5):
+        patterns = [p for n in range(6) for p in all_patterns(n, d)]
+        for under, row in level_pairs(patterns):
+            below, hooks = amplitudes._level_hooks(under), amplitudes._level_hooks(row)
+            for t_lo, entry in enumerate(_level_steps(under, row)):
+                step = iter(entry)
+                for t_up, sign, num, den in zip(step, step, step, step):
+                    assert gcd(num, den) == 1 and den > 0, (under, row, t_lo, t_up)
+                    raw = amplitudes._level_factor(below, hooks, t_lo, t_up)
+                    assert (sign, Fraction(num, den)) == (raw[0], Fraction(*raw[1:]))
+                    reduced += raw[1:] != (num, den)
+    assert reduced > 0
 
 
 def test_level_steps_ignore_full_columns():

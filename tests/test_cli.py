@@ -1,10 +1,13 @@
+import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import parse_word, weyl_to_gt
 from schurweyl.transform import encode, schur_matrix, state_from_json_obj
 
-from oracles import syt_to_path
+from oracles import module_caches, syt_to_path
 
 GOLDEN_0101 = """\
 1/6*sqrt(6)  ~0.4082482905  (4)  weyl [0 0 1 1]  young [1 2 3 4]
@@ -532,13 +535,51 @@ def test_graph_summary_and_files(tmp_path, capsys):
 
 
 def test_graph_json_file_matches_stdout(tmp_path, capsys):
+    # (2,12) has 728 edges, so both are written in several chunks
     json_path = tmp_path / "swy.json"
-    code, out, _ = run(
-        capsys, "graph", "--d", "3", "--n", "3", "--format", "json", "--json", str(json_path),
-    )
-    assert code == 0
-    assert json_path.read_text() == out
-    assert out == json.dumps(build(3, 3).to_json_obj(), indent=2) + "\n"
+    for d, n in ((3, 3), (2, 12)):
+        code, out, _ = run(
+            capsys, "graph", "--d", str(d), "--n", str(n), "--format", "json",
+            "--json", str(json_path),
+        )
+        assert code == 0
+        assert json_path.read_text() == out
+        assert out == json.dumps(build(d, n).to_json_obj(), indent=2) + "\n"
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing of what it is given."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+def test_graph_json_writer_holds_a_chunk_not_the_document():
+    # from cold caches, writing the (2,30) document to stdout costs little
+    # memory beyond the build itself: the writer holds one chunk at a time,
+    # while the whole document is 3.9 MB
+    def traced_peak(call):
+        for c in module_caches():
+            c.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    build_peak = traced_peak(lambda: build(2, 30))
+    with contextlib.redirect_stdout(_Discard()):
+        main_peak = traced_peak(
+            lambda: cli.main(["graph", "--d", "2", "--n", "30", "--format", "json"])
+        )
+    document = len(cli._dumps_graph(build(2, 30)))
+    assert document > 3_800_000
+    assert main_peak - build_peak < document / 2, (main_peak, build_peak)
 
 
 def test_graph_bytes_golden_at_bench_size(tmp_path, capsys):

@@ -296,12 +296,24 @@ def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
 
 
 @pytest.mark.parametrize(
-    "d, n", [(1, 6), (2, 7), (3, 4), (4, 3), (5, 3), (1, 0), (2, 0), (3, 0)]
+    "d, n",
+    [(1, 6), (2, 7), (3, 4), (4, 3), (5, 3), (1, 0), (2, 0), (3, 0), (2, 16), (3, 6)],
 )
 def test_graph_writer_matches_json_dumps(d, n):
+    # the writer's chunks join to the document's text, each holding at most
+    # GRAPH_CHUNK vertices or edges; (2,16) and (3,6) span several
     g = build(d, n)
-    text = cli._dumps_graph(g)
-    assert text == json.dumps(g.to_json_obj(), indent=2)
+    chunks = list(cli._graph_chunks(g))
+    text = "".join(chunks)
+    assert text == cli._dumps_graph(g) == json.dumps(g.to_json_obj(), indent=2)
+    # every vertex and edge opens with "{" on a line of its own at indent 4
+    entries = [chunk.count("\n    {") for chunk in chunks]
+    size = cli.GRAPH_CHUNK
+    assert sum(entries) == len(g.vertices) + len(g.edges)
+    assert max(entries) <= size
+    filled = [count for count in entries if count]
+    assert len(filled) == -(-len(g.vertices) // size) - (-len(g.edges) // size)
+    assert (len(filled) > 2) == ((d, n) in ((2, 16), (3, 6)))
     if n == 0:
         assert text.endswith('"edges": []\n}')
     elif d == 2:
