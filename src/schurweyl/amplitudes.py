@@ -22,24 +22,17 @@ and only it evaluates the formula, once per edge: one bottom-up scan fills
 any range of empty slots, so :func:`_all_fans` fills all of a pattern's
 fans at once, for :func:`~schurweyl.graph.build`, and
 :func:`up_transitions` one cold letter alone.  The scan carries each
-candidate's running product, reading ``k`` and the ``tau_j`` off the
-positions it placed.  Its hooks are those of one pattern, so a level's
-factor depends only on that level and the one below it and on the
-positions of the boxes added there; it does not depend on the other
-levels, the letter or the alphabet.  The cached table
-:func:`_level_steps` computes each factor, and whether its boxes keep the
-levels interlaced, once per pair of adjacent levels, for all fans and
-alphabets, and a scan looks each level's entry up once for all the
-letters it fills.  A full column adds 1 to every entry of a GT
-pattern, and a factor reads only differences of the two levels' hooks
-and a fit only comparisons of their entries, so full columns change no
-step: above level 1 the fan looks the table up with the pair shifted
-down by ``row[-1]``, its smallest entry, and pairs that differ by full
-columns share one entry.  The down fan's scan only lists the
-``(lower, k)`` pairs that reach a pattern and takes each amplitude from
-the up fan of letter ``k`` at that lower, so every amplitude the branching
-steps read is an entry of one cached up fan.  The tests hold both fans
-to their own evaluation of the formula, which shares no code with these.
+candidate's running product.  A level's factor, and whether its boxes keep
+the levels interlaced, depend only on that level and the one below it and
+on where the boxes went: not on the other levels, the letter, the alphabet
+or the pair's full columns.  So the cached table :func:`_level_steps`
+works each out once per pair of adjacent levels, shifted down by
+``row[-1]``, for all fans and alphabets.  The down fan's scan only lists
+the ``(lower, k)`` pairs that reach a pattern and takes each amplitude
+from the up fan of letter ``k`` at that lower, so every amplitude the
+branching steps read is an entry of one cached up fan.  Both scans compare
+only the entries that a moved box can break.  The tests hold both fans to
+their own evaluation of the formula, which shares no code with these.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
@@ -52,7 +45,7 @@ from functools import cache
 from math import gcd
 
 from schurweyl.radicals import Radical, _unchecked_sqrt, radical_from_sqrt
-from schurweyl.tableaux import GTPattern, Partition, interlaces, pad_partition
+from schurweyl.tableaux import GTPattern, Partition, pad_partition
 
 
 class NotAnEdge(ValueError):
@@ -337,35 +330,42 @@ def down_transitions(
 ) -> tuple[tuple[GTPattern, int, Radical], ...]:
     """The down fan of ``upper`` onto ``shape``: every ``(lower, k, amplitude)``.
 
-    Each entry is an edge of the up fan of letter ``k`` at a ``lower`` of
-    the given shape, and its amplitude is the object that fan holds for
-    ``upper``.  ``upper`` must be a valid GT pattern and ``shape`` its
-    shape less one box, as the growth path of a triplet forces; any other
-    shape raises :class:`NotAnEdge`.  The top level is fixed to ``shape``;
-    the scan then places levels ``d-1..1`` top-down, one level for all
-    candidates at a time.  Each level either stays as in ``upper``, which
-    ends an edge with ``k = j + 1``, or loses one box and must interlace
-    the level above.  Edges come by descending ``k``, then in ascending
-    order of the missing boxes' positions read from the top level down.
+    Each entry is an edge of the up fan of letter ``k`` at a ``lower`` of the
+    given shape, whose amplitude is the object that fan holds for ``upper``.
+    ``upper`` must be a valid GT pattern and ``shape`` its shape less one box,
+    as a triplet's growth path forces; another shape raises :class:`NotAnEdge`.
+    The scan fixes the top level to ``shape`` and places levels ``d-1..0``
+    top-down, each for all candidates at once: level ``j`` stays as in
+    ``upper``, which ends an edge with ``k = j + 1``, or loses one box.  Edges
+    come by descending ``k``, then in ascending order of the missing boxes'
+    positions read from the top level down.
+
+    A candidate carries the position ``t`` of the box its last placed level
+    lost from ``above``, level ``j + 1`` of ``upper``.  Since ``row``, level
+    ``j``, interlaces ``above``, only a lowered entry can break that, as in
+    :func:`_level_steps`: entry ``t`` of ``above`` needs ``row[t] < above[t]``
+    unless ``t == j`` or ``row`` loses its box at ``t`` too, and entry ``pos``
+    of ``row``, if it loses the box, needs ``row[pos] > above[pos + 1]`` unless
+    ``pos + 1 == t``.  Level 0 is empty, so all candidates stay there, as
+    ``k = 1`` edges.  Interlacing implies the partition and sign checks.
     """
     levels = upper.levels
     top = pad_partition(shape, upper.d)
-    if sorted(up - low for up, low in zip(levels[-1], top)) != [0] * (upper.d - 1) + [1]:
+    lost = [up - low for up, low in zip(levels[-1], top)]
+    if sorted(lost) != [0] * (upper.d - 1) + [1]:
         raise NotAnEdge(f"shape {shape} is not the shape of the upper pattern less one box")
-    # a candidate is the levels placed so far, bottom-up, each one box short
-    candidates = [(top,)]
-    pairs = []
-    for j in range(upper.d - 1, 0, -1):
-        row = levels[j - 1]
-        shrunk = [row[:pos] + (row[pos] - 1,) + row[pos + 1 :] for pos in range(j)]
-        pairs += [
-            (levels[:j] + placed, j + 1) for placed in candidates if interlaces(placed[0], row)
-        ]
-        # interlacing the placed level above implies the partition and sign checks
-        candidates = [
-            (new, *placed) for placed in candidates for new in shrunk if interlaces(placed[0], new)
-        ]
-    pairs += [(placed, 1) for placed in candidates]
-    lowers = [(GTPattern(placed), k) for placed, k in pairs]
-    # a KeyError here would mean that the two scans disagree on an edge
-    return tuple((lower, k, dict(up_transitions(lower, k))[upper]) for lower, k in lowers)
+    # a candidate: the levels placed so far, bottom-up, each one box short, and t
+    candidates, fan = [((top,), lost.index(1))], []
+    for j in range(upper.d - 1, -1, -1):
+        row, above, extended = levels[j - 1], levels[j], []
+        for placed, t in candidates:
+            stays = t == j or row[t] < above[t]
+            if stays:
+                lower = GTPattern(levels[:j] + placed)
+                # a KeyError here would mean that the two scans disagree on an edge
+                fan.append((lower, j + 1, dict(up_transitions(lower, j + 1))[upper]))
+            for pos in range(j):
+                if (stays or pos == t) and (pos + 1 == t or row[pos] > above[pos + 1]):
+                    extended.append(((row[:pos] + (row[pos] - 1,) + row[pos + 1 :], *placed), pos))
+        candidates = extended
+    return tuple(fan)

@@ -3,7 +3,7 @@
 A mutant is a small, deliberate fault in the engine's mathematics.  Each
 one names a size and the suites of ``cli._suites`` that fail there, so a
 test can hold the suites, not the byte goldens, to catching it.  A fan
-mutant wraps ``amplitudes._scan``, the one function that writes the slots
+mutant wraps or rewrites ``amplitudes._scan``, the one writer of the slots
 of the up fan tables.  No other module binds that name, so the graph, the
 single-letter fans of ``up_transitions``, the branching steps and the down
 fans made from them all read the mutated edges.
@@ -14,6 +14,7 @@ made on either side of the mutant outlives it.
 from __future__ import annotations
 
 import contextlib
+import inspect
 from typing import Callable, NamedTuple
 
 from schurweyl import amplitudes
@@ -93,6 +94,22 @@ def level_three_sign_flip(monkeypatch) -> None:
     monkeypatch.setattr(amplitudes, "_level_factor", _level_factor)
 
 
+def level_step_shift_off_by_one(monkeypatch) -> None:
+    """Look level steps up with ``under`` shifted by ``c - 1`` and ``row`` by ``c > 0``.
+
+    A rewritten ``_scan``: its shifted lookup, which drops the pair's ``c``
+    full columns, leaves one column too many in ``under``.  Pairs that
+    ``_scan`` looks up as they are, at ``c == 0`` and at level 1, keep
+    their steps.
+    """
+    source = inspect.getsource(amplitudes._scan)
+    shifted = "tuple([m - c for m in under])"
+    assert source.count(shifted) == 1, "the level-step lookup of _scan has moved"
+    scope = {}
+    exec(source.replace(shifted, "tuple([m - c + 1 for m in under])"), vars(amplitudes), scope)
+    monkeypatch.setattr(amplitudes, "_scan", scope["_scan"])
+
+
 MUTANTS = [
     Mutant(
         "negated first edge of the d = 2 letter-1 fans at shape (2)",
@@ -139,6 +156,14 @@ MUTANTS = [
         (3, 5),
         frozenset(),
         open_item="item 2: a sign per irrep or per pattern passes every suite",
+    ),
+    Mutant(
+        # off the corpus's sizes the fault does not stay quiet: at d = 2 the
+        # graph build ends in KeyError, and from (3,4) on a fan raises NotAnEdge
+        "level steps looked up with under shifted by c - 1 and row by c",
+        level_step_shift_off_by_one,
+        (3, 3),
+        frozenset({"column normalization", "unitarity"}),
     ),
 ]
 

@@ -445,13 +445,40 @@ def test_cold_d2_graph_matches_entry_reading_rule():
 
 def test_down_fans_match_brute_force_in_order():
     # decode merges in down-fan order and a sum's stored term order sets its
-    # approx float, so the down fan's order is pinned as well as its edges
-    for d, n_max in ((3, 5), (4, 4), (5, 3), (6, 3)):
+    # approx float, so the down fan's order is pinned as well as its edges;
+    # past d = 6 most candidates are cut by the two entries a lost box lowers
+    def uppers(d, n_max, sample=None):
+        rng = random.Random(64)
         for n in range(1, n_max + 1):
-            for upper in all_patterns(n, d):
-                for shape in lower_shapes(upper.shape):
-                    expected = down_fan(upper, shape)
-                    assert list(down_transitions(upper, shape)) == expected, (upper, shape)
+            for shape in partitions(n, d):
+                patterns = list(enumerate_gt(shape, d))
+                yield from rng.sample(patterns, min(sample, len(patterns))) if sample else patterns
+
+    sizes = [(3, 5), (4, 4), (5, 3), (6, 3), (8, 3), (12, 2)]
+    for upper in [u for size in sizes for u in uppers(*size)] + list(uppers(64, 2, sample=10)):
+        for shape in lower_shapes(upper.shape):
+            expected = down_fan(upper, shape)
+            assert list(down_transitions(upper, shape)) == expected, (upper, shape)
+
+
+def test_cold_decode_calls_no_interlacing_predicate(monkeypatch):
+    # both fans compare only the entries that a moved box can break, so the
+    # in-betweenness predicate belongs to validate_gt alone
+    calls = []
+
+    def counted(longer, shorter):
+        calls.append((longer, shorter))
+        return interlaces(longer, shorter)
+
+    monkeypatch.setattr(amplitudes, "interlaces", counted, raising=False)
+    rng = random.Random(84)
+    for _ in range(5):
+        word = tuple(rng.randint(1, 8) for _ in range(4))
+        state = encode(word, 8)
+        for c in module_caches():
+            c.cache_clear()
+        assert decode(state) == {word: ONE}
+    assert calls == []
 
 
 def test_down_fans_hold_up_fan_amplitudes():

@@ -152,7 +152,10 @@ def test_every_reader_reads_the_mutated_fans(monkeypatch, mutant):
         readers = fans_by_reader(d, n)
         built = readers["build"]
         assert readers["up_transitions"] == built
-        assert readers["up"] == built
+        # a state holds no zero amplitude, so the branching step drops an edge
+        # that a mutant gives a zero one, as the level-step shift does
+        nonzero = {key: {u: a for u, a in fan.items() if a} for key, fan in built.items()}
+        assert readers["up"] == {key: fan for key, fan in nonzero.items() if fan}
         keeps_uppers = down_reads(built)
     clean = fans_by_reader(d, n)["build"]
     assert built != clean
