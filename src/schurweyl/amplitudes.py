@@ -12,16 +12,16 @@ root of a rational, so it is always a single-term
 object, made by :func:`~schurweyl.radicals.radical_from_sqrt`.
 
 The branching rule reads amplitudes from two cached fans, one per
-direction, and nowhere else: :func:`up_transitions` lists every edge
-that leaves a pattern by one letter, :func:`down_transitions` every
-edge that enters a pattern from one lower shape.  The up fans of one
-lower pattern are the slots of one cached table, :func:`_fans`, since the
-Clebsch-Gordan step is block-diagonal in the lower shape and all of a
-pattern's fans form one row block.  Only :func:`_scan` writes the slots,
-and only it evaluates the formula, once per edge: one bottom-up scan fills
-any range of empty slots, so :func:`_all_fans` fills all of a pattern's
-fans at once, for :func:`~schurweyl.graph.build`, and
-:func:`up_transitions` one cold letter alone.  The scan carries each
+direction, and nowhere else: :func:`up_transitions` lists every edge that
+leaves a pattern by one letter, :func:`down_transitions` every edge that
+enters a pattern from one lower shape.  The up fans of one lower pattern
+form one table, one slot per letter, since the Clebsch-Gordan step is
+block-diagonal in the lower shape and a pattern's fans form one row block.
+Only :func:`_scan` writes the slots, and only it evaluates the formula,
+once per edge, in one bottom-up scan over any range of letters:
+:func:`up_transitions` fills one cold letter of the cached table
+:func:`_fans`, :func:`_fan_table` all of a new, uncached one for a
+one-shot :func:`~schurweyl.graph.build`.  The scan carries each
 candidate's running product.  A level's factor, and whether its boxes keep
 the levels interlaced, depend only on that level and the one below it and
 on where the boxes went: not on the other levels, the letter, the alphabet
@@ -214,19 +214,18 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
 
 @cache
 def _fans(lower: GTPattern) -> list:
-    """The up fan table of ``lower``: slot ``k - 1`` holds the up fan of letter ``k``.
+    """The cached up fan table of ``lower``: slot ``k - 1`` holds the up fan of letter ``k``.
 
-    A slot is ``None`` until :func:`_scan` fills it, and an empty tuple for a
-    letter that has no edge at ``lower``.  The table is made empty on a miss
-    and filled in place, so a reader that needs one letter pays for that
-    letter alone, and a filled fan is the one object every reader gets.
-    ``lower`` must be a valid GT pattern.
+    A slot is ``None`` until :func:`up_transitions`, its one filler, scans it,
+    and an empty tuple for a letter that has no edge at ``lower``; a filled
+    fan is the one object every later reader gets.  ``lower`` must be a valid
+    GT pattern.
     """
     return [None] * len(lower.levels)
 
 
 def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
-    """Fill every empty slot of letters ``first..last`` of ``fans``, the table of ``lower``.
+    """Fill the slots of letters ``first..last``, all empty, of ``fans``, the table of ``lower``.
 
     One bottom-up scan serves all of them.  Letter ``j``'s fan has one
     candidate at level ``j``: the lower pattern's levels below ``j``, placed
@@ -249,8 +248,8 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     levels = lower.levels
     # under is the lower pattern's level below the one being placed
     under = levels[first - 2] if first > 1 else ()
-    # each letter being filled, mapped to the list that collects its edges
-    filled = {}
+    # the lists that collect the edges of letters first..last, in order
+    filled = []
     # one list for the candidates of every letter: (its letter's edge list,
     # placed levels, last added box's position, sign, num, den); position 0
     # stands for level j - 1 of letter j, placed unchanged.  The scan keeps
@@ -258,8 +257,9 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     candidates = []
     for j in range(first, len(fans) + 1):
         row = levels[j - 1]
-        if j <= last and fans[j - 1] is None:
-            edges = filled[j] = []
+        if j <= last:
+            edges = []
+            filled.append(edges)
             candidates.append((edges, levels[: j - 1], 0, 1, 1, 1))
         # row[-1], the pair's smallest entry, counts its full columns; they
         # change no step, so pairs that differ by them share one table entry;
@@ -287,19 +287,13 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     new = tuple.__new__
     for edges, placed, _, sign, num, den in candidates:
         edges.append((new(GTPattern, (placed,)), _unchecked_sqrt(sign, num, den)))
-    for letter, edges in filled.items():
-        fans[letter - 1] = tuple(edges)
+    fans[first - 1 : last] = [tuple(edges) for edges in filled]
 
 
-def _all_fans(lower: GTPattern) -> list:
-    """The up fan table of ``lower`` with every slot filled, its empty ones by one scan.
-
-    The scan starts at the first empty slot: the levels below it hold no
-    candidate of an empty letter.
-    """
-    fans = _fans(lower)
-    if None in fans:
-        _scan(lower, fans, fans.index(None) + 1, len(fans))
+def _fan_table(lower: GTPattern) -> list:
+    """A new up fan table of ``lower``, every slot filled by one scan; no cache keeps it."""
+    fans = [None] * len(lower.levels)
+    _scan(lower, fans, 1, len(fans))
     return fans
 
 
@@ -307,12 +301,12 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
     Levels ``k..d`` each gain one box.  The fan is slot ``k - 1`` of the
-    cached table :func:`_fans`; a cold slot is filled by a :func:`_scan` of
-    letter ``k`` alone, so a caller that needs one letter, as a cold
-    ``decode`` does, pays for no other; :func:`_all_fans` fills all of a
-    table's empty slots in one scan.  Edges come in ascending order
-    of their positions.  ``lower`` must be a valid GT pattern; a letter
-    outside ``1..d`` raises ``ValueError``.
+    cached table :func:`_fans`, which only this fills: a cold slot by a
+    :func:`_scan` of letter ``k`` alone, so a caller that needs one letter,
+    as a cold ``decode`` does, pays for no other.  :func:`~schurweyl.graph.build`
+    fills no slot.  Edges come in ascending order of their positions.
+    ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
+    ``ValueError``.
     """
     fans = _fans(lower)
     if not 0 < k <= len(fans):

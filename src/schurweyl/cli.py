@@ -311,7 +311,7 @@ def _suites(d: int, n: int, size_bound: int):
     suites read this module's names at call time, so a test or the benchmark can replace one.
     """
     if d == 2:
-        graph = build(2, n)  # every up fan below level n
+        graph = build(2, n)  # the edges of every up fan below level n
         patterns = [v.pattern for v in graph.vertices]
         passed = all(
             pattern_amplitude_d2(patterns[e.lower], patterns[e.upper]) == e.amplitude

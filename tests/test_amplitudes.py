@@ -1,6 +1,8 @@
+import gc
 import inspect
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -261,51 +263,71 @@ def fill_single_letters(patterns, letters_of):
             up_transitions(p, k)
 
 
+def built_fans(d, n):
+    """``build(d, n)``'s edges as fans: ``{(lower, k): {upper: amplitude}}``."""
+    g = build(d, n)
+    fans = {}
+    for e in g.edges:
+        lower, upper = g.vertices[e.lower].pattern, g.vertices[e.upper].pattern
+        fans.setdefault((lower, e.added_entry), {})[upper] = e.amplitude
+    return fans
+
+
 @pytest.mark.parametrize("d, n", [(5, 5), (8, 4), (2, 13)])
 def test_fan_tables_match_the_oracle_in_every_fill_order(d, n):
-    # build fills a vertex's empty slots in one scan and up_transitions one
-    # cold slot alone; whichever fills a slot first, every slot must hold the
-    # oracle's fan, and a filled slot is never written again
+    # build scans each vertex into a table of its own and up_transitions one
+    # cold slot of the cached table alone; whatever the cached slots hold,
+    # build's edges must be the oracle's fans with the same amplitude objects,
+    # and build must leave every cached slot as it found it
     patterns = [p for level in range(n) for p in all_patterns(level, d)]
     letters = range(1, d + 1)
-    expected = {(p, k): up_fan(p, k) for p in patterns for k in letters}
+    expected = {(p, k): dict(up_fan(p, k)) for p in patterns for k in letters}
+    expected = {key: fan for key, fan in expected.items() if fan}
     roots = None
 
-    def check_tables():
+    def check_build():
         nonlocal roots
-        tables = {p: list(_fans(p)) for p in patterns}
-        assert {(p, k): list(tables[p][k - 1]) for p in patterns for k in letters} == expected
-        amps = [amp for p in patterns for fan in tables[p] for _, amp in fan]
+        built = built_fans(d, n)
+        assert built == expected
+        amps = [built[key][upper] for key in expected for upper in expected[key]]
         if roots is None:
             roots = amps
-        # the roots are not cleared, so every rebuilt amplitude is the object it was
-        assert all(a is b for a, b in zip(amps, roots)) and len(amps) == len(roots)
+        # the roots are not cleared, so every amplitude is the object it was
+        assert len(amps) == len(roots) and all(a is b for a, b in zip(amps, roots))
+
+    def build_leaves_the_slots():
+        # every filled slot holds the oracle's fan in full and in order
+        tables = {p: list(_fans(p)) for p in patterns}
+        assert all(
+            list(slot) == up_fan(p, k)
+            for p, table in tables.items() for k, slot in zip(letters, table) if slot is not None
+        )
+        size = _fans.cache_info().currsize
+        check_build()
+        assert _fans.cache_info().currsize == size
+        assert all(
+            _fans(p)[k - 1] is slot for p, table in tables.items() for k, slot in zip(letters, table)
+        )
         return tables
 
-    # single letters cold, then build, which finds every slot filled
+    # empty: build fills no cached table
+    clear_tables()
+    check_build()
+    assert _fans.cache_info().currsize == 0
+    # single letters cold first, then build, which reads none of their slots
     clear_tables()
     fill_single_letters(patterns, lambda p: letters)
-    filled = check_tables()
-    build(d, n)
-    assert all(_fans(p)[k - 1] is filled[p][k - 1] for p in patterns for k in letters)
-    check_tables()
-    # build, then single letters, which read the slots build filled
-    clear_tables()
-    build(d, n)
-    filled = check_tables()
-    assert all(up_transitions(p, k) is filled[p][k - 1] for p in patterns for k in letters)
-    # partly filled: build fills the rest and leaves the filled slots alone
+    filled = build_leaves_the_slots()
+    assert all(slot is not None for table in filled.values() for slot in table)
+    # ... and whose amplitudes are the objects build's edges hold
+    held = [dict(filled[p][k - 1])[upper] for (p, k), fan in expected.items() for upper in fan]
+    assert len(held) == len(roots) and all(a is b for a, b in zip(held, roots))
+    # partly filled: build leaves the filled slots and the empty ones alone
     clear_tables()
     fill_single_letters(patterns, lambda p: [k for k in letters if (k + len(p.shape)) % 3 == 0])
-    partial = {p: list(_fans(p)) for p in patterns}
+    partial = build_leaves_the_slots()
     assert any(None in table for table in partial.values())
     assert any(fan is not None for table in partial.values() for fan in table)
-    build(d, n)
-    check_tables()
-    assert all(
-        _fans(p)[k - 1] is fan for p, table in partial.items() for k, fan in enumerate(table, 1)
-        if fan is not None
-    )
 
 
 def test_cold_single_letter_fills_one_slot():
@@ -324,28 +346,40 @@ def test_cold_single_letter_fills_one_slot():
     assert [k for k, slot in enumerate(_fans(zero), 1) if slot is not None] == [1, 40]
 
 
-def test_all_fans_scans_from_the_first_empty_slot(monkeypatch):
-    # the levels below the first empty slot seed no letter the scan fills,
-    # so it starts there and a full table runs no scan at all
-    d = 5
-    p = GTPattern(((1,), (1, 0), (2, 1, 0), (2, 1, 0, 0), (3, 1, 0, 0, 0)))
+def test_cold_build_scans_each_vertex_once_into_an_uncached_table(monkeypatch):
+    # one scan of every letter per vertex below the top level, each into a
+    # new table, and the cached tables stay empty
+    d, n = 5, 5
     clear_tables()
-    up_transitions(p, 1)
-    up_transitions(p, 2)
-    up_transitions(p, 4)
     scans = []
     original = amplitudes._scan
 
     def recorded(lower, fans, first, last):
-        scans.append((first, last))
+        assert fans == [None] * d
+        scans.append((lower, first, last))
         original(lower, fans, first, last)
 
     monkeypatch.setattr(amplitudes, "_scan", recorded)
-    fans = amplitudes._all_fans(p)
-    assert scans == [(3, d)]
-    assert [list(fan) for fan in fans] == [up_fan(p, k) for k in range(1, d + 1)]
-    amplitudes._all_fans(p)
-    assert scans == [(3, d)]
+    build(d, n)
+    assert scans == [(p, 1, d) for level in range(n) for p in all_patterns(level, d)]
+    assert _fans.cache_info().currsize == 0
+
+
+def test_dropped_cold_build_retains_little():
+    # the fan tables die with their vertices, so a dropped build leaves only
+    # the level steps, the shared roots and the partitions: tens of kB at
+    # (16,3), where the cached tables held about 4.4 MB
+    for c in module_caches():
+        c.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build(16, 3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, retained
 
 
 def test_build_reads_the_same_level_steps():
@@ -359,18 +393,19 @@ def test_build_reads_the_same_level_steps():
 
 
 def test_warm_round_trips_run_no_scan(monkeypatch):
-    # the (3,8) graph fills every slot that a (3,8) word's up and down steps
-    # read, so a warm round trip scans no level
+    # a first round trip of each word fills every slot that its up and down
+    # steps read, so a second one scans no level
     clear_tables()
-    build(3, 8)
+    rng = random.Random(8)
+    words = [tuple(rng.randint(1, 3) for _ in range(8)) for _ in range(20)]
+    for word in words:
+        assert decode(encode(word, 3)) == {word: ONE}
 
     def no_scan(lower, fans, first, last):
         raise AssertionError(f"scan of letters {first}..{last} at {lower}")
 
     monkeypatch.setattr(amplitudes, "_scan", no_scan)
-    rng = random.Random(8)
-    for _ in range(20):
-        word = tuple(rng.randint(1, 3) for _ in range(8))
+    for word in words:
         assert decode(encode(word, 3)) == {word: ONE}
 
 
