@@ -17,22 +17,23 @@ leaves a pattern by one letter, :func:`down_transitions` every edge that
 enters a pattern from one lower shape.  The up fans of one lower pattern
 form one table, one slot per letter, since the Clebsch-Gordan step is
 block-diagonal in the lower shape and a pattern's fans form one row block.
-Only :func:`_scan` writes the slots, and only it evaluates the formula,
-once per edge, in one bottom-up scan over any range of letters:
+Only :func:`_scan` evaluates the formula, once per edge, in one bottom-up
+scan over any range of letters, writing each upper as its levels tuple:
 :func:`up_transitions` fills one cold letter of the cached table
-:func:`_fans`, :func:`_fan_table` all of a new, uncached one for a
-one-shot :func:`~schurweyl.graph.build`.  The scan carries each
-candidate's running product.  A level's factor, and whether its boxes keep
-the levels interlaced, depend only on that level and the one below it and
-on where the boxes went: not on the other levels, the letter, the alphabet
-or the pair's full columns.  So the cached table :func:`_level_steps`
-works each out once per pair of adjacent levels, shifted down by
-``row[-1]``, for all fans and alphabets.  The down fan's scan only lists
-the ``(lower, k)`` pairs that reach a pattern and takes each amplitude
-from the up fan of letter ``k`` at that lower, so every amplitude the
-branching steps read is an entry of one cached up fan.  Both scans compare
-only the entries that a moved box can break.  The tests hold both fans to
-their own evaluation of the formula, which shares no code with these.
+:func:`_fans` and makes its pattern records before any reader sees it,
+:func:`_fan_table` all of a new, uncached one for a one-shot
+:func:`~schurweyl.graph.build`.  The scan carries each candidate's running
+product.  A level's factor, and whether its boxes keep the levels
+interlaced, depend only on that level and the one below it and on where
+the boxes went: not on the other levels, the letter, the alphabet or the
+pair's full columns.  So the cached table :func:`_level_steps` works each
+out once per pair of adjacent levels, shifted down by ``row[-1]``, for all
+fans and alphabets.  The down fan's scan only lists the ``(lower, k)``
+pairs that reach a pattern and takes each amplitude from the up fan of
+letter ``k`` at that lower, so every amplitude the branching steps read is
+an entry of one cached up fan.  Both scans compare only the entries that a
+moved box can break.  The tests hold both fans to their own evaluation of
+the formula, which shares no code with these.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
@@ -158,22 +159,22 @@ def pattern_amplitude_d2(lower: GTPattern, upper: GTPattern) -> Radical:
 
 
 @cache
-def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[tuple, ...], ...]:
     """The up fans' steps from one pair of adjacent levels of a lower pattern.
 
     ``row`` is a level ``j`` and ``under`` the level ``j - 1`` below it
     (empty at ``j = 1``), as adjacent levels of a valid GT pattern.  Entry
-    ``t_lo`` (``0..j-1``) lists, as one flat tuple of ints
-    ``(t_up, sign, num, den, ...)``, every position ``t_up`` (1-based,
-    ascending) at which a box added to ``row`` keeps it interlaced with
-    ``under`` plus a box at ``t_lo``, where ``t_lo = 0`` leaves ``under``
-    unchanged, with that level's factor of Louck's formula, ``num / den``
-    in lowest terms.  A step reads these two levels and nothing else of the
-    pattern, nor the letter or the alphabet, so all fans share one table per
-    pair.  Nor does it read the pair's full columns: adding ``c`` to every
-    entry of both levels leaves every hook difference and every comparison
-    of entries as it was, so :func:`_scan` passes each pair above level 1
-    shifted so that ``row[-1]`` is 0.
+    ``t_lo`` (``0..j-1``) lists, as a tuple of steps ``(t_up, sign, num,
+    den)``, every position ``t_up`` (1-based, ascending) at which a box
+    added to ``row`` keeps it interlaced with ``under`` plus a box at
+    ``t_lo``, where ``t_lo = 0`` leaves ``under`` unchanged, with that
+    level's factor of Louck's formula, ``num / den`` in lowest terms.  A
+    step reads these two levels and nothing else of the pattern, nor the
+    letter or the alphabet, so all fans share one table per pair.  Nor does
+    it read the pair's full columns: adding ``c`` to every entry of both
+    levels leaves every hook difference and every comparison of entries as
+    it was, so :func:`_scan` passes each pair above level 1 shifted so that
+    ``row[-1]`` is 0.
 
     Every ``t_lo`` is filled, also one that no fan reaches because ``under``
     plus a box there is no partition.  Such an entry is empty, never a
@@ -184,9 +185,9 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
     row[t_lo - 1]``, which fails too.  Only such a position gives a
     vanishing hook product.
 
-    The table holds ints only, no rows, patterns or amplitudes, so clearing
-    it alone leaves each amplitude one shared object, and the garbage
-    collector stops tracking tuples that hold only ints.
+    The table holds tuples of ints only, no rows, patterns or amplitudes, so
+    clearing it alone leaves each amplitude one shared object, and by the
+    third full garbage collection its steps, entries and table are untracked.
     """
     below, hooks = _level_hooks(under), _level_hooks(row)
     # Under interlaces row, so only an added box can break that.  One added
@@ -207,7 +208,7 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
             # reduced once here, a scan's running product stays small: at
             # d = 64 the unreduced one reached thousands of bits for a value of 1
             g = gcd(num, den)
-            entry += (pos + 1, sign, num // g, den // g)
+            entry.append((pos + 1, sign, num // g, den // g))
         table.append(tuple(entry))
     return tuple(table)
 
@@ -216,10 +217,10 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[in
 def _fans(lower: GTPattern) -> list:
     """The cached up fan table of ``lower``: slot ``k - 1`` holds the up fan of letter ``k``.
 
-    A slot is ``None`` until :func:`up_transitions`, its one filler, scans it,
-    and an empty tuple for a letter that has no edge at ``lower``; a filled
-    fan is the one object every later reader gets.  ``lower`` must be a valid
-    GT pattern.
+    A slot is ``None`` until :func:`up_transitions`, its one filler, scans it
+    and makes its records, and an empty tuple for a letter that has no edge
+    at ``lower``; a filled fan is the one object every later reader gets.
+    ``lower`` must be a valid GT pattern.
     """
     return [None] * len(lower.levels)
 
@@ -237,13 +238,14 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     interlaced, and their level factors, depend on that position and the
     two lower-pattern levels alone: :func:`_level_steps` works each out once
     per pair of adjacent levels, for all fans and alphabets, and the scan
-    looks each level's entry up once for all its letters.  The table is
-    keyed by the pair shifted down by ``row[-1]``, the count of the pair's
-    full columns, which change no hook difference and no comparison of
-    entries.  At ``row[-1] == 0``, which most lookups at ``d >= 4`` meet,
-    the levels go in as they are and no tuple is built; level 1, whose few
-    pairs hold one trivial step each, is never shifted.  Each fan's edges
-    come in ascending order of their positions.
+    looks each level's entry of ``(t_up, sign, num, den)`` steps up once
+    for all its letters.  The table is keyed by the pair shifted down by
+    ``row[-1]``, the count of the pair's full columns, which change no hook
+    difference and no comparison of entries.  At ``row[-1] == 0``, which
+    most lookups at ``d >= 4`` meet, the levels go in as they are and no
+    tuple is built; level 1, whose few pairs hold one trivial step each, is
+    never shifted.  Each fan's edges come in ascending order of their
+    positions, each upper as its levels tuple.
     """
     levels = lower.levels
     # under is the lower pattern's level below the one being placed
@@ -273,25 +275,21 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
         grown = {}
         extended = []
         for edges, placed, t_lo, sign, num, den in candidates:
-            step = iter(steps[t_lo])
-            for t_up, s, n, m in zip(step, step, step, step):
+            for t_up, s, n, m in steps[t_lo]:
                 new = grown.get(t_up)
                 if new is None:
                     new = grown[t_up] = row[: t_up - 1] + (row[t_up - 1] + 1,) + row[t_up:]
                 extended.append((edges, (*placed, new), t_up, sign * s, num * n, den * m))
         candidates = extended
         under = row
-    # the levels were placed here from a valid pattern and the product's ints
-    # are the formula's, so neither is checked again: each upper is made by
-    # tuple.__new__, as namedtuple's _make does, and each root unchecked
-    new = tuple.__new__
+    # the product's ints are the formula's, so each root is made unchecked
     for edges, placed, _, sign, num, den in candidates:
-        edges.append((new(GTPattern, (placed,)), _unchecked_sqrt(sign, num, den)))
+        edges.append((placed, _unchecked_sqrt(sign, num, den)))
     fans[first - 1 : last] = [tuple(edges) for edges in filled]
 
 
 def _fan_table(lower: GTPattern) -> list:
-    """A new up fan table of ``lower``, every slot filled by one scan; no cache keeps it."""
+    """A new up fan table of ``lower``, its uppers levels tuples, filled by one scan; uncached."""
     fans = [None] * len(lower.levels)
     _scan(lower, fans, 1, len(fans))
     return fans
@@ -303,7 +301,8 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     Levels ``k..d`` each gain one box.  The fan is slot ``k - 1`` of the
     cached table :func:`_fans`, which only this fills: a cold slot by a
     :func:`_scan` of letter ``k`` alone, so a caller that needs one letter,
-    as a cold ``decode`` does, pays for no other.  :func:`~schurweyl.graph.build`
+    as a cold ``decode`` does, pays for no other, and then makes the slot's
+    records from the scan's levels tuples.  :func:`~schurweyl.graph.build`
     fills no slot.  Edges come in ascending order of their positions.
     ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
     ``ValueError``.
@@ -314,7 +313,9 @@ def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical],
     fan = fans[k - 1]
     if fan is None:
         _scan(lower, fans, k, k)
-        fan = fans[k - 1]
+        # the scan's levels are valid, so records are made as namedtuple's _make does
+        new = tuple.__new__
+        fan = fans[k - 1] = tuple([(new(GTPattern, (up,)), amp) for up, amp in fans[k - 1]])
     return fan
 
 

@@ -142,14 +142,13 @@ def build(d: int, n_max: int) -> SWYGraph:
     # tuple.__new__, as namedtuple's _make does, with no constructor frame
     new = tuple.__new__
     vertices: list[SWYVertex] = []
-    # each pattern's vertex id; patterns of two levels differ in size, so one
-    # map serves every level
-    ids: dict[GTPattern, int] = {}
+    # each pattern's vertex id, keyed by its levels as the scan gives uppers; one map for all levels
+    ids: dict[tuple, int] = {}
     for level in range(n_max + 1):
         below = len(vertices)  # at the top level, the vertices whose up fans are edges
         for shape in partitions(level, d):
             for pattern in enumerate_gt(shape, d):
-                vid = ids[pattern] = len(vertices)
+                vid = ids[pattern.levels] = len(vertices)
                 vertices.append(new(SWYVertex, (vid, level, shape, pattern)))
     by_letter_upper = itemgetter(2, 1)
     edges: list[SWYEdge] = []

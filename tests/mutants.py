@@ -4,7 +4,9 @@ A mutant is a small, deliberate fault in the engine's mathematics.  Each
 one names a size and the suites of ``cli._suites`` that fail there, so a
 test can hold the suites, not the byte goldens, to catching it.  A fan
 mutant wraps or rewrites ``amplitudes._scan``, the one writer of the slots
-of the up fan tables.  No other module binds that name, so the graph, the
+of the up fan tables, and so rewrites a fan whose uppers are still the
+scan's levels tuples; ``up_transitions`` then makes its pattern records
+from the rewritten fan.  No other module binds that name, so the graph, the
 single-letter fans of ``up_transitions``, the branching steps and the down
 fans made from them all read the mutated edges.
 :func:`applied` clears every package cache before and after, so no fan
@@ -32,7 +34,12 @@ class Mutant(NamedTuple):
 
 def rewritten_fan(d: int, k: int, shape: tuple[int, ...], rewrite: Callable) -> Callable:
     """Pass every letter-``k`` up fan the scan writes at a lower pattern of ``shape`` through
-    ``rewrite(scan, lower, fan)``, where ``scan`` is the unpatched writer."""
+    ``rewrite(scan, lower, fan)``, where ``scan`` is the unpatched writer.
+
+    ``fan`` holds ``(levels, amplitude)`` pairs, each upper the scan's levels
+    tuple, and so must the rewritten one: ``up_transitions`` makes its
+    pattern records from it, and ``graph.build`` looks its uppers up by levels.
+    """
 
     def patch(monkeypatch):
         original = amplitudes._scan

@@ -330,6 +330,51 @@ def test_fan_tables_match_the_oracle_in_every_fill_order(d, n):
     assert any(fan is not None for table in partial.values() for fan in table)
 
 
+@pytest.mark.parametrize("d, n", [(3, 5), (5, 4)])
+@pytest.mark.parametrize("build_first", [True, False])
+def test_cached_slots_hold_records_and_built_tables_levels(d, n, build_first):
+    # the scan writes each upper as its levels tuple: up_transitions makes a
+    # cold slot's records before any reader sees it, and build's one-shot
+    # tables keep the tuples, whichever of the two fills first
+    patterns = [p for level in range(n) for p in all_patterns(level, d)]
+    clear_tables()
+    if build_first:
+        build(d, n)
+    fill_single_letters(patterns, lambda p: range(1, d + 1))
+    if not build_first:
+        build(d, n)
+    for p in patterns:
+        table = amplitudes._fan_table(p)
+        for k, slot in enumerate(_fans(p), start=1):
+            assert all(type(upper) is GTPattern for upper, _ in slot), (p, k)
+            levels = table[k - 1]
+            assert all(type(upper) is tuple for upper, _ in levels), (p, k)
+            assert [upper for upper, _ in levels] == [upper.levels for upper, _ in slot]
+            assert all(a is b for (_, a), (_, b) in zip(levels, slot)), (p, k)
+
+
+def test_level_steps_are_untracked_by_the_collector():
+    # the table holds tuples of ints only, and a full collection untracks a
+    # tuple whose items are all untracked: the steps at the first, the
+    # entries at the second and the table at the third at the latest, after
+    # which the table costs the collector nothing
+    d, n = 3, 6
+    clear_tables()
+    build(d, n)
+    keys = shifted_pairs([p for level in range(n) for p in all_patterns(level, d)])
+    size = _level_steps.cache_info().currsize
+    assert size == len(keys)
+    tables = [_level_steps(under, row) for under, row in keys]
+    # every lookup was a hit, so these are the tables the build filled
+    assert _level_steps.cache_info().currsize == size
+    entries = [entry for table in tables for entry in table]
+    steps = [step for entry in entries for step in entry]
+    assert steps and all(len(step) == 4 for step in steps)
+    for layer in (steps, entries, tables):
+        gc.collect()
+        assert not any(gc.is_tracked(x) for x in layer)
+
+
 def test_cold_single_letter_fills_one_slot():
     # a caller that needs one letter pays for that letter alone, also at d = 64
     d = 64
@@ -422,12 +467,17 @@ def test_level_steps_on_every_adjacent_level_pair():
             table = _level_steps(under, row)
             assert len(table) == len(row)
             for t_lo, entry in enumerate(table):
-                assert len(entry) % 4 == 0 and all(type(x) is int for x in entry)
+                assert type(entry) is tuple
+                # each step is (t_up, sign, num, den), exact ints only
+                assert all(
+                    type(step) is tuple and len(step) == 4 and all(type(x) is int for x in step)
+                    for step in entry
+                ), (under, row, t_lo)
                 placed = grow(under, t_lo - 1) if t_lo else under
                 fits = [
                     pos + 1 for pos in range(len(row)) if interlaces(grow(row, pos), placed)
                 ]
-                assert list(entry[::4]) == fits, (under, row, t_lo)
+                assert [step[0] for step in entry] == fits, (under, row, t_lo)
                 if t_lo > 1 and under[t_lo - 2] == under[t_lo - 1]:
                     assert entry == ()
                     unreachable += 1
@@ -443,8 +493,7 @@ def test_level_steps_hold_each_factor_in_lowest_terms():
         for under, row in level_pairs(patterns):
             below, hooks = amplitudes._level_hooks(under), amplitudes._level_hooks(row)
             for t_lo, entry in enumerate(_level_steps(under, row)):
-                step = iter(entry)
-                for t_up, sign, num, den in zip(step, step, step, step):
+                for t_up, sign, num, den in entry:
                     assert gcd(num, den) == 1 and den > 0, (under, row, t_lo, t_up)
                     raw = amplitudes._level_factor(below, hooks, t_lo, t_up)
                     assert (sign, Fraction(num, den)) == (raw[0], Fraction(*raw[1:]))
