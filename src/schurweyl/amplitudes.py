@@ -14,26 +14,26 @@ object, made by :func:`~schurweyl.radicals.radical_from_sqrt`.
 The branching rule reads amplitudes from two cached fans, one per
 direction, and nowhere else: :func:`up_transitions` lists every edge that
 leaves a pattern by one letter, :func:`down_transitions` every edge that
-enters a pattern from one lower shape.  The up fans of one lower pattern
-form one table, one slot per letter, since the Clebsch-Gordan step is
-block-diagonal in the lower shape and a pattern's fans form one row block.
-Only :func:`_scan` evaluates the formula, once per edge, in one bottom-up
-scan over any range of letters, writing each upper as its levels tuple:
-:func:`up_transitions` fills one cold letter of the cached table
-:func:`_fans` and makes its pattern records before any reader sees it,
-:func:`_fan_table` all of a new, uncached one for a one-shot
-:func:`~schurweyl.graph.build`.  The scan carries each candidate's running
-product.  A level's factor, and whether its boxes keep the levels
-interlaced, depend only on that level and the one below it and on where
-the boxes went: not on the other levels, the letter, the alphabet or the
-pair's full columns.  So the cached table :func:`_level_steps` works each
-out once per pair of adjacent levels, shifted down by ``row[-1]``, for all
-fans and alphabets.  The down fan's scan only lists the ``(lower, k)``
-pairs that reach a pattern and takes each amplitude from the up fan of
-letter ``k`` at that lower, so every amplitude the branching steps read is
-an entry of one cached up fan.  Both scans compare only the entries that a
-moved box can break.  The tests hold both fans to their own evaluation of
-the formula, which shares no code with these.
+enters a pattern from one lower shape, and each function is its own fans'
+cache.  Only :func:`_scan` evaluates the formula, once per edge, in one
+bottom-up scan over any range of letters, and it returns their fans with
+each upper as its levels tuple.  On a miss :func:`up_transitions` scans
+its letter alone and makes the fan's pattern records before any reader
+sees it.  A one-shot :func:`~schurweyl.graph.build` scans every letter of
+a vertex at once, since the Clebsch-Gordan step is block-diagonal in the
+lower shape and a pattern's fans form one row block, and caches none of
+them.  The scan carries each candidate's running product.  A level's
+factor, and whether its boxes keep the levels interlaced, depend only on
+that level and the one below it and on where the boxes went: not on the
+other levels, the letter, the alphabet or the pair's full columns.  So
+the cached table :func:`_level_steps` works each out once per pair of
+adjacent levels, shifted down by ``row[-1]``, for all fans and alphabets.
+The down fan's scan only lists the ``(lower, k)`` pairs that reach a
+pattern and takes each amplitude from the up fan of letter ``k`` at that
+lower, so every amplitude the branching steps read is an entry of one
+cached up fan.  Both scans compare only the entries that a moved box can
+break.  The tests hold both fans to their own evaluation of the formula,
+which shares no code with these.
 
 :func:`pattern_amplitude_d2` is the paper's entry-reading rule for
 two-letter alphabets.  It gives the same value on every d=2 edge and
@@ -42,7 +42,7 @@ is kept as the reference that the tests and ``check`` compare against.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
 from schurweyl.radicals import Radical, _unchecked_sqrt, radical_from_sqrt
@@ -213,20 +213,8 @@ def _level_steps(under: tuple[int, ...], row: tuple[int, ...]) -> tuple[tuple[tu
     return tuple(table)
 
 
-@cache
-def _fans(lower: GTPattern) -> list:
-    """The cached up fan table of ``lower``: slot ``k - 1`` holds the up fan of letter ``k``.
-
-    A slot is ``None`` until :func:`up_transitions`, its one filler, scans it
-    and makes its records, and an empty tuple for a letter that has no edge
-    at ``lower``; a filled fan is the one object every later reader gets.
-    ``lower`` must be a valid GT pattern.
-    """
-    return [None] * len(lower.levels)
-
-
-def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
-    """Fill the slots of letters ``first..last``, all empty, of ``fans``, the table of ``lower``.
+def _scan(lower: GTPattern, first: int, last: int) -> list[list]:
+    """The up fans of letters ``first..last`` at ``lower``, one list of edges per letter.
 
     One bottom-up scan serves all of them.  Letter ``j``'s fan has one
     candidate at level ``j``: the lower pattern's levels below ``j``, placed
@@ -245,7 +233,8 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     most lookups at ``d >= 4`` meet, the levels go in as they are and no
     tuple is built; level 1, whose few pairs hold one trivial step each, is
     never shifted.  Each fan's edges come in ascending order of their
-    positions, each upper as its levels tuple.
+    positions, each ``(levels, amplitude)``: the upper as its levels tuple.
+    Nothing is cached here, so the fans are new lists.
     """
     levels = lower.levels
     # under is the lower pattern's level below the one being placed
@@ -257,7 +246,7 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     # stands for level j - 1 of letter j, placed unchanged.  The scan keeps
     # each letter's candidates in order as it extends them
     candidates = []
-    for j in range(first, len(fans) + 1):
+    for j in range(first, len(levels) + 1):
         row = levels[j - 1]
         if j <= last:
             edges = []
@@ -285,38 +274,28 @@ def _scan(lower: GTPattern, fans: list, first: int, last: int) -> None:
     # the product's ints are the formula's, so each root is made unchecked
     for edges, placed, _, sign, num, den in candidates:
         edges.append((placed, _unchecked_sqrt(sign, num, den)))
-    fans[first - 1 : last] = [tuple(edges) for edges in filled]
+    return filled
 
 
-def _fan_table(lower: GTPattern) -> list:
-    """A new up fan table of ``lower``, its uppers levels tuples, filled by one scan; uncached."""
-    fans = [None] * len(lower.levels)
-    _scan(lower, fans, 1, len(fans))
-    return fans
-
-
+@lru_cache(maxsize=None, typed=True)
 def up_transitions(lower: GTPattern, k: int) -> tuple[tuple[GTPattern, Radical], ...]:
     """The up fan of letter ``k`` at ``lower``: every ``(upper, amplitude)`` one level up.
 
-    Levels ``k..d`` each gain one box.  The fan is slot ``k - 1`` of the
-    cached table :func:`_fans`, which only this fills: a cold slot by a
-    :func:`_scan` of letter ``k`` alone, so a caller that needs one letter,
-    as a cold ``decode`` does, pays for no other, and then makes the slot's
-    records from the scan's levels tuples.  :func:`~schurweyl.graph.build`
-    fills no slot.  Edges come in ascending order of their positions.
+    Levels ``k..d`` each gain one box.  This is the cache of the up fans:
+    a miss runs a :func:`_scan` of letter ``k`` alone, so a caller that
+    needs one letter, as a cold ``decode`` does, pays for no other, and
+    makes the fan's records from the scan's levels tuples; a hit returns
+    that same fan.  :func:`~schurweyl.graph.build` scans without it and
+    caches nothing here.  Edges come in ascending order of their positions.
     ``lower`` must be a valid GT pattern; a letter outside ``1..d`` raises
-    ``ValueError``.
+    ``ValueError`` and is not cached.  The cache is typed, so a float
+    letter never hits an int letter's fan.
     """
-    fans = _fans(lower)
-    if not 0 < k <= len(fans):
-        raise ValueError(f"letter out of range: {k} with d={len(fans)}")
-    fan = fans[k - 1]
-    if fan is None:
-        _scan(lower, fans, k, k)
-        # the scan's levels are valid, so records are made as namedtuple's _make does
-        new = tuple.__new__
-        fan = fans[k - 1] = tuple([(new(GTPattern, (up,)), amp) for up, amp in fans[k - 1]])
-    return fan
+    if not 0 < k <= len(lower.levels):
+        raise ValueError(f"letter out of range: {k} with d={len(lower.levels)}")
+    # the scan's levels are valid, so records are made as namedtuple's _make does
+    new = tuple.__new__
+    return tuple([(new(GTPattern, (up,)), amp) for up, amp in _scan(lower, k, k)[0]])
 
 
 @cache

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from schurweyl.amplitudes import _fan_table
+from schurweyl import amplitudes
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
@@ -152,11 +152,12 @@ def build(d: int, n_max: int) -> SWYGraph:
                 vertices.append(new(SWYVertex, (vid, level, shape, pattern)))
     by_letter_upper = itemgetter(2, 1)
     edges: list[SWYEdge] = []
-    # no cache keeps a vertex's fan table: only its edges and shared roots outlive it
+    # one scan of every letter per vertex, cached nowhere: only its edges and
+    # shared roots outlive it
     for vid, _, _, pattern in vertices[:below]:
         fans = [
             new(SWYEdge, (vid, ids[upper], k, amp))
-            for k, fan in enumerate(_fan_table(pattern), start=1)
+            for k, fan in enumerate(amplitudes._scan(pattern, 1, d), start=1)
             for upper, amp in fan
         ]
         # each fan in upper id order; one sort of the whole edge list would

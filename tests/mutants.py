@@ -3,10 +3,10 @@
 A mutant is a small, deliberate fault in the engine's mathematics.  Each
 one names a size and the suites of ``cli._suites`` that fail there, so a
 test can hold the suites, not the byte goldens, to catching it.  A fan
-mutant wraps or rewrites ``amplitudes._scan``, the one writer of the slots
-of the up fan tables, and so rewrites a fan whose uppers are still the
-scan's levels tuples; ``up_transitions`` then makes its pattern records
-from the rewritten fan.  No other module binds that name, so the graph, the
+mutant wraps or rewrites ``amplitudes._scan``, the one evaluator of the up
+fans, and so rewrites a fan whose uppers are still the scan's levels
+tuples; ``up_transitions`` then makes its pattern records from the
+rewritten fan and caches them.  No other module binds that name, so the graph, the
 single-letter fans of ``up_transitions``, the branching steps and the down
 fans made from them all read the mutated edges.
 :func:`applied` clears every package cache before and after, so no fan
@@ -33,8 +33,8 @@ class Mutant(NamedTuple):
 
 
 def rewritten_fan(d: int, k: int, shape: tuple[int, ...], rewrite: Callable) -> Callable:
-    """Pass every letter-``k`` up fan the scan writes at a lower pattern of ``shape`` through
-    ``rewrite(scan, lower, fan)``, where ``scan`` is the unpatched writer.
+    """Pass every letter-``k`` up fan the scan returns at a lower pattern of ``shape`` through
+    ``rewrite(scan, lower, fan)``, where ``scan`` is the unpatched scan.
 
     ``fan`` holds ``(levels, amplitude)`` pairs, each upper the scan's levels
     tuple, and so must the rewritten one: ``up_transitions`` makes its
@@ -44,12 +44,11 @@ def rewritten_fan(d: int, k: int, shape: tuple[int, ...], rewrite: Callable) -> 
     def patch(monkeypatch):
         original = amplitudes._scan
 
-        def _scan(lower, fans, first, last):
-            hit = lower.d == d and lower.shape == shape and first <= k <= last
-            hit = hit and fans[k - 1] is None
-            original(lower, fans, first, last)
-            if hit:
-                fans[k - 1] = rewrite(original, lower, fans[k - 1])
+        def _scan(lower, first, last):
+            fans = original(lower, first, last)
+            if lower.d == d and lower.shape == shape and first <= k <= last:
+                fans[k - first] = rewrite(original, lower, fans[k - first])
+            return fans
 
         monkeypatch.setattr(amplitudes, "_scan", _scan)
 
@@ -80,12 +79,10 @@ def swapped_amplitudes(d: int, k: int, shape: tuple[int, ...]) -> Callable:
 
 
 def wrong_letter(d: int, k: int, slot: int, shape: tuple[int, ...]) -> Callable:
-    """Write the letter-``k`` up fan into letter ``slot``'s slot at a lower pattern of ``shape``."""
+    """Hand out the letter-``k`` up fan as letter ``slot``'s at a lower pattern of ``shape``."""
 
     def other_letter(scan, lower, fan):
-        table = [None] * d
-        scan(lower, table, k, k)
-        return table[k - 1]
+        return scan(lower, k, k)[0]
 
     return rewritten_fan(d, slot, shape, other_letter)
 

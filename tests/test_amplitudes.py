@@ -12,7 +12,6 @@ from schurweyl import amplitudes
 from schurweyl.amplitudes import (
     NotAnEdge,
     WrongDimension,
-    _fans,
     _level_steps,
     down_transitions,
     pattern_amplitude_d2,
@@ -241,7 +240,7 @@ def test_up_fans_match_brute_force_in_every_table_state():
         # the shared roots: every rebuilt amplitude is the object it was
         before = fans(lowers)
         _level_steps.cache_clear()
-        _fans.cache_clear()
+        up_transitions.cache_clear()
         after = fans(lowers)
         assert after == expected, d
         assert all(
@@ -250,17 +249,27 @@ def test_up_fans_match_brute_force_in_every_table_state():
 
 
 def clear_tables():
-    """Clear the fan tables and the level steps, but not the shared roots."""
-    _fans.cache_clear()
+    """Clear the cached fans and the level steps, but not the shared roots."""
+    up_transitions.cache_clear()
     _level_steps.cache_clear()
     down_transitions.cache_clear()
 
 
 def fill_single_letters(patterns, letters_of):
-    """Fill each pattern's slots of the letters ``letters_of(pattern)``, one letter at a time."""
-    for p in patterns:
-        for k in letters_of(p):
-            up_transitions(p, k)
+    """Cache each pattern's up fans of the letters ``letters_of(pattern)``, one letter at a
+    time, and return the ``(pattern, letter)`` keys."""
+    keys = [(p, k) for p in patterns for k in letters_of(p)]
+    for p, k in keys:
+        up_transitions(p, k)
+    return keys
+
+
+def cached_fans(keys):
+    """The cached up fans of ``keys``, each read by a cache hit."""
+    misses = up_transitions.cache_info().misses
+    fans = {(p, k): up_transitions(p, k) for p, k in keys}
+    assert up_transitions.cache_info().misses == misses
+    return fans
 
 
 def built_fans(d, n):
@@ -275,10 +284,10 @@ def built_fans(d, n):
 
 @pytest.mark.parametrize("d, n", [(5, 5), (8, 4), (2, 13)])
 def test_fan_tables_match_the_oracle_in_every_fill_order(d, n):
-    # build scans each vertex into a table of its own and up_transitions one
-    # cold slot of the cached table alone; whatever the cached slots hold,
-    # build's edges must be the oracle's fans with the same amplitude objects,
-    # and build must leave every cached slot as it found it
+    # build scans each vertex into fans of its own and up_transitions one
+    # cold letter alone; whatever the cache holds, build's edges must be the
+    # oracle's fans with the same amplitude objects, and build must leave
+    # the cache as it found it
     patterns = [p for level in range(n) for p in all_patterns(level, d)]
     letters = range(1, d + 1)
     expected = {(p, k): dict(up_fan(p, k)) for p in patterns for k in letters}
@@ -295,62 +304,58 @@ def test_fan_tables_match_the_oracle_in_every_fill_order(d, n):
         # the roots are not cleared, so every amplitude is the object it was
         assert len(amps) == len(roots) and all(a is b for a, b in zip(amps, roots))
 
-    def build_leaves_the_slots():
-        # every filled slot holds the oracle's fan in full and in order
-        tables = {p: list(_fans(p)) for p in patterns}
-        assert all(
-            list(slot) == up_fan(p, k)
-            for p, table in tables.items() for k, slot in zip(letters, table) if slot is not None
-        )
-        size = _fans.cache_info().currsize
+    def build_leaves_the_cache(keys):
+        # every cached fan is the oracle's in full and in order
+        cached = cached_fans(keys)
+        assert all(list(fan) == up_fan(p, k) for (p, k), fan in cached.items())
+        size = up_transitions.cache_info().currsize
+        assert size == len(keys)
         check_build()
-        assert _fans.cache_info().currsize == size
-        assert all(
-            _fans(p)[k - 1] is slot for p, table in tables.items() for k, slot in zip(letters, table)
-        )
-        return tables
+        assert up_transitions.cache_info().currsize == size
+        after = cached_fans(keys)
+        assert all(after[key] is fan for key, fan in cached.items())
+        return cached
 
-    # empty: build fills no cached table
+    # empty: build caches no fan
     clear_tables()
     check_build()
-    assert _fans.cache_info().currsize == 0
-    # single letters cold first, then build, which reads none of their slots
+    assert up_transitions.cache_info().currsize == 0
+    # single letters cold first, then build, which reads none of their fans
     clear_tables()
-    fill_single_letters(patterns, lambda p: letters)
-    filled = build_leaves_the_slots()
-    assert all(slot is not None for table in filled.values() for slot in table)
+    filled = build_leaves_the_cache(fill_single_letters(patterns, lambda p: letters))
+    assert len(filled) == len(patterns) * d
     # ... and whose amplitudes are the objects build's edges hold
-    held = [dict(filled[p][k - 1])[upper] for (p, k), fan in expected.items() for upper in fan]
+    held = [dict(filled[key])[upper] for key, fan in expected.items() for upper in fan]
     assert len(held) == len(roots) and all(a is b for a, b in zip(held, roots))
-    # partly filled: build leaves the filled slots and the empty ones alone
+    # partly filled: build leaves the cached fans and caches no other
     clear_tables()
-    fill_single_letters(patterns, lambda p: [k for k in letters if (k + len(p.shape)) % 3 == 0])
-    partial = build_leaves_the_slots()
-    assert any(None in table for table in partial.values())
-    assert any(fan is not None for table in partial.values() for fan in table)
+    partial = build_leaves_the_cache(
+        fill_single_letters(patterns, lambda p: [k for k in letters if (k + len(p.shape)) % 3 == 0])
+    )
+    assert 0 < len(partial) < len(patterns) * d
 
 
 @pytest.mark.parametrize("d, n", [(3, 5), (5, 4)])
 @pytest.mark.parametrize("build_first", [True, False])
 def test_cached_slots_hold_records_and_built_tables_levels(d, n, build_first):
-    # the scan writes each upper as its levels tuple: up_transitions makes a
-    # cold slot's records before any reader sees it, and build's one-shot
-    # tables keep the tuples, whichever of the two fills first
+    # the scan returns each upper as its levels tuple: up_transitions makes a
+    # cold fan's records before any reader sees it, and build's one-shot
+    # fans keep the tuples, whichever of the two runs first
     patterns = [p for level in range(n) for p in all_patterns(level, d)]
     clear_tables()
     if build_first:
         build(d, n)
-    fill_single_letters(patterns, lambda p: range(1, d + 1))
+    keys = fill_single_letters(patterns, lambda p: range(1, d + 1))
     if not build_first:
         build(d, n)
+    cached = cached_fans(keys)
     for p in patterns:
-        table = amplitudes._fan_table(p)
-        for k, slot in enumerate(_fans(p), start=1):
-            assert all(type(upper) is GTPattern for upper, _ in slot), (p, k)
-            levels = table[k - 1]
+        for k, levels in enumerate(amplitudes._scan(p, 1, d), start=1):
+            fan = cached[p, k]
+            assert all(type(upper) is GTPattern for upper, _ in fan), (p, k)
             assert all(type(upper) is tuple for upper, _ in levels), (p, k)
-            assert [upper for upper, _ in levels] == [upper.levels for upper, _ in slot]
-            assert all(a is b for (_, a), (_, b) in zip(levels, slot)), (p, k)
+            assert [upper for upper, _ in levels] == [upper.levels for upper, _ in fan]
+            assert all(a is b for (_, a), (_, b) in zip(levels, fan)), (p, k)
 
 
 def test_level_steps_are_untracked_by_the_collector():
@@ -375,45 +380,76 @@ def test_level_steps_are_untracked_by_the_collector():
         assert not any(gc.is_tracked(x) for x in layer)
 
 
-def test_cold_single_letter_fills_one_slot():
-    # a caller that needs one letter pays for that letter alone, also at d = 64
+def test_cold_single_letter_fills_one_slot(monkeypatch):
+    # a caller that needs one letter pays for that letter alone, also at d = 64:
+    # one cold call scans that letter once and caches one fan
     d = 64
     zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
     first = GTPattern(tuple((1,) + (0,) * (j - 1) for j in range(1, d + 1)))
     clear_tables()
-    for p, k in ((zero, 1), (zero, 40), (first, 64), (first, 2)):
-        before = list(_fans(p))
+    scans = []
+    original = amplitudes._scan
+
+    def recorded(lower, first, last):
+        scans.append((lower, first, last))
+        return original(lower, first, last)
+
+    monkeypatch.setattr(amplitudes, "_scan", recorded)
+    keys = [(zero, 1), (zero, 40), (first, 64), (first, 2)]
+    for i, (p, k) in enumerate(keys, start=1):
         fan = up_transitions(p, k)
         assert fan and list(fan) == up_fan(p, k)
-        after = _fans(p)
-        assert after[k - 1] is fan
-        assert [i for i, slot in enumerate(after) if slot is not before[i]] == [k - 1]
-    assert [k for k, slot in enumerate(_fans(zero), 1) if slot is not None] == [1, 40]
+        assert scans == [(q, j, j) for q, j in keys[:i]]
+        assert up_transitions.cache_info().currsize == i
+        assert cached_fans([(p, k)])[p, k] is fan
+    assert len(scans) == len(keys)
+
+
+def test_cached_up_transitions_keeps_the_letter_contract():
+    # the cache is typed and keeps no error: a letter outside 1..d raises on
+    # every call, cold or warm, and caches nothing; a float letter never
+    # reads an int letter's fan, while True, an int, reads letter 1's
+    d = 3
+    p = GTPattern(((1,), (1, 0), (1, 0, 0)))
+    clear_tables()
+    for warm in (False, True):
+        if warm:
+            fan = up_transitions(p, 1)
+        size = up_transitions.cache_info().currsize
+        for k in (0, -1, d + 1, 0, -1, d + 1):
+            with pytest.raises(ValueError, match="letter out of range"):
+                up_transitions(p, k)
+        with pytest.raises(TypeError):
+            up_transitions(p, 1.0)
+        assert up_transitions.cache_info().currsize == size
+    assert fan and list(up_transitions(p, True)) == list(fan) == up_fan(p, 1)
+    assert all(a is b for (_, a), (_, b) in zip(up_transitions(p, True), fan))
 
 
 def test_cold_build_scans_each_vertex_once_into_an_uncached_table(monkeypatch):
-    # one scan of every letter per vertex below the top level, each into a
-    # new table, and the cached tables stay empty
+    # one scan of every letter per vertex below the top level, each returning
+    # new fans, and the up fan cache stays empty
     d, n = 5, 5
     clear_tables()
     scans = []
     original = amplitudes._scan
 
-    def recorded(lower, fans, first, last):
-        assert fans == [None] * d
+    def recorded(lower, first, last):
         scans.append((lower, first, last))
-        original(lower, fans, first, last)
+        fans = original(lower, first, last)
+        assert len(fans) == d
+        return fans
 
     monkeypatch.setattr(amplitudes, "_scan", recorded)
     build(d, n)
     assert scans == [(p, 1, d) for level in range(n) for p in all_patterns(level, d)]
-    assert _fans.cache_info().currsize == 0
+    assert up_transitions.cache_info().currsize == 0
 
 
 def test_dropped_cold_build_retains_little():
-    # the fan tables die with their vertices, so a dropped build leaves only
+    # a vertex's scanned fans die with it, so a dropped build leaves only
     # the level steps, the shared roots and the partitions: tens of kB at
-    # (16,3), where the cached tables held about 4.4 MB
+    # (16,3), where cached fans held about 4.4 MB
     for c in module_caches():
         c.cache_clear()
     gc.collect()
@@ -438,7 +474,7 @@ def test_build_reads_the_same_level_steps():
 
 
 def test_warm_round_trips_run_no_scan(monkeypatch):
-    # a first round trip of each word fills every slot that its up and down
+    # a first round trip of each word caches every fan that its up and down
     # steps read, so a second one scans no level
     clear_tables()
     rng = random.Random(8)
@@ -446,7 +482,7 @@ def test_warm_round_trips_run_no_scan(monkeypatch):
     for word in words:
         assert decode(encode(word, 3)) == {word: ONE}
 
-    def no_scan(lower, fans, first, last):
+    def no_scan(lower, first, last):
         raise AssertionError(f"scan of letters {first}..{last} at {lower}")
 
     monkeypatch.setattr(amplitudes, "_scan", no_scan)
@@ -600,9 +636,7 @@ def test_fans_do_not_grow_the_stack():
     d = 64
     zero = GTPattern(tuple((0,) * j for j in range(1, d + 1)))
     first = GTPattern(tuple((1,) + (0,) * (j - 1) for j in range(1, d + 1)))
-    _level_steps.cache_clear()
-    _fans.cache_clear()
-    down_transitions.cache_clear()
+    clear_tables()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:

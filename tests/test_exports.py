@@ -38,7 +38,7 @@ def test_cache_inventory():
         c.cache_clear()
         assert c.cache_info().currsize == 0
     amplitudes = {c.__name__ for c in caches if c.__module__ == "schurweyl.amplitudes"}
-    assert amplitudes == {"_level_steps", "_fans", "down_transitions"}
+    assert amplitudes == {"_level_steps", "up_transitions", "down_transitions"}
     tableaux = {c.__name__ for c in caches if c.__module__ == "schurweyl.tableaux"}
     assert tableaux == {"partitions"}
 

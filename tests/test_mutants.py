@@ -139,7 +139,7 @@ def down_reads(fans: dict) -> bool:
 
 @pytest.mark.parametrize("mutant", params(with_marks=False))
 def test_every_reader_reads_the_mutated_fans(monkeypatch, mutant):
-    # the mutants patch the one writer of the fan slots, which no other module
+    # the mutants patch the one evaluator of the up fans, which no other module
     # binds by name, so the graph, the single-letter fans and the branching
     # step read one set of fans, and the down fans take their amplitudes from it
     binding = [
