@@ -10,6 +10,7 @@ DOT and JSON dumps are byte-stable for fixed ``(d, n_max)``.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ from schurweyl import amplitudes
 from schurweyl.radicals import Radical
 from schurweyl.tableaux import (
     GTPattern,
+    Memo,
     Partition,
     check_alphabet,
     enumerate_gt,
@@ -100,30 +102,24 @@ class SWYGraph:
             '  node [shape=box, fontname="monospace"];',
         ]
         shift = letter_offset(self.d)
-        clusters: dict[tuple[int, Partition], list[SWYVertex]] = {}
-        for v in self.vertices:
-            clusters.setdefault((v.level, v.shape), []).append(v)
         line_break = "\\n"  # a line break inside a DOT label
-        # each distinct row's text, made once per call and keyed by the GT
-        # entries that fix it
-        row_texts: dict = {}
-        for level in range(self.n_max + 1):
-            for f, shape in enumerate(partitions(level, self.d)):
+        # each distinct row's text, keyed by the GT entries that fix it
+        row_texts = Memo(lambda entries: " ".join([str(x - shift) for x in weyl_row(entries)]))
+        by_level, by_shape = itemgetter(1), itemgetter(2)
+        # build lists each level's shapes in partitions order, and every shape
+        # of at most d rows has a pattern, so the clusters are those partitions
+        for level, at_level in groupby(self.vertices, by_level):
+            for f, (shape, cluster) in enumerate(groupby(at_level, by_shape)):
                 lines.append(f"  subgraph cluster_{level}_{f} {{")
                 lines.append(f'    label="n={level} {shape_to_text(shape)}";')
-                for v in clusters.get((level, shape), ()):
-                    label = line_break.join([
-                        row_texts.get(entries)
-                        or row_texts.setdefault(
-                            entries, " ".join([str(x - shift) for x in weyl_row(entries)])
-                        )
-                        for entries in row_entries(v.pattern)
-                    ])
+                for v in cluster:
+                    label = line_break.join(map(row_texts.__getitem__, row_entries(v.pattern)))
                     # only the empty tableau has no rows; its label is ()
                     lines.append(f'    v{v.id} [label="{label or "()"}"];')
                 lines.append("  }")
         # each amplitude object's text, made once per call; equal amplitudes
-        # from the fans are one object
+        # from the fans are one object.  By id, not a Memo: an id cannot give
+        # back its amplitude, and a value key would hash a frozenset per edge
         texts: dict = {}
         for e in self.edges:
             amp = e.amplitude

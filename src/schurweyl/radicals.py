@@ -119,7 +119,9 @@ def add_product(acc: "Radical", a: "Radical", b: "Radical") -> None:
         # folded first, as ``acc + a * b`` folds it
         x, y = a.mul(b)._terms, ONE._terms
     # times one root, distinct radicands stay distinct, so each term of the
-    # product reaches the map once, in the order ``mul`` lists them
+    # product reaches the map once, in the order of the two term maps;
+    # sqrt(m1)*sqrt(m2) == g*sqrt(m1*m2/g^2) for g = gcd(m1, m2), and
+    # m1*m2/g^2 is square-free when m1, m2 are, so no product is split again
     for m1, (p1, q1) in x.items():
         for m2, (p2, q2) in y.items():
             g = gcd(m1, m2)
@@ -185,15 +187,12 @@ class Radical:
         return _new(merged)
 
     def mul(self, other: "Radical") -> "Radical":
-        # sqrt(m1)*sqrt(m2) == g*sqrt(m1*m2/g^2) for g = gcd(m1, m2),
-        # and m1*m2/g^2 is square-free when m1, m2 are, so no refactoring
-        # of the product radicand is ever needed.
-        acc: dict[int, tuple[int, int]] = {}
-        for m1, (p1, q1) in self._terms.items():
-            for m2, (p2, q2) in other._terms.items():
-                g = gcd(m1, m2)
-                _accumulate(acc, (m1 // g) * (m2 // g), p1 * p2 * g, q1 * q2)
-        return _new(acc)
+        # one term of self at a time, so add_product never folds a sum by sum
+        # and the products reach the map in the order of the two term maps
+        acc = accumulator()
+        for m, pair in self._terms.items():
+            add_product(acc, _new({m: pair}), other)
+        return acc
 
     def neg(self) -> "Radical":
         return _new({m: (-p, q) for m, (p, q) in self._terms.items()})
@@ -292,21 +291,18 @@ def check_json_triple(m: int, num: int, den: int) -> None:
             )
 
 
-def radical_from_json_triples(triples: tuple, memo: dict) -> Radical:
+def radical_from_json_triples(triples: tuple) -> Radical:
     """The value of a document's amplitude, given as its terms' ``(radicand, num, den)`` triples.
 
     The triples are exact ints, checked by the caller, so a ``true`` or
-    ``1.0`` never meets the entry of a ``1``.  ``memo``, kept by the
-    caller for one document, maps each tuple of triples read to its value:
-    a tuple is bounded by :func:`check_json_triple` and folded the first
-    time it is seen, and a repeat is one lookup.
+    ``1.0`` never meets the entry of a ``1``; each is bounded by
+    :func:`check_json_triple`.  A reader keeps one
+    :class:`~schurweyl.tableaux.Memo` of this function per document, so
+    each distinct amplitude is bounded and folded once.
     """
-    found = memo.get(triples)
-    if found is None:
-        for triple in triples:
-            check_json_triple(*triple)
-        found = memo[triples] = _new(_fold_terms(triples))
-    return found
+    for triple in triples:
+        check_json_triple(*triple)
+    return _new(_fold_terms(triples))
 
 
 def radical_from_sqrt(sign: int, num: int, den: int) -> Radical:

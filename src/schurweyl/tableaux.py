@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from functools import cache
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -52,6 +51,21 @@ class InvariantViolation(ValueError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+
+class Memo(dict):
+    """``make(key)`` for each key, made on its first lookup and kept: a per-document memo.
+
+    A ``make`` that raises stores nothing, so a fault is named on every lookup.
+    """
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def check_alphabet(d: int) -> None:
@@ -88,7 +102,6 @@ def pad_partition(shape: Partition, length: int) -> Partition:
     return shape + (0,) * (length - len(shape))
 
 
-@cache
 def partitions(n: int, max_parts: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` with at most ``max_parts`` parts, descending lex."""
     if n < 0 or max_parts < 0:
@@ -129,42 +142,29 @@ def grown_row(smaller: Partition, larger: Partition) -> int:
 # standard Young tableaux as growth paths
 
 
-def validate_path(steps, seen: dict | None = None) -> GrowthPath:
+def path_memo() -> tuple[Memo, Memo]:
+    """:func:`validate_path`'s memo of one document: raw steps' shapes, growth pairs' rows."""
+    return Memo(check_partition), Memo(lambda pair: grown_row(*pair))
+
+
+def validate_path(steps, memo: tuple[Memo, Memo] | None = None) -> GrowthPath:
     """The growth path written as ``steps``, validated; the one growth-path reader.
 
     Each step is canonicalized by :func:`check_partition`; the first must
     be empty and each later one a single box larger than the one before.
     Faults are named in that order: every step's parts, then the start,
-    then the growth steps in turn.  ``seen`` holds what one document has
-    read: each raw step, as a tuple, mapped to its shape, and each pair of
-    consecutive shapes whose growth :func:`grown_row` accepted.  A path
-    whose steps and pairs are all there is read by one lookup per step and
-    per pair; otherwise each missing step and pair is checked in order.
-    So a document checks each distinct step and each distinct pair once,
-    and the memo grows with the document, not with its paths' lengths.
-    Steps read with ``seen`` must be a sequence of integer sequences, whose
-    tuples are keys that no pair of shapes equals; their integers must be
-    exact ints, since ``True == 1`` would meet the entry of a ``1``.
+    then the growth steps in turn.  ``memo`` comes from :func:`path_memo`,
+    one per document, so a document checks each distinct raw step and each
+    distinct pair of consecutive shapes once; without one, the path gets its
+    own.  Each step's tuple is a key, so equal steps are one: a path that
+    spells a step as ints and again with a ``True`` part fails its growth
+    step, not its bool part, and a document's steps must be exact ints.
     """
-    if seen is None:
-        path = tuple(map(check_partition, steps))
-    else:
-        try:
-            path = tuple(map(seen.__getitem__, map(tuple, steps)))
-        except KeyError:  # a step not read before is checked once, in order
-            path = tuple(
-                seen[step] if step in seen else seen.setdefault(step, check_partition(step))
-                for step in map(tuple, steps)
-            )
+    shapes, rows = path_memo() if memo is None else memo
+    path = tuple(map(shapes.__getitem__, map(tuple, steps)))
     if not path or path[0] != ():
         raise InvariantViolation("growth path starts empty", f"{path!r}")
-    if seen is None:
-        for pair in zip(path, path[1:]):
-            grown_row(*pair)
-    elif not all(map(seen.__contains__, zip(path, path[1:]))):
-        for pair in zip(path, path[1:]):
-            if pair not in seen:
-                seen[pair] = grown_row(*pair)
+    all(map(rows.__getitem__, zip(path, path[1:])))  # every row is 1 or more
     return path
 
 

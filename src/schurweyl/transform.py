@@ -23,6 +23,7 @@ from schurweyl.radicals import (
 )
 from schurweyl.tableaux import (
     InvariantViolation,
+    Memo,
     all_of_type,
     check_alphabet,
     enumerate_gt,
@@ -31,6 +32,7 @@ from schurweyl.tableaux import (
     json_field,
     json_rows,
     partitions,
+    path_memo,
     validate_path,
     word_to_text,
 )
@@ -172,16 +174,13 @@ def verify_unitary(m: ExactSparseMatrix) -> bool:
     accumulating over columns touches each nonzero entry pair once, and
     each row pair's sum is one accumulator.
     """
-    sums: dict[tuple[int, int], Radical] = {}
+    sums = Memo(lambda pair: accumulator())
     for column in m.columns():
         rows = sorted(column)
         for i, a in enumerate(rows):
             amp = column[a]
             for b in rows[i:]:
-                acc = sums.get((a, b))
-                if acc is None:
-                    acc = sums[a, b] = accumulator()
-                add_product(acc, amp, column[b])
+                add_product(sums[a, b], amp, column[b])
     return nonzero_radicals(sums) == {(r, r): ONE for r in range(m.size)}
 
 
@@ -238,9 +237,10 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     JSON types are checked first, column by column (:func:`_term_columns`):
     each field of every term must be exactly a JSON dict, list or int, so
     no ``true`` ever meets the memo entry of a ``1``.  Then one loop reads
-    each term through per-document memos: each distinct Weyl tableau is
-    checked once, :func:`validate_path` checks each distinct raw step and
-    each distinct pair of consecutive shapes once, and each distinct
+    each term through one :class:`~schurweyl.tableaux.Memo` per kind of
+    item: each distinct Weyl tableau is checked once, :func:`validate_path`
+    checks each distinct raw step and each distinct pair of consecutive
+    shapes once (:func:`~schurweyl.tableaux.path_memo`), and each distinct
     amplitude is bounded and folded once.  The loop names the first term
     whose shapes, level or values are wrong.  A zero amplitude, written as
     such or summed from terms that cancel, is dropped.
@@ -250,17 +250,13 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
     entries = json_field(obj, "terms", list, "state")
     if not entries:
         raise InvariantViolation("state document", "no terms")
-    patterns: dict = {}  # each Weyl tableau's rows read, with its pattern and shape
-    paths: dict = {}  # validate_path's memo: each raw step read and each growth pair accepted
-    amplitudes: dict = {}
+    # each Weyl tableau's pattern with its shape, read once per document
+    patterns = Memo(lambda rows: ((pattern := gt_from_external(rows, d)), pattern.shape))
+    paths = path_memo()
+    amplitudes = Memo(radical_from_json_triples)
     keys, amps = [], []
     for shape, rows, steps, triples in zip(*_term_columns(entries)):
-        rows = tuple(map(tuple, rows))
-        found = patterns.get(rows)
-        if found is None:
-            pattern = gt_from_external(rows, d)
-            found = patterns[rows] = pattern, pattern.shape
-        pattern, top = found
+        pattern, top = patterns[tuple(map(tuple, rows))]
         young = validate_path(steps, paths)
         shape = tuple(shape)
         if not shape == top == young[-1]:
@@ -270,7 +266,7 @@ def state_from_json_obj(obj) -> dict[SchurWeylTriplet, Radical]:
         if len(young) - 1 != n:
             raise InvariantViolation("terms share level and alphabet", f"{shape} at n={n}")
         keys.append(SchurWeylTriplet(pattern, young))
-        amps.append(radical_from_json_triples(triples, amplitudes))
+        amps.append(amplitudes[triples])
     terms = dict(zip(keys, amps))
     if len(terms) == len(keys) and all(amplitudes.values()):
         return terms  # no triplet repeats and no amplitude is zero

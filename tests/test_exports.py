@@ -37,10 +37,15 @@ def test_cache_inventory():
     for c in caches:
         c.cache_clear()
         assert c.cache_info().currsize == 0
-    amplitudes = {c.__name__ for c in caches if c.__module__ == "schurweyl.amplitudes"}
-    assert amplitudes == {"_level_steps", "up_transitions", "down_transitions"}
-    tableaux = {c.__name__ for c in caches if c.__module__ == "schurweyl.tableaux"}
-    assert tableaux == {"partitions"}
+    # partitions is not one: no op lists a level's partitions twice but check
+    # at d = 2, and those are a few dozen tiny tuples
+    assert {f"{c.__module__}.{c.__name__}" for c in caches} == {
+        "schurweyl.amplitudes._level_steps",
+        "schurweyl.amplitudes.up_transitions",
+        "schurweyl.amplitudes.down_transitions",
+        "schurweyl.radicals._signed_root",
+        "schurweyl.cli._parser",
+    }
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -14,8 +14,15 @@ from schurweyl.tableaux import (
     enumerate_gt,
     enumerate_paths,
     gt_to_weyl,
+    partitions,
+    shape_to_text,
 )
 from schurweyl.transform import encode
+
+
+def graph_json(g) -> str:
+    """The whole graph document, as the CLI writes it in chunks."""
+    return "".join(cli._graph_chunks(g))
 
 
 def up_edges(g, v, k=None):
@@ -250,6 +257,23 @@ def test_graph_bytes_golden(d, n, json_sha256, dot_sha256):
     assert hashlib.sha256(g.to_dot().encode()).hexdigest() == dot_sha256
 
 
+def test_dot_clusters_are_each_levels_partitions():
+    # to_dot reads its clusters off build's vertex order, one per run of a
+    # level and shape: they must be partitions(level, d), numbered per level
+    for d in range(1, 6):
+        for n in range(7):
+            headers = re.findall(
+                r'^  subgraph cluster_(\d+)_(\d+) \{\n    label="n=(\d+) (\([\d,]*\))";$',
+                build(d, n).to_dot(),
+                re.MULTILINE,
+            )
+            assert headers == [
+                (str(level), str(f), str(level), shape_to_text(shape))
+                for level in range(n + 1)
+                for f, shape in enumerate(partitions(level, d))
+            ], (d, n)
+
+
 @pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
 def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
     # the JSON and DOT writers write each distinct row once per call, from the
@@ -259,7 +283,7 @@ def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
     import schurweyl.tableaux as tableaux_module
 
     g = build(d, n)
-    expected_json, expected_dot = cli._dumps_graph(g), g.to_dot()
+    expected_json, expected_dot = graph_json(g), g.to_dot()
     keys = {
         (None,) * (i - 1) + tuple(v.pattern.m(i, j) for j in range(i, d + 1))
         for v in g.vertices
@@ -273,7 +297,7 @@ def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
         for name in ("gt_to_weyl", "gt_to_external"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    for write in (cli._dumps_graph, SWYGraph.to_dot):
+    for write in (graph_json, SWYGraph.to_dot):
         written = []
 
         def counting(entries, original=tableaux_module.weyl_row):
@@ -282,7 +306,7 @@ def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
 
         for module in (graph_module, cli):
             monkeypatch.setattr(module, "weyl_row", counting)
-        assert write(g) == (expected_json if write is cli._dumps_graph else expected_dot)
+        assert write(g) == (expected_json if write is graph_json else expected_dot)
         assert len(written) == len(set(written)) and set(written) == keys, write.__name__
     monkeypatch.undo()
     # the reference document converts each vertex itself, and its rows are its
@@ -292,7 +316,7 @@ def test_graph_writers_make_no_row_grid(monkeypatch, d, n):
     rows[0][0] = 99
     assert g.to_dot() == expected_dot
     assert g.to_json_obj()["vertices"][-1]["tableau_rows"] != rows
-    assert cli._dumps_graph(g) == expected_json == json.dumps(g.to_json_obj(), indent=2)
+    assert graph_json(g) == expected_json == json.dumps(g.to_json_obj(), indent=2)
 
 
 @pytest.mark.parametrize(
@@ -305,7 +329,7 @@ def test_graph_writer_matches_json_dumps(d, n):
     g = build(d, n)
     chunks = list(cli._graph_chunks(g))
     text = "".join(chunks)
-    assert text == cli._dumps_graph(g) == json.dumps(g.to_json_obj(), indent=2)
+    assert text == graph_json(g) == json.dumps(g.to_json_obj(), indent=2)
     # every vertex and edge opens with "{" on a line of its own at indent 4
     entries = [chunk.count("\n    {") for chunk in chunks]
     size = cli.GRAPH_CHUNK
@@ -326,7 +350,7 @@ def equal_amplitudes_in_two_term_orders() -> SWYGraph:
     terms = ((2, 1, 10), (3, 1, 5), (5, -3, 10))
     g = build(2, 2)
     edges = [
-        e._replace(amplitude=radical_from_json_triples(terms[i % 2 :] + terms[: i % 2], {}))
+        e._replace(amplitude=radical_from_json_triples(terms[i % 2 :] + terms[: i % 2]))
         for i, e in enumerate(g.edges)
     ]
     return SWYGraph(g.d, g.n_max, g.vertices, edges)
@@ -338,7 +362,7 @@ def test_graph_writer_keeps_term_order_of_equal_amplitudes():
     g = equal_amplitudes_in_two_term_orders()
     first, second = (e.amplitude for e in g.edges[:2])
     assert first == second and first.to_float() != second.to_float()
-    assert cli._dumps_graph(g) == json.dumps(g.to_json_obj(), indent=2)
+    assert graph_json(g) == json.dumps(g.to_json_obj(), indent=2)
 
 
 def test_dot_keeps_text_of_equal_amplitudes_in_either_term_order():
@@ -368,7 +392,7 @@ def test_serializers_format_each_amplitude_once(monkeypatch):
     g = build(3, 5)
     distinct = {e.amplitude for e in g.edges}
     # the JSON writer reads each amplitude's terms through int_items, once per text
-    for method, write in (("int_items", cli._dumps_graph), ("to_string", SWYGraph.to_dot)):
+    for method, write in (("int_items", graph_json), ("to_string", SWYGraph.to_dot)):
         calls = []
         original = getattr(Radical, method)
 

@@ -158,7 +158,7 @@ def test_mul_cross_radicands():
 def read_back(obj) -> Radical:
     """The value of a :meth:`Radical.to_json_obj` document, read as the state reader reads it."""
     triples = tuple((term["radicand"], term["num"], term["den"]) for term in obj["terms"])
-    return radical_from_json_triples(triples, {})
+    return radical_from_json_triples(triples)
 
 
 def test_json_round_trip():
@@ -173,7 +173,7 @@ def test_json_round_trip():
     # radicands are bounded so that reading one stays cheap; 2**48 is a
     # perfect square, and the bound itself is read
     def doc(m):
-        return radical_from_json_triples(((m, 1, 1),), {})
+        return radical_from_json_triples(((m, 1, 1),))
 
     assert doc(MAX_JSON_RADICAND) == Radical({1: 2**24})
     for m in (0, MAX_JSON_RADICAND + 1, 10**36):
@@ -184,7 +184,7 @@ def test_json_round_trip():
     top = 2**MAX_JSON_COEFFICIENT_BITS - 1
 
     def coeff(num, den, m=1):
-        return radical_from_json_triples(((m, num, den),), {})
+        return radical_from_json_triples(((m, num, den),))
 
     assert coeff(top, 1) == Radical({1: top})
     assert coeff(-top, top) == -ONE
@@ -318,7 +318,7 @@ def test_multi_term_cases():
     assert folded.to_string() == "-1/2*sqrt(3)"
     # a document's pair need not be reduced, nor its denominator positive
     doc = ((12, 2, -8), (2, 3, 6))
-    assert_matches(radical_from_json_triples(doc, {}), {2: Fraction(1, 2), 3: Fraction(-1, 2)})
+    assert_matches(radical_from_json_triples(doc), {2: Fraction(1, 2), 3: Fraction(-1, 2)})
 
 
 # add_product against the Radical sum it replaces

@@ -22,6 +22,7 @@ from schurweyl.tableaux import (
     letter_from_json,
     letter_offset,
     pad_partition,
+    path_memo,
     parse_word,
     partitions,
     path_to_syt,
@@ -243,7 +244,7 @@ def test_path_memo_matches_reading_alone():
                 mixed = tuple(padded[i] if i % 2 else step for i, step in enumerate(path))
                 spelled += [path, padded, mixed]
     random.Random(14).shuffle(spelled)
-    seen = {}
+    seen = path_memo()
     for steps in spelled:
         alone = validate_path(steps)
         assert alone == tuple(map(check_partition, steps))
@@ -269,7 +270,7 @@ def test_path_memo_names_the_same_fault():
     for steps in bad:
         with pytest.raises(InvariantViolation) as alone:
             validate_path(steps)
-        seen = {}
+        seen = path_memo()
         validate_path(good, seen)
         with pytest.raises(InvariantViolation) as memo:
             validate_path(steps, seen)
@@ -283,7 +284,7 @@ def test_path_memo_keeps_a_rejected_growth_step_out():
     # path with a bad step names that fault on every read, while a good
     # path through the same steps still reads
     bad = ((), (1,), (2,), (2, 2), (3, 2))
-    seen = {}
+    seen = path_memo()
     for _ in range(2):
         with pytest.raises(InvariantViolation, match=r"\(\(2,\) -> \(2, 2\)\)"):
             validate_path(bad, seen)
@@ -291,6 +292,28 @@ def test_path_memo_keeps_a_rejected_growth_step_out():
     assert validate_path(good, seen) == good
     with pytest.raises(InvariantViolation, match="single-box growth step"):
         validate_path(bad, seen)
+
+
+def test_path_memo_is_a_path_memo():
+    # the memo is path_memo()'s pair, never a plain dict that a falsy test
+    # would swap for a fresh memo
+    good = ((), (1,), (2,))
+    seen = path_memo()
+    assert validate_path(good, seen) == good
+    assert seen[0] == {(): (), (1,): (1,), (2,): (2,)}
+    assert seen[1] == {((), (1,)): 1, ((1,), (2,)): 1}
+    with pytest.raises(ValueError, match="unpack"):
+        validate_path(good, {})
+
+
+def test_path_spelling_a_step_twice_names_its_growth_step():
+    # a path reads its steps through a memo of its own, so a step spelled
+    # with a True part after its int spelling is that step: the path breaks
+    # both invariants and is rejected for its growth step
+    with pytest.raises(InvariantViolation, match="single-box growth step"):
+        validate_path([[], [1], [True]])
+    with pytest.raises(InvariantViolation, match="bad part True"):
+        validate_path([[], [True]])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurweyl import cli, tableaux, transform
+from schurweyl import cli, radicals, tableaux, transform
 from schurweyl.branching import SchurWeylTriplet
 from schurweyl.radicals import ONE, ZERO, Radical, radical_from_sqrt
 from schurweyl.tableaux import (
@@ -304,27 +304,47 @@ def test_state_json_validation():
             state_from_json_obj(dict(good, d=d))
 
 
-def test_reader_checks_each_raw_step_once(monkeypatch):
-    # a (3,8) document: the reader's memo checks each distinct raw step of
-    # its growth paths once, and each distinct Weyl tableau once, by its
-    # row lengths
+def test_reader_checks_each_distinct_item_once(monkeypatch):
+    # a (3,8) document: the reader's memos check each distinct Weyl tableau,
+    # raw growth step, growth pair and amplitude triple once, however many
+    # terms repeat it; weyl_to_gt checks a tableau's row lengths as a partition
     state = encode((1, 2, 3, 1, 2, 3, 1, 2), 3)
     obj = state_document(state, 3, 8)
-    calls = []
-    check_partition = tableaux.check_partition
+    terms = obj["terms"]
+    weyl = {tuple(map(tuple, term["weyl_rows"])) for term in terms}
+    steps = {tuple(step) for term in terms for step in term["young_path"]}
+    pairs = {
+        (tuple(a), tuple(b))
+        for term in terms
+        for a, b in zip(term["young_path"], term["young_path"][1:])
+    }
+    amplitudes = {
+        tuple(tuple(t.values()) for t in term["amplitude"]["terms"]) for term in terms
+    }
+    # every kind repeats across the terms, so a missing memo would show
+    assert max(len(weyl), len(amplitudes)) < len(terms)
+    assert len(pairs) < sum(len(term["young_path"]) - 1 for term in terms)
+    calls = {"weyl_to_gt": [], "check_partition": [], "grown_row": [], "check_json_triple": []}
 
-    def counting(shape):
-        calls.append(shape)
-        return check_partition(shape)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(tableaux, "check_partition", counting)
+        def count(*args):
+            calls[name].append(args[0] if len(args) == 1 else args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    for name in ("weyl_to_gt", "check_partition", "grown_row"):
+        counting(tableaux, name)
+    counting(radicals, "check_json_triple")
     assert state_from_json_obj(obj) == state
-    steps = {tuple(step) for term in obj["terms"] for step in term["young_path"]}
-    weyl = {tuple(map(tuple, term["weyl_rows"])) for term in obj["terms"]}
+    assert len(calls["weyl_to_gt"]) == len(weyl)
     expected = Counter(steps)
     expected.update(tuple(map(len, rows)) for rows in weyl)
-    assert Counter(calls) == expected
-    assert len(calls) < len(obj["terms"])
+    assert Counter(calls["check_partition"]) == expected
+    assert sorted(calls["grown_row"]) == sorted(pairs)
+    assert sorted(calls["check_json_triple"]) == sorted(t for amp in amplitudes for t in amp)
 
 
 def test_computational_json():
